@@ -2,7 +2,7 @@
 
 Two phases: batch training/evaluation of bag-of-n-grams classifiers on a
 labeled corpus, and real-time micro-batch prediction over an embedded
-publish/subscribe commit log.
+pub/sub commit log.
 
 Submodules are imported explicitly (``ideation_stream.corpus``,
 ``ideation_stream.broker``, ...) so that lightweight consumers such as the

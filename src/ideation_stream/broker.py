@@ -1,10 +1,10 @@
-"""Embedded publish/subscribe commit log.
+"""Embedded pub/sub commit log.
 
 Topics are directories of partitions; each partition is a directory of
 append-only segment files named by their base offset::
 
     <root>/
-      topics/<topic>/topic.json              partition count, retention
+      topics/<topic>/topic.json              name and partition count
       topics/<topic>/<partition>/00000000000000000000.log
       groups/<group>.json                    committed offsets, atomic replace
 
@@ -14,8 +14,8 @@ u32 CRC-32 over the rest of the frame, u64 timestamp ms, i32 key length
 implicit: base offset of the segment plus the record's position in it.
 
 Durability modes: ``fsync`` fsyncs before every ack, ``batch`` (default)
-writes through an unbuffered fd and fsyncs every ``fsync_interval``
-records and on close, ``none`` never fsyncs explicitly. Reads go through
+writes through an unbuffered fd and fsyncs every 256 records per
+partition and on close, ``none`` never fsyncs explicitly. Reads go through
 ``os.pread`` on separate descriptors, so consumers see acked records
 immediately and never block producers except for the per-partition append
 lock held during segment rotation.
@@ -36,11 +36,11 @@ import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import (OffsetOutOfRange, RetentionOverflow, TopicExists,
-                     UnknownTopic)
+from .errors import CorruptPayload, OffsetOutOfRange, TopicExists, UnknownTopic
 from .hashutil import fnv1a_32
 
 DEFAULT_SEGMENT_BYTES = 16 * 1024 * 1024
+FSYNC_INTERVAL = 256  # records per partition between fsyncs in ``batch`` mode
 _HEADER = struct.Struct("<II")  # frame_len, crc32
 
 
@@ -58,13 +58,10 @@ class Record:
 class TopicConfig:
     name: str
     partitions: int = 1
-    retention: int = 0  # max records per partition, 0 = unbounded
 
     def __post_init__(self) -> None:
-        if self.partitions < 1:
-            raise ValueError(f"partitions must be >= 1, got {self.partitions}")
-        if self.retention < 0:
-            raise ValueError(f"retention must be >= 0, got {self.retention}")
+        if not isinstance(self.partitions, int) or self.partitions < 1:
+            raise ValueError(f"partitions must be an int >= 1, got {self.partitions!r}")
 
 
 def _encode_frame(key: bytes | None, value: bytes, timestamp_ms: int) -> bytes:
@@ -76,6 +73,16 @@ def _encode_frame(key: bytes | None, value: bytes, timestamp_ms: int) -> bytes:
     body += struct.pack("<I", len(value)) + value
     crc = zlib.crc32(body) & 0xFFFFFFFF
     return _HEADER.pack(len(body) + 4, crc) + body
+
+
+def _load_json_object(path: Path) -> dict:
+    try:
+        raw = json.loads(path.read_text("utf-8"))
+    except ValueError as exc:
+        raise CorruptPayload(f"{path} is not JSON: {exc}") from None
+    if not isinstance(raw, dict):
+        raise CorruptPayload(f"{path} does not hold a JSON object")
+    return raw
 
 
 def _decode_body(body: bytes) -> tuple[bytes | None, bytes, int]:
@@ -142,10 +149,8 @@ class _Segment:
 
 
 class _Partition:
-    def __init__(self, directory: Path, topic: str, index: int):
+    def __init__(self, directory: Path):
         self.dir = directory
-        self.topic = topic
-        self.index = index
         self.segments: list[_Segment] = []
         self.lock = threading.Lock()
         self.unsynced = 0
@@ -165,12 +170,8 @@ class _Partition:
         last = self.segments[-1]
         return last.base_offset + len(last.positions)
 
-    def append(self, frame: bytes, segment_bytes: int, durability: str,
-               fsync_interval: int, capacity: int = 0) -> int:
+    def append(self, frame: bytes, segment_bytes: int, durability: str) -> int:
         with self.lock:
-            if capacity and self.end_offset >= capacity:
-                raise RetentionOverflow(
-                    f"partition {self.topic}/{self.index} at retention cap {capacity}")
             seg = self.segments[-1]
             if seg.size and seg.size + len(frame) > segment_bytes:
                 if durability != "none":
@@ -185,7 +186,7 @@ class _Partition:
                 os.fsync(seg.fd)
             elif durability == "batch":
                 self.unsynced += 1
-                if self.unsynced >= fsync_interval:
+                if self.unsynced >= FSYNC_INTERVAL:
                     os.fsync(seg.fd)
                     self.unsynced = 0
             return offset
@@ -217,7 +218,7 @@ class _Topic:
 
     def open(self) -> None:
         for i in range(self.config.partitions):
-            part = _Partition(self.dir / str(i), self.config.name, i)
+            part = _Partition(self.dir / str(i))
             part.open()
             self.partitions.append(part)
 
@@ -226,16 +227,14 @@ class Broker:
     """Thread-safe embedded broker over one root directory."""
 
     def __init__(self, root, durability: str = "batch", *,
-                 segment_bytes: int = DEFAULT_SEGMENT_BYTES, fsync_interval: int = 256):
+                 segment_bytes: int = DEFAULT_SEGMENT_BYTES):
         if durability not in ("fsync", "batch", "none"):
             raise ValueError(f"unknown durability mode {durability!r}")
         self.root = Path(root)
         self.durability = durability
         self.segment_bytes = segment_bytes
-        self.fsync_interval = fsync_interval
         self._topics: dict[str, _Topic] = {}
         self._groups: dict[str, dict[str, int]] = {}
-        self._members: dict[tuple[str, str], list["GroupConsumer"]] = {}
         self._lock = threading.RLock()
         self._data_ready = threading.Condition(self._lock)
         (self.root / "topics").mkdir(parents=True, exist_ok=True)
@@ -249,14 +248,16 @@ class Broker:
             meta = topic_dir / "topic.json"
             if not meta.is_file():
                 continue
-            raw = json.loads(meta.read_text("utf-8"))
-            config = TopicConfig(name=raw["name"], partitions=raw["partitions"],
-                                 retention=raw["retention"])
+            raw = _load_json_object(meta)
+            try:  # other keys, such as a record cap older files carry, are ignored
+                config = TopicConfig(name=raw["name"], partitions=raw["partitions"])
+            except (KeyError, ValueError) as exc:
+                raise CorruptPayload(f"{meta}: bad topic metadata ({exc})") from None
             topic = _Topic(config, topic_dir)
             topic.open()
             self._topics[config.name] = topic
         for group_file in (self.root / "groups").glob("*.json"):
-            self._groups[group_file.stem] = json.loads(group_file.read_text("utf-8"))
+            self._groups[group_file.stem] = _load_json_object(group_file)
 
     def close(self) -> None:
         with self._lock:
@@ -275,10 +276,9 @@ class Broker:
 
     # -- topics ----------------------------------------------------------
 
-    def create_topic(self, config: TopicConfig | str, partitions: int = 1,
-                     retention: int = 0) -> None:
+    def create_topic(self, config: TopicConfig | str, partitions: int = 1) -> None:
         if isinstance(config, str):
-            config = TopicConfig(name=config, partitions=partitions, retention=retention)
+            config = TopicConfig(name=config, partitions=partitions)
         with self._lock:
             if config.name in self._topics:
                 raise TopicExists(f"topic {config.name!r} already exists")
@@ -287,8 +287,7 @@ class Broker:
             meta = topic_dir / "topic.json"
             tmp = meta.with_suffix(".tmp")
             tmp.write_text(json.dumps({"name": config.name,
-                                       "partitions": config.partitions,
-                                       "retention": config.retention},
+                                       "partitions": config.partitions},
                                       sort_keys=True), "utf-8")
             os.replace(tmp, meta)
             topic = _Topic(config, topic_dir)
@@ -312,8 +311,7 @@ class Broker:
     # -- producing -------------------------------------------------------
 
     def produce(self, topic: str, value: bytes, key: bytes | None = None,
-                timestamp_ms: int | None = None, *, block: bool = False,
-                block_timeout_ms: float = 5000.0) -> tuple[int, int]:
+                timestamp_ms: int | None = None) -> tuple[int, int]:
         """Append one record; returns (partition, offset) after the
         durability mode has acknowledged the write."""
         t = self._topic(topic)
@@ -323,21 +321,11 @@ class Broker:
                 t.rr_counter += 1
         else:
             partition = fnv1a_32(key) % t.config.partitions
-        part = t.partitions[partition]
 
         if timestamp_ms is None:
             timestamp_ms = int(time.time() * 1000)
         frame = _encode_frame(key, value, timestamp_ms)
-        deadline = time.monotonic() + block_timeout_ms / 1000.0
-        while True:
-            try:
-                offset = part.append(frame, self.segment_bytes, self.durability,
-                                     self.fsync_interval, capacity=t.config.retention)
-                break
-            except RetentionOverflow:
-                if not block or time.monotonic() >= deadline:
-                    raise
-                time.sleep(0.005)
+        offset = t.partitions[partition].append(frame, self.segment_bytes, self.durability)
         with self._data_ready:
             self._data_ready.notify_all()
         return partition, offset
@@ -350,17 +338,15 @@ class Broker:
         return Record(topic=topic, partition=partition, offset=offset,
                       key=key, value=value, timestamp_ms=timestamp_ms)
 
-    def _collect(self, topic: str, starts: dict[int, int], max_records: int,
-                 partitions: list[int] | None = None) -> list[Record]:
+    def _collect(self, topic: str, starts: dict[int, int], max_records: int) -> list[Record]:
         """Round-robin across partitions, offset order within each."""
         t = self._topic(topic)
-        parts = partitions if partitions is not None else list(range(t.config.partitions))
         cursors = dict(starts)
         out: list[Record] = []
         progress = True
         while len(out) < max_records and progress:
             progress = False
-            for p in parts:
+            for p in range(t.config.partitions):
                 if len(out) >= max_records:
                     break
                 cursor = cursors.get(p, 0)
@@ -387,32 +373,6 @@ class Broker:
                 return []
             with self._data_ready:
                 self._data_ready.wait(timeout=remaining)
-
-    def subscribe(self, topic: str, group: str) -> "GroupConsumer":
-        """Member handle with a static range of partitions; membership
-        changes re-split the range across live members."""
-        self._topic(topic)
-        consumer = GroupConsumer(self, topic, group)
-        with self._lock:
-            members = self._members.setdefault((topic, group), [])
-            members.append(consumer)
-        return consumer
-
-    def _assignment(self, topic: str, group: str, consumer: "GroupConsumer") -> list[int]:
-        t = self._topic(topic)
-        with self._lock:
-            members = self._members.get((topic, group), [])
-            if consumer not in members:
-                return []
-            rank = members.index(consumer)
-            count = len(members)
-        return [p for p in range(t.config.partitions) if p % count == rank]
-
-    def _drop_member(self, topic: str, group: str, consumer: "GroupConsumer") -> None:
-        with self._lock:
-            members = self._members.get((topic, group), [])
-            if consumer in members:
-                members.remove(consumer)
 
     # -- offsets ---------------------------------------------------------
 
@@ -454,46 +414,3 @@ class Broker:
             if self.durability != "none":
                 os.fsync(fh.fileno())
         os.replace(tmp, path)
-
-
-class GroupConsumer:
-    """One member of a consumer group, bound to its assigned partitions."""
-
-    def __init__(self, broker: Broker, topic: str, group: str):
-        self.broker = broker
-        self.topic = topic
-        self.group = group
-        self._last_batch: list[Record] = []
-
-    def assignment(self) -> list[int]:
-        return self.broker._assignment(self.topic, self.group, self)
-
-    def poll(self, max_records: int = 1024, timeout_ms: float = 0.0) -> list[Record]:
-        deadline = time.monotonic() + timeout_ms / 1000.0
-        while True:
-            parts = self.assignment()
-            committed = self.broker.committed(self.group, self.topic)
-            starts = {p: committed.get(p, 0) for p in parts}
-            batch = self.broker._collect(self.topic, starts, max_records, partitions=parts)
-            if batch or timeout_ms <= 0:
-                self._last_batch = batch
-                return batch
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                self._last_batch = []
-                return []
-            with self.broker._data_ready:
-                self.broker._data_ready.wait(timeout=remaining)
-
-    def commit_polled(self) -> None:
-        """Commit past everything the last poll returned."""
-        if not self._last_batch:
-            return
-        highest: dict[int, int] = {}
-        for rec in self._last_batch:
-            highest[rec.partition] = max(highest.get(rec.partition, -1), rec.offset)
-        self.broker.commit(self.group, self.topic,
-                           {p: off + 1 for p, off in highest.items()})
-
-    def close(self) -> None:
-        self.broker._drop_member(self.topic, self.group, self)

@@ -44,7 +44,6 @@ EXIT_CODES: dict[type, int] = {
     errors.TopicExists: 60,
     errors.UnknownTopic: 61,
     errors.OffsetOutOfRange: 62,
-    errors.RetentionOverflow: 63,
 }
 
 COMBO_CHOICES = ["uni-tfidf", "uni-cv-idf", "bi-cv-idf", "uni-bi-cv-idf"]
@@ -348,8 +347,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
 
 def cmd_broker_create_topic(args: argparse.Namespace) -> int:
     with _open_broker(args) as broker:
-        broker.create_topic(args.topic, partitions=args.partitions,
-                            retention=args.retention)
+        broker.create_topic(args.topic, partitions=args.partitions)
     _emit(args, {"topic": args.topic, "partitions": args.partitions},
           f"created topic {args.topic!r} with {args.partitions} partition(s)")
     return 0
@@ -507,7 +505,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_broker_arg(p)
     p.add_argument("--topic", required=True)
     p.add_argument("--partitions", type=int, default=1)
-    p.add_argument("--retention", type=int, default=0)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_broker_create_topic)
 

@@ -100,7 +100,3 @@ class UnknownTopic(IdeationStreamError):
 
 class OffsetOutOfRange(IdeationStreamError):
     """Commit or replay offset beyond the log end."""
-
-
-class RetentionOverflow(IdeationStreamError):
-    """Bounded partition is full and the producer chose not to block."""

@@ -17,6 +17,7 @@ version byte reports VersionMismatch, not CorruptPayload.
 from __future__ import annotations
 
 import json
+import math
 import zlib
 from dataclasses import dataclass
 
@@ -36,6 +37,7 @@ MAGIC = b"ISPK"
 FORMAT_VERSION = 1
 
 _TREE_FIELDS = ("feature", "threshold", "left", "right", "count_neg", "count_pos")
+_ITEM_BYTES = {"bytes": 1, "<f8": 8, "<i8": 8}
 
 
 @dataclass
@@ -162,20 +164,37 @@ def load(path) -> tuple[FeaturePipeline, ModelArtifact]:
     _check_framing(blob)
     header, payload_start = _parse_header(blob)
 
-    arrays: dict[str, np.ndarray | bytes] = {}
-    pos = payload_start
-    for entry in header["sections"]:
-        name, dtype, shape = entry["name"], entry["dtype"], entry["shape"]
-        if dtype == "bytes":
-            size = shape[0]
-            arrays[name] = bytes(blob[pos:pos + size])
-        else:
-            size = int(np.prod(shape)) * 8
-            arrays[name] = np.frombuffer(blob[pos:pos + size], dtype=dtype).reshape(shape).copy()
-        pos += size
-    if pos != len(blob) - 4:
-        raise CorruptPayload("section table does not cover the payload")
+    try:
+        return _rebuild(header, _read_sections(blob, header["sections"], payload_start))
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        # a missing section or key, an unknown kind tag, a shape the model
+        # cannot use, or vocabulary bytes that are not UTF-8
+        raise CorruptPayload(f"header and sections do not form a model: {exc!r}") from None
 
+
+def _read_sections(blob: bytes, table: list, pos: int) -> dict[str, np.ndarray | bytes]:
+    """Slice the payload by the section table, which must cover it exactly."""
+    arrays: dict[str, np.ndarray | bytes] = {}
+    end = len(blob) - 4
+    for entry in table:
+        name, dtype, shape = entry["name"], entry["dtype"], entry["shape"]
+        if (dtype not in _ITEM_BYTES or not isinstance(shape, list)
+                or not all(type(n) is int and n >= 0 for n in shape)
+                or (dtype == "bytes" and len(shape) != 1)):
+            raise CorruptPayload(f"bad section entry {entry!r}")
+        size = math.prod(shape) * _ITEM_BYTES[dtype]
+        if size > end - pos:
+            raise CorruptPayload(f"section {name!r} runs past the payload")
+        data = blob[pos:pos + size]
+        arrays[name] = data if dtype == "bytes" else \
+            np.frombuffer(data, dtype=dtype).reshape(shape).copy()
+        pos += size
+    if pos != end:
+        raise CorruptPayload("section table does not cover the payload")
+    return arrays
+
+
+def _rebuild(header: dict, arrays: dict) -> tuple[FeaturePipeline, ModelArtifact]:
     ph = header["pipeline"]
     pipe = FeaturePipeline(
         combo=FeatureCombo(ph["combo"]),
@@ -192,15 +211,9 @@ def load(path) -> tuple[FeaturePipeline, ModelArtifact]:
                                 min_tf=ph["min_tf"])
     pipe.idf = IdfModel(idf=arrays["idf"])
 
-    try:
-        kind = ModelKind(header["model_kind"])
-    except ValueError:
-        raise CorruptPayload(f"unknown model kind tag {header['model_kind']!r}") from None
-    try:
-        params = _params_from_arrays(kind, arrays)
-    except KeyError as exc:
-        raise CorruptPayload(f"missing section {exc}") from None
-    model = ModelArtifact(kind=kind, dim=header["dim"], params=params,
+    kind = ModelKind(header["model_kind"])
+    model = ModelArtifact(kind=kind, dim=header["dim"],
+                          params=_params_from_arrays(kind, arrays),
                           training_meta=header["training_meta"],
                           feature_pipeline=pipe)
     return pipe, model

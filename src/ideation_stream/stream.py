@@ -77,8 +77,10 @@ class PredictionEvent:
 
     @classmethod
     def from_json(cls, line: str) -> "PredictionEvent | None":
+        """None for anything but a prediction object whose label is 0 or 1."""
         obj = json.loads(line)
-        if obj.get("kind") != "prediction":
+        if (not isinstance(obj, dict) or obj.get("kind") != "prediction"
+                or type(obj.get("label")) is not int or obj["label"] not in (0, 1)):
             return None
         return cls(source_partition=obj["source_partition"],
                    source_offset=obj["source_offset"],

@@ -9,6 +9,10 @@ Usage: python crash_producer.py <broker_root> <run_id>
 """
 
 import sys
+from pathlib import Path
+
+# the parent's pytest ``pythonpath`` setting does not reach this child
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from ideation_stream.broker import Broker
 from ideation_stream.errors import TopicExists

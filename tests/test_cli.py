@@ -167,6 +167,19 @@ class TestStreamingCommands:
                      "--topic", "t", "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["end_offsets"] == [0]
 
+    def test_offsets_on_unreadable_topic_json_exit(self, tmp_path):
+        broker_dir = tmp_path / "broker"
+        main(["broker", "create-topic", "--broker-dir", str(broker_dir), "--topic", "t"])
+        (broker_dir / "topics" / "t" / "topic.json").write_text("{trunc", "utf-8")
+        assert main(["broker", "offsets", "--broker-dir", str(broker_dir),
+                     "--topic", "t"]) == 51
+
+    def test_create_topic_has_no_cap_option(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["broker", "create-topic", "--broker-dir", str(tmp_path / "b"),
+                  "--topic", "t", "--retention", "5"])
+        assert exc.value.code == 2
+
     def test_bench_reports_rates(self, tmp_path, capsys):
         rc = main(["broker", "bench", "--broker-dir", str(tmp_path / "b"),
                    "--records", "2000", "--json"])

@@ -270,3 +270,14 @@ class TestAggregate:
         broker.produce("Predicted-tweets", json.dumps({"kind": "dead_letter"}).encode())
         report = aggregate(broker)
         assert report.total == 2
+
+    def test_hostile_records_skipped(self, broker):
+        self._emit(broker, [1, 0])
+        good = json.loads(PredictionEvent(0, 9, "t", 1, "suicide", 1.0, "d", 0).to_json())
+        hostile = [[1, 2], "x", None, 7,
+                   {**good, "label": "1"}, {**good, "label": 2},
+                   {**good, "label": True}, {**good, "label": 1.0}]
+        for value in hostile:
+            broker.produce("Predicted-tweets", json.dumps(value).encode())
+        report = aggregate(broker)
+        assert (report.total, report.suicide) == (2, 1)
