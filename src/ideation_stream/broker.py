@@ -54,12 +54,19 @@ class Record:
     timestamp_ms: int
 
 
+def _check_name(kind: str, name: str) -> None:
+    """Topic and group names become one path component under the root."""
+    if not isinstance(name, str) or name in ("", ".", "..") or set(name) & {"/", "\\", "\0"}:
+        raise ValueError(f"bad {kind} name {name!r}")
+
+
 @dataclass(frozen=True)
 class TopicConfig:
     name: str
     partitions: int = 1
 
     def __post_init__(self) -> None:
+        _check_name("topic", self.name)
         if not isinstance(self.partitions, int) or self.partitions < 1:
             raise ValueError(f"partitions must be an int >= 1, got {self.partitions!r}")
 
@@ -276,9 +283,8 @@ class Broker:
 
     # -- topics ----------------------------------------------------------
 
-    def create_topic(self, config: TopicConfig | str, partitions: int = 1) -> None:
-        if isinstance(config, str):
-            config = TopicConfig(name=config, partitions=partitions)
+    def create_topic(self, name: str, partitions: int = 1) -> None:
+        config = TopicConfig(name=name, partitions=partitions)
         with self._lock:
             if config.name in self._topics:
                 raise TopicExists(f"topic {config.name!r} already exists")
@@ -386,6 +392,7 @@ class Broker:
     def commit(self, group: str, topic: str, offsets: dict[int, int]) -> None:
         """Durably record next-to-read offsets; rejects offsets beyond the
         partition end."""
+        _check_name("group", group)
         t = self._topic(topic)
         for p, offset in offsets.items():
             if p < 0 or p >= t.config.partitions:
@@ -399,11 +406,6 @@ class Broker:
             for p, offset in offsets.items():
                 state[f"{topic}/{p}"] = offset
             self._write_group(group, state)
-
-    def replay_from(self, group: str, topic: str, offset: int) -> None:
-        """Reset the group's cursor on every partition of the topic."""
-        t = self._topic(topic)
-        self.commit(group, topic, {p: offset for p in range(t.config.partitions)})
 
     def _write_group(self, group: str, state: dict[str, int]) -> None:
         path = self.root / "groups" / f"{group}.json"

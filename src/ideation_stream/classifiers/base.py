@@ -36,16 +36,13 @@ class Prediction:
 class ModelArtifact:
     """Trained parameters for one classifier kind.
 
-    ``params`` is kind-specific (see the trainer modules). The feature
-    pipeline is attached by the training driver / model store, not the
-    trainers themselves.
+    ``params`` is kind-specific (see the trainer modules).
     """
 
     kind: ModelKind
     dim: int
     params: Any
     training_meta: dict = field(default_factory=dict)
-    feature_pipeline: Any = None
 
 
 class LabeledDataset:

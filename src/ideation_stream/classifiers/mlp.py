@@ -15,16 +15,13 @@ import numpy as np
 
 from ..features import SparseVector
 from .base import LabeledDataset, ModelArtifact, ModelKind
+from .linear import _sigmoid
 
 
 @dataclass
 class MLPParams:
     weights: list[np.ndarray]
     biases: list[np.ndarray]
-
-    @property
-    def layer_sizes(self) -> list[int]:
-        return [w.shape[0] for w in self.weights] + [self.weights[-1].shape[1]]
 
 
 def init_params(dim: int, hidden_layers: Sequence[int], seed: int) -> MLPParams:
@@ -40,15 +37,6 @@ def init_params(dim: int, hidden_layers: Sequence[int], seed: int) -> MLPParams:
         weights.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
         biases.append(np.zeros(fan_out, dtype=np.float64))
     return MLPParams(weights=weights, biases=biases)
-
-
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
 
 
 def _first_layer(rows: Sequence[SparseVector], w0: np.ndarray, b0: np.ndarray) -> np.ndarray:

@@ -361,40 +361,6 @@ def cmd_broker_offsets(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_broker_bench(args: argparse.Namespace) -> int:
-    started = time.time()
-    with _open_broker(args) as broker:
-        topic = "bench"
-        if topic not in broker.topics():
-            broker.create_topic(topic, partitions=args.partitions)
-        payload = b"x" * args.payload_bytes
-        t0 = time.perf_counter()
-        for i in range(args.records):
-            broker.produce(topic, payload)
-        produce_s = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        consumed = 0
-        while consumed < args.records:
-            batch = broker.consume(topic, "bench-group", max_records=8192)
-            if not batch:
-                break
-            consumed += len(batch)
-            broker.commit("bench-group", topic,
-                          {p: max(r.offset for r in batch if r.partition == p) + 1
-                           for p in {r.partition for r in batch}})
-        consume_s = time.perf_counter() - t0
-    produce_rate = args.records / produce_s if produce_s else float("inf")
-    consume_rate = consumed / consume_s if consume_s else float("inf")
-    manifest = _write_manifest(None, "broker-bench", args, [], [], started,
-                               extra={"produce_rate": produce_rate,
-                                      "consume_rate": consume_rate})
-    _emit(args, {"records": args.records, "produce_rate_per_s": produce_rate,
-                 "consume_rate_per_s": consume_rate, "manifest": manifest},
-          f"produce: {produce_rate:,.0f} rec/s, consume: {consume_rate:,.0f} rec/s "
-          f"({args.records} records of {args.payload_bytes} bytes)")
-    return 0
-
-
 def _add_broker_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--broker-dir", required=True, help="broker root directory")
     parser.add_argument("--durability", default="batch",
@@ -513,14 +479,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--topic", required=True)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_broker_offsets)
-
-    p = bsub.add_parser("bench", help="report produce/consume throughput")
-    _add_broker_arg(p)
-    p.add_argument("--records", type=int, default=100_000)
-    p.add_argument("--payload-bytes", type=int, default=100)
-    p.add_argument("--partitions", type=int, default=1)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_broker_bench)
 
     return parser
 

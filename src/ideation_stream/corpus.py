@@ -12,8 +12,7 @@ from __future__ import annotations
 import csv
 import random
 import re
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import DegenerateSplit, EmptyCorpus, MissingColumn, UnknownLabel
 
@@ -54,19 +53,10 @@ class CleanupReport:
 @dataclass
 class Corpus:
     documents: list[Document]
-    source: str = "<memory>"
-    loaded_at: float = field(default_factory=time.time)
     load_report: LoadReport | None = None
 
     def __len__(self) -> int:
         return len(self.documents)
-
-    def label_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for doc in self.documents:
-            if doc.label is not None:
-                counts[doc.label] = counts.get(doc.label, 0) + 1
-        return counts
 
 
 @dataclass(frozen=True)
@@ -130,7 +120,7 @@ def load_csv(path, text_column: str, label_column: str | None = None) -> Corpus:
 
     if not documents:
         raise EmptyCorpus(f"{path}: zero usable rows")
-    return Corpus(documents=documents, source=str(path), load_report=report)
+    return Corpus(documents=documents, load_report=report)
 
 
 def save_csv(corpus: Corpus, path, text_column: str = "text", label_column: str = "class") -> None:
@@ -163,9 +153,7 @@ def dedupe_and_clean(corpus: Corpus) -> tuple[Corpus, CleanupReport]:
             continue
         seen.add(key)
         kept.append(doc)
-    cleaned = Corpus(documents=kept, source=corpus.source, loaded_at=corpus.loaded_at,
-                     load_report=corpus.load_report)
-    return cleaned, report
+    return Corpus(documents=kept, load_report=corpus.load_report), report
 
 
 def split(corpus: Corpus, spec: SplitSpec) -> tuple[Corpus, Corpus]:
@@ -187,6 +175,4 @@ def split(corpus: Corpus, spec: SplitSpec) -> tuple[Corpus, Corpus]:
     random.Random(spec.seed).shuffle(order)
     train_docs = [corpus.documents[i] for i in order[:n_train]]
     test_docs = [corpus.documents[i] for i in order[n_train:]]
-    train = Corpus(documents=train_docs, source=corpus.source, loaded_at=corpus.loaded_at)
-    test = Corpus(documents=test_docs, source=corpus.source, loaded_at=corpus.loaded_at)
-    return train, test
+    return Corpus(documents=train_docs), Corpus(documents=test_docs)

@@ -25,6 +25,7 @@ from .hashutil import fnv1a_32
 
 DEFAULT_NUM_BUCKETS = 1 << 18
 DEFAULT_MIN_TF = 4
+BUCKET_CACHE_MAX = 1 << 16  # grams a hashing cache holds before it is cleared
 
 
 class FeatureCombo(str, Enum):
@@ -181,7 +182,8 @@ def count_vectorize(grams: Sequence[str], vocab: Vocabulary) -> SparseVector:
 
 def hashing_tf(grams: Sequence[str], num_buckets: int = DEFAULT_NUM_BUCKETS,
                _cache: dict | None = None) -> SparseVector:
-    """Counts summed per FNV-1a bucket. num_buckets must be a power of two."""
+    """Counts summed per FNV-1a bucket. num_buckets must be a power of two.
+    ``_cache`` memoizes gram -> bucket and is cleared when it fills."""
     if num_buckets < 2 or num_buckets & (num_buckets - 1):
         raise ValueError(f"num_buckets must be a power of two >= 2, got {num_buckets}")
     counts: Counter[int] = Counter()
@@ -189,6 +191,8 @@ def hashing_tf(grams: Sequence[str], num_buckets: int = DEFAULT_NUM_BUCKETS,
         if _cache is not None:
             bucket = _cache.get(gram)
             if bucket is None:
+                if len(_cache) >= BUCKET_CACHE_MAX:
+                    _cache.clear()
                 bucket = fnv1a_32(gram) % num_buckets
                 _cache[gram] = bucket
         else:
@@ -200,7 +204,6 @@ def hashing_tf(grams: Sequence[str], num_buckets: int = DEFAULT_NUM_BUCKETS,
 @dataclass
 class IdfModel:
     idf: np.ndarray
-    smoothing: bool = True
 
     @property
     def dim(self) -> int:
@@ -219,7 +222,7 @@ def fit_idf(vectors: Sequence[SparseVector]) -> IdfModel:
             raise DimensionMismatch(f"vector dim {vec.dim} != {dim}")
         df[vec.indices] += 1
     idf = np.log((len(vectors) + 1.0) / (df + 1.0))
-    return IdfModel(idf=idf, smoothing=True)
+    return IdfModel(idf=idf)
 
 
 def apply_tfidf(vec: SparseVector, idf: IdfModel) -> SparseVector:
@@ -258,25 +261,18 @@ class FeaturePipeline:
             raise NotFitted("pipeline has no fitted vocabulary")
         return self.vocab.dim
 
-    def vectorize_counts(self, tokens: Sequence[str]) -> SparseVector:
+    def _counts(self, grams: list[str]) -> SparseVector:
         """Raw count vector for one document (no TF scaling, no IDF)."""
-        grams = ngrams(tokens, self.ngram)
+        dim = self.dim  # raises NotFitted before any gram is counted
         if self.hashing:
-            return hashing_tf(grams, self.num_buckets, _cache=self._bucket_cache)
+            return hashing_tf(grams, dim, _cache=self._bucket_cache)
         return count_vectorize(grams, self.vocab)
 
     def transform(self, tokens: Sequence[str]) -> SparseVector:
         if self.idf is None:
             raise NotFitted("transform called before fit")
         grams = ngrams(tokens, self.ngram)
-        if self.hashing:
-            if self.num_buckets is None:
-                raise NotFitted("pipeline has no bucket count")
-            raw = hashing_tf(grams, self.num_buckets, _cache=self._bucket_cache)
-        else:
-            if self.vocab is None:
-                raise NotFitted("pipeline has no fitted vocabulary")
-            raw = count_vectorize(grams, self.vocab)
+        raw = self._counts(grams)
         if self.normalize_tf and grams:
             raw = raw.scaled(1.0 / len(grams))
         return apply_tfidf(raw, self.idf)
@@ -294,6 +290,6 @@ def fit_pipeline(token_docs: Sequence[Sequence[str]], combo: FeatureCombo | str,
         pipe.num_buckets = num_buckets
     else:
         pipe.vocab = fit_vocabulary(token_docs, spec, min_tf=min_tf, max_terms=vocab_cap)
-    counts = [pipe.vectorize_counts(tokens) for tokens in token_docs]
+    counts = [pipe._counts(ngrams(tokens, spec)) for tokens in token_docs]
     pipe.idf = fit_idf(counts)
     return pipe

@@ -4,8 +4,8 @@ rule-based lemmatization.
 The filter stage case-folds, expands contractions, strips URLs and the
 ``#``/``@`` marks, deletes every remaining non-alphanumeric codepoint, and
 collapses whitespace. Lemmatization is table-driven (exception lookup
-first, then ordered suffix rules) so the shipped tables can be swapped via
-config files without touching code.
+first, then ordered suffix rules). The shipped tables live in ``data/``;
+other tables come in through the ``PreprocessConfig`` constructor.
 """
 
 from __future__ import annotations
@@ -90,23 +90,6 @@ class PreprocessConfig:
             )
         return _DEFAULT_CONFIG
 
-    @classmethod
-    def from_files(cls, stopwords_path=None, contractions_path=None,
-                   exceptions_path=None, suffix_rules_path=None) -> "PreprocessConfig":
-        """Default tables with any subset overridden from files."""
-        base = cls.load_default()
-        read = lambda p: open(p, "r", encoding="utf-8").read()
-        return cls(
-            stopword_list=(_parse_wordlist(read(stopwords_path))
-                           if stopwords_path else base.stopword_list),
-            contraction_table=(_parse_pairs(read(contractions_path))
-                               if contractions_path else base.contraction_table),
-            lemma_exceptions=(_parse_pairs(read(exceptions_path))
-                              if exceptions_path else base.lemma_exceptions),
-            suffix_rules=(_parse_suffix_rules(read(suffix_rules_path))
-                          if suffix_rules_path else base.suffix_rules),
-        )
-
 
 _DEFAULT_CONFIG: PreprocessConfig | None = None
 
@@ -185,15 +168,12 @@ def preprocess(raw: str, config: PreprocessConfig | None = None, source_id: str 
     return lemmatize(remove_stopwords(seq, config), config)
 
 
-def looks_english(text_or_tokens, config: PreprocessConfig | None = None) -> bool:
-    """Crude language gate: at least half the whitespace tokens appear in
-    the stopword/common-word inventory. Empty input fails."""
+def looks_english(text: str, config: PreprocessConfig | None = None) -> bool:
+    """Crude language gate: at least half the filtered whitespace tokens
+    appear in the stopword/common-word inventory. Empty input fails."""
     if config is None:
         config = PreprocessConfig.load_default()
-    if isinstance(text_or_tokens, str):
-        tokens = filter_text(text_or_tokens, config).split()
-    else:
-        tokens = list(text_or_tokens)
+    tokens = filter_text(text, config).split()
     if not tokens:
         return False
     known = config.stopword_list | _COMMON_WORDS

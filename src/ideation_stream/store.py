@@ -11,7 +11,9 @@ the optional metrics snapshot, and a section table (name, dtype, shape).
 Keys are sorted and floats use the canonical repr, so saving the same
 in-memory artifact twice yields identical bytes. Arrays are stored
 little-endian. Version is checked before the checksum so a tampered
-version byte reports VersionMismatch, not CorruptPayload.
+version byte reports VersionMismatch, not CorruptPayload. A CRC-valid
+file whose arrays do not fit the header ``dim``, or whose tree is not a
+forward tree, is CorruptPayload too.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .classifiers.linear import LinearParams
 from .classifiers.mlp import MLPParams
 from .classifiers.naive_bayes import NBParams
 from .classifiers.tree import ForestParams, TreeParams
-from .errors import CorruptPayload, IoFailure, VersionMismatch
+from .errors import CorruptPayload, IoFailure, NotFitted, VersionMismatch
 from .features import (FeatureCombo, FeaturePipeline, IdfModel, NGramSpec,
                        Vocabulary)
 from .hashutil import sha256_hex
@@ -159,16 +161,16 @@ def inspect_header(path) -> dict:
 
 
 def load(path) -> tuple[FeaturePipeline, ModelArtifact]:
-    """Restore (pipeline, model); the model also carries the pipeline."""
+    """Restore (pipeline, model); every array must fit the header ``dim``."""
     blob = _read(path)
     _check_framing(blob)
     header, payload_start = _parse_header(blob)
 
     try:
         return _rebuild(header, _read_sections(blob, header["sections"], payload_start))
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError, NotFitted) as exc:
         # a missing section or key, an unknown kind tag, a shape the model
-        # cannot use, or vocabulary bytes that are not UTF-8
+        # cannot use, vocabulary bytes that are not UTF-8, or no vocabulary
         raise CorruptPayload(f"header and sections do not form a model: {exc!r}") from None
 
 
@@ -209,49 +211,74 @@ def _rebuild(header: dict, arrays: dict) -> tuple[FeaturePipeline, ModelArtifact
         pipe.vocab = Vocabulary(term_to_index={t: j for j, t in enumerate(terms)},
                                 doc_freq=df, num_docs=ph["vocab_num_docs"],
                                 min_tf=ph["min_tf"])
+        _require(pipe.vocab.dim == len(terms), "vocabulary terms are not distinct")
     pipe.idf = IdfModel(idf=arrays["idf"])
+    dim = header["dim"]
+    _require(np.shape(pipe.idf.idf) == (dim,) and pipe.dim == dim,
+             "idf or vocabulary does not fit the header dim")
 
     kind = ModelKind(header["model_kind"])
-    model = ModelArtifact(kind=kind, dim=header["dim"],
-                          params=_params_from_arrays(kind, arrays),
-                          training_meta=header["training_meta"],
-                          feature_pipeline=pipe)
+    model = ModelArtifact(kind=kind, dim=dim, params=_params_from_arrays(kind, arrays, dim),
+                          training_meta=header["training_meta"])
     return pipe, model
 
 
-def _params_from_arrays(kind: ModelKind, arrays: dict):
+def _require(fits, problem: str) -> None:
+    if not fits:
+        raise CorruptPayload(problem)
+
+
+def _params_from_arrays(kind: ModelKind, arrays: dict, dim: int):
     if kind is ModelKind.NB:
-        return NBParams(log_prior=arrays["nb.log_prior"], log_lik=arrays["nb.log_lik"])
+        prior, lik = arrays["nb.log_prior"], arrays["nb.log_lik"]
+        _require(np.shape(prior) == (2,) and np.shape(lik) == (2, dim),
+                 "nb sections do not fit the header dim")
+        return NBParams(log_prior=prior, log_lik=lik)
     if kind in (ModelKind.LR, ModelKind.SVC):
-        return LinearParams(weights=arrays["linear.weights"],
-                            bias=float(arrays["linear.bias"][0]),
+        weights, bias = arrays["linear.weights"], arrays["linear.bias"]
+        _require(np.shape(weights) == (dim,) and np.shape(bias) == (1,),
+                 "linear sections do not fit the header dim")
+        return LinearParams(weights=weights, bias=float(bias[0]),
                             probabilistic=kind is ModelKind.LR)
     if kind is ModelKind.DT:
-        return _tree_from_arrays(arrays, 0)
+        return _tree_from_arrays(arrays, 0, dim)
     if kind is ModelKind.RF:
         trees = []
-        t = 0
-        while f"tree.{t}.feature" in arrays:
-            trees.append(_tree_from_arrays(arrays, t))
-            t += 1
+        while f"tree.{len(trees)}.feature" in arrays:
+            trees.append(_tree_from_arrays(arrays, len(trees), dim))
         if not trees:
             raise CorruptPayload("forest artifact holds no trees")
         return ForestParams(trees=trees)
     if kind is ModelKind.MLP:
         weights, biases = [], []
-        i = 0
-        while f"mlp.w{i}" in arrays:
-            weights.append(arrays[f"mlp.w{i}"])
-            biases.append(arrays[f"mlp.b{i}"])
-            i += 1
-        if not weights:
-            raise CorruptPayload("mlp artifact holds no layers")
+        fan_in = dim
+        while f"mlp.w{len(weights)}" in arrays:
+            i = len(weights)
+            w, b = arrays[f"mlp.w{i}"], arrays[f"mlp.b{i}"]
+            _require(np.ndim(w) == 2 and np.shape(w)[0] == fan_in
+                     and np.shape(b) == np.shape(w)[1:], f"mlp layer {i} does not chain")
+            fan_in = w.shape[1]
+            weights.append(w)
+            biases.append(b)
+        _require(weights and fan_in == 2, "mlp layers do not end in 2 outputs")
         return MLPParams(weights=weights, biases=biases)
     raise CorruptPayload(f"unknown model kind {kind!r}")
 
 
-def _tree_from_arrays(arrays: dict, t: int) -> TreeParams:
-    return TreeParams(**{f: arrays[f"tree.{t}.{f}"] for f in _TREE_FIELDS})
+def _tree_from_arrays(arrays: dict, t: int, dim: int) -> TreeParams:
+    """A forward tree: internal nodes split on a column in [0, dim) and
+    point to two later nodes, leaves have -1 children; scoring halts."""
+    tree = TreeParams(**{f: arrays[f"tree.{t}.{f}"] for f in _TREE_FIELDS})
+    n = np.size(tree.feature)
+    _require(n and all(np.shape(getattr(tree, f)) == (n,) for f in _TREE_FIELDS)
+             and all(a.dtype.kind == "i" for a in (tree.feature, tree.left, tree.right)),
+             f"tree {t} sections are not {n}-node 1-D arrays with integer links")
+    node, leaf = np.arange(n), tree.feature == -1
+    inner = (tree.feature >= 0) & (tree.feature < dim) & (tree.left > node) \
+        & (tree.right > node) & (tree.left < n) & (tree.right < n)
+    _require(np.all(np.where(leaf, (tree.left == -1) & (tree.right == -1), inner)),
+             f"tree {t} is not a forward tree over dim {dim}")
+    return tree
 
 
 def _read(path) -> bytes:

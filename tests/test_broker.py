@@ -36,6 +36,22 @@ class TestTopics:
         with pytest.raises(ValueError):
             TopicConfig(name="t", partitions=0)
 
+    @pytest.mark.parametrize("name", ["", ".", "..", "../../escaped", "a/b", "a\\b", "a\0b"])
+    def test_names_stay_under_the_root(self, tmp_path, name):
+        root = tmp_path / "outer" / "log"
+        with Broker(root) as b:
+            with pytest.raises(ValueError):
+                b.create_topic(name)
+            b.create_topic("t")
+            with pytest.raises(ValueError):
+                b.commit(name, "t", {0: 0})
+            assert b.committed(name, "t") == {}
+        assert [p.name for p in (tmp_path / "outer").iterdir()] == ["log"]
+        assert [p.name for p in (root / "topics").iterdir()] == ["t"]
+        assert list((root / "groups").iterdir()) == []
+        with Broker(root) as b:
+            assert b.topics() == ["t"]
+
     def test_unknown_topic(self, broker):
         with pytest.raises(UnknownTopic):
             broker.produce("ghost", b"x")
@@ -135,7 +151,7 @@ class TestOffsets:
             broker.produce("t", str(i).encode())
         broker.commit("g", "t", {0: 3})
         assert broker.consume("t", "g") == []
-        broker.replay_from("g", "t", 0)
+        broker.commit("g", "t", {0: 0})
         assert len(broker.consume("t", "g")) == 3
 
     def test_commit_survives_restart(self, tmp_path):
@@ -172,7 +188,8 @@ class TestTopicMetadata:
 
     @pytest.mark.parametrize("raw", [b"{not json", b"[1, 2]", b'"t"', b'{"name": "t"}',
                                      b'{"partitions": 1}', b'{"name": "t", "partitions": 0}',
-                                     b'{"name": "t", "partitions": "2"}', b"\xff\xfe"])
+                                     b'{"name": "t", "partitions": "2"}', b"\xff\xfe",
+                                     b'{"name": "../x", "partitions": 1}'])
     def test_unreadable_metadata_is_corrupt_payload(self, tmp_path, raw):
         self._topic_json(tmp_path, raw)
         with pytest.raises(CorruptPayload):

@@ -180,13 +180,10 @@ class TestStreamingCommands:
                   "--topic", "t", "--retention", "5"])
         assert exc.value.code == 2
 
-    def test_bench_reports_rates(self, tmp_path, capsys):
-        rc = main(["broker", "bench", "--broker-dir", str(tmp_path / "b"),
-                   "--records", "2000", "--json"])
-        assert rc == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["produce_rate_per_s"] > 0
-        assert payload["consume_rate_per_s"] > 0
+    def test_bench_subcommand_is_gone(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["broker", "bench", "--broker-dir", str(tmp_path / "b")])
+        assert exc.value.code == 2
 
 
 class TestInspect:

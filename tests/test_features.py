@@ -262,3 +262,13 @@ class TestPipeline:
         expected = dense_hashing_tfidf(docs, (1,), 32, normalize)
         for i, doc in enumerate(docs):
             assert np.allclose(pipe.transform(doc).to_dense(), expected[i], atol=1e-9)
+
+    def test_bucket_cache_stays_bounded(self):
+        # 70,000 distinct grams through one pipeline, as a long serve sees
+        docs = [[f"g{i}_{j}" for j in range(1000)] for i in range(70)]
+        pipe = fit_pipeline(docs[:2], FeatureCombo.UNI_TFIDF, num_buckets=1 << 10)
+        for doc in docs:
+            grams = ngrams(doc, pipe.ngram)
+            uncached = hashing_tf(grams, 1 << 10).scaled(1.0 / len(grams))
+            assert pipe.transform(doc) == apply_tfidf(uncached, pipe.idf)
+            assert len(pipe._bucket_cache) <= 1 << 16

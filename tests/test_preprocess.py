@@ -134,13 +134,6 @@ class TestConfig:
         assert cfg.digest() == PreprocessConfig.load_default().digest()
         assert len(cfg.digest()) == 64
 
-    def test_override_from_file(self, cfg, tmp_path):
-        stops = tmp_path / "stop.txt"
-        stops.write_text("want\n", "utf-8")
-        custom = PreprocessConfig.from_files(stopwords_path=stops)
-        assert remove_stopwords(TokenSeq(("i", "want")), custom).tokens == ("i",)
-        assert custom.digest() != cfg.digest()
-
     def test_contraction_keys_must_be_lowercase(self):
         with pytest.raises(ValueError):
             PreprocessConfig(stopword_list=frozenset(), contraction_table={"Don'T": "do not"},
