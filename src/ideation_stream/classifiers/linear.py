@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..features import SparseVector
+from ..features import SparseBatch
 from .base import LabeledDataset, ModelArtifact, ModelKind
 
 
@@ -37,11 +37,11 @@ def logistic_loss_grad(wb: np.ndarray, data: LabeledDataset, l2: float) -> tuple
     """Loss and gradient at wb = [w..., b]. Bias is unpenalized."""
     w, b = wb[:-1], wb[-1]
     y = data.labels.astype(np.float64)
-    z = data.matvec(w) + b
+    z = data.batch.matvec(w) + b
     loss = float(np.mean(np.logaddexp(0.0, z) - y * z)) + 0.5 * l2 * float(w @ w)
     g_z = (_sigmoid(z) - y) / len(data)
     grad = np.empty_like(wb)
-    grad[:-1] = data.rmatvec(g_z) + l2 * w
+    grad[:-1] = data.batch.rmatvec(g_z) + l2 * w
     grad[-1] = g_z.sum()
     return loss, grad
 
@@ -76,7 +76,7 @@ def train_lr(data: LabeledDataset, l2: float = 0.0, max_iter: int = 200,
 
 def svc_objective(w: np.ndarray, b: float, data: LabeledDataset, lam: float) -> float:
     y_pm = data.labels.astype(np.float64) * 2.0 - 1.0
-    margins = y_pm * (data.matvec(w) + b)
+    margins = y_pm * (data.batch.matvec(w) + b)
     hinge = np.maximum(0.0, 1.0 - margins)
     return 0.5 * lam * float(w @ w) + float(hinge.mean())
 
@@ -101,12 +101,12 @@ def train_linear_svc(data: LabeledDataset, c: float = 1.0, max_iter: int = 1000,
 
     for t in range(1, max_iter + 1):
         iterations = t
-        margins = y_pm * (data.matvec(w) + b)
+        margins = y_pm * (data.batch.matvec(w) + b)
         viol = (margins < 1.0).astype(np.float64)
         eta = 1.0 / (lam * t)
         # w <- (1 - eta*lam) w + eta * mean over violators of y x
         w *= 1.0 - eta * lam
-        w += eta * data.rmatvec(y_pm * viol) / n
+        w += eta * data.batch.rmatvec(y_pm * viol) / n
         norm = np.linalg.norm(w)
         if norm > radius:
             w *= radius / norm
@@ -129,8 +129,7 @@ def train_linear_svc(data: LabeledDataset, c: float = 1.0, max_iter: int = 1000,
     return ModelArtifact(kind=ModelKind.SVC, dim=data.dim, params=params, training_meta=meta)
 
 
-def score(params: LinearParams, vec: SparseVector) -> float:
-    z = float(params.weights[vec.indices] @ vec.values) + params.bias if vec.nnz else params.bias
-    if params.probabilistic:
-        return float(_sigmoid(np.array([z]))[0])
-    return z
+def score_batch(params: LinearParams, batch: SparseBatch) -> np.ndarray:
+    """P(positive) per row for LR, the signed margin for the SVC."""
+    z = batch.matvec(params.weights) + params.bias
+    return _sigmoid(z) if params.probabilistic else z

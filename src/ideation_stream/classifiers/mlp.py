@@ -2,8 +2,8 @@
 cross-entropy loss, mini-batch gradient descent.
 
 Weights start Glorot-uniform (+-sqrt(6/(fan_in+fan_out))) from the seed;
-biases start at zero. The first layer consumes sparse rows directly, so
-the input dimension never gets densified.
+biases start at zero. The first layer reads the rows of a CSR
+``SparseBatch`` one at a time, so the input dimension never gets densified.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..features import SparseVector
+from ..features import SparseBatch
 from .base import LabeledDataset, ModelArtifact, ModelKind
 from .linear import _sigmoid
 
@@ -39,15 +39,15 @@ def init_params(dim: int, hidden_layers: Sequence[int], seed: int) -> MLPParams:
     return MLPParams(weights=weights, biases=biases)
 
 
-def _first_layer(rows: Sequence[SparseVector], w0: np.ndarray, b0: np.ndarray) -> np.ndarray:
-    z = np.tile(b0, (len(rows), 1))
-    for i, vec in enumerate(rows):
-        if vec.nnz:
-            z[i] += vec.values @ w0[vec.indices]
+def _first_layer(batch: SparseBatch, w0: np.ndarray, b0: np.ndarray) -> np.ndarray:
+    z = np.tile(b0, (batch.n_rows, 1))
+    for i, (a, b) in enumerate(zip(batch.indptr[:-1].tolist(), batch.indptr[1:].tolist())):
+        if b > a:
+            z[i] += batch.values[a:b] @ w0[batch.indices[a:b]]
     return z
 
 
-def forward(params: MLPParams, rows: Sequence[SparseVector]) -> list[np.ndarray]:
+def forward(params: MLPParams, rows: SparseBatch) -> list[np.ndarray]:
     """Activations per layer; the last entry is the softmax output."""
     acts = []
     a = _sigmoid(_first_layer(rows, params.weights[0], params.biases[0]))
@@ -62,11 +62,11 @@ def forward(params: MLPParams, rows: Sequence[SparseVector]) -> list[np.ndarray]
     return acts
 
 
-def loss_and_grads(params: MLPParams, rows: Sequence[SparseVector],
+def loss_and_grads(params: MLPParams, rows: SparseBatch,
                    y: np.ndarray) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
     """Mean cross-entropy over the batch plus gradients for every weight
     matrix and bias vector."""
-    b = len(rows)
+    b = rows.n_rows
     acts = forward(params, rows)
     probs = acts[-1]
     eps = np.finfo(np.float64).tiny
@@ -86,9 +86,9 @@ def loss_and_grads(params: MLPParams, rows: Sequence[SparseVector],
         d_z = d_a * a_prev * (1.0 - a_prev)
 
     dw0 = np.zeros_like(params.weights[0])
-    for i, vec in enumerate(rows):
-        if vec.nnz:
-            dw0[vec.indices] += np.outer(vec.values, d_z[i])
+    for i, (lo, hi) in enumerate(zip(rows.indptr[:-1].tolist(), rows.indptr[1:].tolist())):
+        if hi > lo:
+            dw0[rows.indices[lo:hi]] += np.outer(rows.values[lo:hi], d_z[i])
     grads_w[0] = dw0
     grads_b[0] = d_z.sum(axis=0)
     return loss, grads_w, grads_b
@@ -112,7 +112,7 @@ def train_mlp(data: LabeledDataset, hidden_layers: Sequence[int] = (64,),
         epoch_loss = 0.0
         for start in range(0, n, batch_size):
             batch_idx = perm[start:start + batch_size]
-            rows = [data.vectors[i] for i in batch_idx]
+            rows = data.batch.take(batch_idx)
             loss, grads_w, grads_b = loss_and_grads(params, rows, y[batch_idx])
             epoch_loss += loss * len(batch_idx)
             for w, gw in zip(params.weights, grads_w):
@@ -127,6 +127,8 @@ def train_mlp(data: LabeledDataset, hidden_layers: Sequence[int] = (64,),
     return ModelArtifact(kind=ModelKind.MLP, dim=data.dim, params=params, training_meta=meta)
 
 
-def score(params: MLPParams, vec: SparseVector) -> float:
-    probs = forward(params, [vec])[-1][0]
-    return float(probs[1])
+def score_batch(params: MLPParams, batch: SparseBatch) -> np.ndarray:
+    """P(positive) per row, each row run alone: an N-row matmul can round
+    differently from a 1-row one, and a score must not depend on its batch."""
+    return np.array([forward(params, batch.take([i]))[-1][0, 1]
+                     for i in range(batch.n_rows)], dtype=np.float64)

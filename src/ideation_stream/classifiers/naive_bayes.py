@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DegenerateLabels, NegativeFeature
-from ..features import SparseVector
+from ..features import SparseBatch
 from .base import LabeledDataset, ModelArtifact, ModelKind
 
 
@@ -25,7 +25,7 @@ class NBParams:
 def train_nb(data: LabeledDataset, alpha: float = 1.0, seed: int = 0) -> ModelArtifact:
     if alpha < 0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
-    _, indices, values, row_ids = data.csr()
+    indices, values, row_ids = data.batch.indices, data.batch.values, data.batch.row_ids
     if values.size and values.min() < 0:
         raise NegativeFeature("multinomial NB requires nonnegative features")
     n_neg, n_pos = data.class_counts()
@@ -49,14 +49,11 @@ def train_nb(data: LabeledDataset, alpha: float = 1.0, seed: int = 0) -> ModelAr
                          training_meta=meta)
 
 
-def score(params: NBParams, vec: SparseVector) -> float:
-    """Posterior P(positive | vec); posteriors over both classes sum to 1."""
-    joint = params.log_prior.copy()
-    if vec.nnz:
-        joint = joint + params.log_lik[:, vec.indices] @ vec.values
-    if not np.isfinite(joint).any():
-        # alpha=0 with unseen terms in both classes: fall back to priors
-        joint = params.log_prior.copy()
-    m = joint.max()
-    expd = np.exp(joint - m)
-    return float(expd[1] / expd.sum())
+def score_batch(params: NBParams, batch: SparseBatch) -> np.ndarray:
+    """Posterior P(positive | row) per row; both classes' posteriors sum to 1."""
+    joint = np.stack([params.log_prior[c] + batch.matvec(params.log_lik[c]) for c in (0, 1)],
+                     axis=1)
+    # alpha=0 with unseen terms in both classes: fall back to priors
+    joint[~np.isfinite(joint).any(axis=1)] = params.log_prior
+    expd = np.exp(joint - joint.max(axis=1, keepdims=True))
+    return expd[:, 1] / (expd[:, 0] + expd[:, 1])

@@ -104,11 +104,11 @@ def cross_validate(kind: ModelKind | str, params: dict, data: LabeledDataset,
     folds = fold_indices(len(data), k, seed if fold_seed is None else fold_seed)
     report = CVReport(kind=kind, params=dict(params))
     for i, fold in enumerate(folds):
-        val_set = set(fold.tolist())
-        train_rows = [j for j in range(len(data)) if j not in val_set]
+        # ascending, the order the trainers' arithmetic was fixed in
+        train_rows = np.flatnonzero(~np.isin(np.arange(len(data)), fold))
         model = trainer(data.subset(train_rows), seed=derive_seed(seed, i), **params)
-        validation = data.subset(fold.tolist())
-        preds = predict_batch(model, validation)
+        validation = data.subset(fold)
+        preds = predict_batch(model, validation.batch)
         from ..evaluation import confusion, metrics
         scored = metrics(confusion([p.label for p in preds],
                                    [int(g) for g in validation.labels]))

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..features import SparseVector
+from ..features import SparseBatch
 from .base import LabeledDataset, ModelArtifact, ModelKind
 
 _MAX_THRESHOLDS = 32
@@ -46,7 +46,6 @@ class ForestParams:
 def _build_tree(data: LabeledDataset, max_depth: int, min_leaf: int,
                 weights: np.ndarray, feature_sampler=None, rng=None) -> TreeParams:
     col_ptr, col_rows, col_vals = data.csc()
-    indptr, indices, _, _ = data.csr()
     labels = data.labels.astype(np.int64)
     n = len(data)
     w_pos_all = weights * labels
@@ -66,16 +65,6 @@ def _build_tree(data: LabeledDataset, max_depth: int, min_leaf: int,
         c_neg.append(0)
         c_pos.append(0)
         return len(feat) - 1
-
-    def node_features(rows: np.ndarray) -> np.ndarray:
-        lens = indptr[rows + 1] - indptr[rows]
-        total = int(lens.sum())
-        if total == 0:
-            return np.empty(0, np.int64)
-        starts = np.repeat(indptr[rows], lens)
-        base = np.repeat(np.cumsum(lens) - lens, lens)
-        offs = starts + (np.arange(total, dtype=np.int64) - base)
-        return np.unique(indices[offs])
 
     def best_split(rows: np.ndarray, candidates: np.ndarray,
                    pos_w: float, neg_w: float):
@@ -164,7 +153,8 @@ def _build_tree(data: LabeledDataset, max_depth: int, min_leaf: int,
         c_pos[slot] = int(pos_w)
         if pos_w == 0 or neg_w == 0 or depth == 0 or tot_w < 2 * min_leaf:
             continue
-        candidates = feature_sampler(rng) if feature_sampler is not None else node_features(rows)
+        candidates = (feature_sampler(rng) if feature_sampler is not None
+                      else np.unique(data.batch.take(rows).indices))
         found = best_split(rows, candidates, pos_w, neg_w)
         if found is None:
             continue
@@ -232,19 +222,23 @@ def train_rf(data: LabeledDataset, num_trees: int = 100, feature_fraction: float
                          params=ForestParams(trees=trees), training_meta=meta)
 
 
-def score_tree(tree: TreeParams, vec: SparseVector) -> float:
-    i = 0
-    while tree.feature[i] != -1:
-        x = vec.get(int(tree.feature[i]))
-        i = int(tree.left[i] if x <= tree.threshold[i] else tree.right[i])
-    total = tree.count_neg[i] + tree.count_pos[i]
-    return float(tree.count_pos[i] / total) if total else 0.5
-
-
-def tree_scores(forest: ForestParams, vec: SparseVector) -> list[float]:
-    return [score_tree(t, vec) for t in forest.trees]
-
-
-def score_forest(forest: ForestParams, vec: SparseVector) -> float:
-    scores = tree_scores(forest, vec)
-    return float(np.mean(scores))
+def score_batch(params: TreeParams | ForestParams, batch: SparseBatch) -> np.ndarray:
+    """Positive fraction of each row's leaf (0.5 at an empty leaf); a
+    forest scores the mean over its trees."""
+    if isinstance(params, ForestParams):
+        return np.stack([score_batch(t, batch) for t in params.trees], axis=1).mean(axis=1)
+    n, dim = batch.n_rows, batch.dim
+    # entry keys row*dim + column ascend; the sentinel n*dim matches no probe
+    keys = np.append(batch.row_ids * dim + batch.indices, n * dim)
+    values = np.append(batch.values, 0.0)
+    node = np.zeros(n, dtype=np.int64)
+    rows = np.flatnonzero(params.feature[node] != -1)
+    while rows.size:  # one level of the tree per pass, over every row still inside
+        at = node[rows]
+        probe = rows * dim + params.feature[at]
+        pos = np.searchsorted(keys, probe)
+        x = np.where(keys[pos] == probe, values[pos], 0.0)
+        node[rows] = np.where(x <= params.threshold[at], params.left[at], params.right[at])
+        rows = rows[params.feature[node[rows]] != -1]
+    total = params.count_neg[node] + params.count_pos[node]
+    return np.divide(params.count_pos[node], total, out=np.full(n, 0.5), where=total > 0)

@@ -21,6 +21,7 @@ import time
 from pathlib import Path
 
 from . import errors
+from .broker import _check_name
 from .hashutil import sha256_file
 
 EXIT_CODES: dict[type, int] = {
@@ -95,14 +96,15 @@ def _load_labeled(path: str, text_col: str, label_col: str):
 def _vectorize(docs, pipeline, pconfig):
     from .classifiers import LabeledDataset
     from .corpus import LABEL_TO_INT
+    from .features import SparseBatch
     from .preprocess import preprocess
 
-    vectors, labels = [], []
+    rows, labels = [], []
     for doc in docs:
         tokens = preprocess(doc.text, pconfig, source_id=doc.id)
-        vectors.append(pipeline.transform(tokens.tokens))
+        rows.append(pipeline.transform(tokens.tokens))
         labels.append(LABEL_TO_INT[doc.label])
-    return LabeledDataset(vectors, labels)
+    return LabeledDataset(SparseBatch.stack(rows), labels)
 
 
 def _parse_hyper(pairs: list[str]) -> dict:
@@ -120,7 +122,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     from .classifiers import DEFAULT_GRIDS, TRAINERS, ModelKind, cross_validate, grid_search
     from .corpus import SplitSpec, split
     from .evaluation import Averaging, evaluate_model
-    from .features import fit_pipeline
+    from .features import SparseBatch, fit_pipeline
     from .preprocess import PreprocessConfig, preprocess
 
     started = time.time()
@@ -136,7 +138,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     from .classifiers import LabeledDataset
     from .corpus import LABEL_TO_INT
-    train_data = LabeledDataset([pipeline.transform(t) for t in train_tokens],
+    train_data = LabeledDataset(SparseBatch.stack([pipeline.transform(t) for t in train_tokens]),
                                 [LABEL_TO_INT[d.label] for d in train_corpus.documents])
     test_data = _vectorize(test_corpus.documents, pipeline, pconfig)
 
@@ -208,7 +210,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         outputs.append(args.out)
     if args.roc_out:
         from .classifiers import predict_batch
-        preds = predict_batch(model, data)
+        preds = predict_batch(model, data.batch)
         pts = roc_points([p.score for p in preds], [int(g) for g in data.labels])
         lines = ["fpr,tpr,threshold"] + [f"{f:.6f},{t:.6f},{thr}" for f, t, thr in pts]
         Path(args.roc_out).write_text("\n".join(lines) + "\n", "utf-8")
@@ -361,6 +363,33 @@ def cmd_broker_offsets(args: argparse.Namespace) -> int:
     return 0
 
 
+def _checked(check, convert=str):
+    """An argparse ``type``: ``convert`` the text, then run a library
+    ``check`` on the value; a ValueError is a usage error (exit 2)."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+            check(value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+    return parse
+
+
+def _positive(value) -> None:
+    if not value > 0:
+        raise ValueError(f"must be > 0, got {value}")
+
+
+def _num_buckets(value: int) -> None:
+    from .features import check_num_buckets
+    check_num_buckets(value)
+
+
+TOPIC = _checked(lambda name: _check_name("topic", name))
+GROUP = _checked(lambda name: _check_name("group", name))
+
+
 def _add_broker_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--broker-dir", required=True, help="broker root directory")
     parser.add_argument("--durability", default="batch",
@@ -383,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=13)
     p.add_argument("--train-frac", type=float, default=0.8)
     p.add_argument("--min-tf", type=int, default=4)
-    p.add_argument("--buckets", type=int, default=1 << 18)
+    p.add_argument("--buckets", type=_checked(_num_buckets, int), default=1 << 18)
     p.add_argument("--no-tf-norm", action="store_true",
                    help="skip the 1/doc-length term-frequency normalization")
     p.add_argument("--vocab-cap", type=int, default=None)
@@ -423,20 +452,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("replay", help="produce a file (or '-' for stdin) onto a topic")
     _add_broker_arg(p)
     p.add_argument("--file", required=True)
-    p.add_argument("--topic", default="Source-tweets")
+    p.add_argument("--topic", type=TOPIC, default="Source-tweets")
     p.add_argument("--rate", type=float, default=0.0, help="records/sec, 0 = unpaced")
     p.add_argument("--loop", action="store_true")
     p.add_argument("--create-topics", action="store_true")
-    p.add_argument("--partitions", type=int, default=1)
+    p.add_argument("--partitions", type=_checked(_positive, int), default=1)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_replay)
 
     p = sub.add_parser("serve", help="run the micro-batch prediction loop")
     _add_broker_arg(p)
     p.add_argument("--model", required=True)
-    p.add_argument("--input-topic", default="Source-tweets")
-    p.add_argument("--output-topic", default="Predicted-tweets")
-    p.add_argument("--trigger-ms", type=float, default=500.0)
+    p.add_argument("--input-topic", type=TOPIC, default="Source-tweets")
+    p.add_argument("--output-topic", type=TOPIC, default="Predicted-tweets")
+    p.add_argument("--trigger-ms", type=_checked(_positive, float), default=500.0)
     p.add_argument("--batch-max", type=int, default=1024)
     p.add_argument("--keywords", default=None,
                    help="comma-separated keep phrases, e.g. 'feel,want to die,kill myself'")
@@ -444,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["off", "english-heuristic"])
     p.add_argument("--dedupe-window", type=int, default=1024)
     p.add_argument("--no-filter", action="store_true")
-    p.add_argument("--group", default="stream-engine")
+    p.add_argument("--group", type=GROUP, default="stream-engine")
     p.add_argument("--stop-when-idle", action="store_true")
     p.add_argument("--create-topics", action="store_true")
     p.add_argument("--json", action="store_true")
@@ -452,8 +481,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="aggregate prediction events from the output topic")
     _add_broker_arg(p)
-    p.add_argument("--output-topic", default="Predicted-tweets")
-    p.add_argument("--group", default="aggregate")
+    p.add_argument("--output-topic", type=TOPIC, default="Predicted-tweets")
+    p.add_argument("--group", type=GROUP, default="aggregate")
     p.add_argument("--window", default="all", help="'all' or a sliding window size")
     p.add_argument("--jsonl-out", default=None)
     p.add_argument("--csv-out", default=None)
@@ -469,14 +498,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = bsub.add_parser("create-topic")
     _add_broker_arg(p)
-    p.add_argument("--topic", required=True)
-    p.add_argument("--partitions", type=int, default=1)
+    p.add_argument("--topic", type=TOPIC, required=True)
+    p.add_argument("--partitions", type=_checked(_positive, int), default=1)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_broker_create_topic)
 
     p = bsub.add_parser("offsets")
     _add_broker_arg(p)
-    p.add_argument("--topic", required=True)
+    p.add_argument("--topic", type=TOPIC, required=True)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_broker_offsets)
 
@@ -486,6 +515,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "serve" and args.input_topic == args.output_topic:
+        parser.error("serve: --input-topic and --output-topic must differ")
     try:
         return args.func(args)
     except errors.IdeationStreamError as exc:

@@ -197,7 +197,7 @@ def evaluate_model(model: ModelArtifact, test: LabeledDataset,
                    averaging: Averaging | str = Averaging.WEIGHTED
                    ) -> tuple[MetricsReport, ConfusionMatrix]:
     """predict_batch + confusion + metrics + roc_auc in one call."""
-    predictions = predict_batch(model, test)
+    predictions = predict_batch(model, test.batch)
     gold = [int(g) for g in test.labels]
     cm = confusion([p.label for p in predictions], gold)
     report = metrics(cm, averaging=averaging)

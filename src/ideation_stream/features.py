@@ -1,4 +1,4 @@
-"""Sparse bag-of-n-grams features.
+"""Bag-of-n-grams features as rows of one CSR type, ``SparseBatch``.
 
 Two vectorization routes share one smoothed-IDF stage:
 
@@ -6,9 +6,10 @@ Two vectorization routes share one smoothed-IDF stage:
 * vocabulary — grams above a corpus-frequency threshold get dense column
   indices ordered by descending frequency (``*-cv-idf`` combos).
 
-Raw vectors hold counts; the pipeline optionally rescales them by document
+Raw rows hold counts; the pipeline optionally rescales them by document
 length (count / total grams in the document) before applying
-``idf = ln((N + 1) / (df + 1))``.
+``idf = ln((N + 1) / (df + 1))``. A document becomes a one-row batch;
+``SparseBatch.stack`` joins rows for the trainers and scorers.
 """
 
 from __future__ import annotations
@@ -57,62 +58,78 @@ class NGramSpec:
 
 
 @dataclass(frozen=True, eq=False)
-class SparseVector:
-    """Sorted (index, value) pairs over a fixed dimension; no stored zeros."""
+class SparseBatch:
+    """Rows of a CSR matrix over a fixed dimension: row i holds the columns
+    ``indices[indptr[i]:indptr[i+1]]``, strictly increasing, and their
+    ``values``, never zero. ``row_ids`` names the row of each entry."""
 
     dim: int
+    indptr: np.ndarray
     indices: np.ndarray
     values: np.ndarray
+    row_ids: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        indptr = np.asarray(self.indptr, dtype=np.int64)
         idx = np.asarray(self.indices, dtype=np.int64)
         val = np.asarray(self.values, dtype=np.float64)
-        if idx.shape != val.shape or idx.ndim != 1:
-            raise ValueError("indices and values must be parallel 1-D arrays")
+        if (indptr.ndim != 1 or idx.ndim != 1 or idx.shape != val.shape
+                or indptr.size == 0 or indptr[0] != 0 or indptr[-1] != idx.size):
+            raise ValueError("indptr, indices and values do not form a CSR batch")
+        # np.repeat raises ValueError when indptr decreases
+        row_ids = np.repeat(np.arange(indptr.size - 1), indptr[1:] - indptr[:-1])
         if idx.size:
-            if np.any(np.diff(idx) <= 0):
-                raise ValueError("indices must be strictly increasing")
-            if idx[0] < 0 or idx[-1] >= self.dim:
+            if idx.min() < 0 or idx.max() >= self.dim:
                 raise ValueError(f"index out of range for dim {self.dim}")
-            if np.any(val == 0.0):
+            keys = row_ids * self.dim + idx
+            if (keys[1:] <= keys[:-1]).any():
+                raise ValueError("indices must be strictly increasing within a row")
+            if not val.all():
                 raise ValueError("zero values must not be stored")
-        object.__setattr__(self, "indices", idx)
-        object.__setattr__(self, "values", val)
-
-    @classmethod
-    def from_counts(cls, dim: int, counts: dict[int, float]) -> "SparseVector":
-        items = sorted((j, v) for j, v in counts.items() if v != 0.0)
-        idx = np.fromiter((j for j, _ in items), dtype=np.int64, count=len(items))
-        val = np.fromiter((v for _, v in items), dtype=np.float64, count=len(items))
-        return cls(dim=dim, indices=idx, values=val)
+        for name, array in (("indptr", indptr), ("indices", idx), ("values", val),
+                            ("row_ids", row_ids)):
+            object.__setattr__(self, name, array)
 
     @property
-    def nnz(self) -> int:
-        return int(self.indices.size)
+    def n_rows(self) -> int:
+        return self.indptr.size - 1
 
-    def entries(self) -> list[tuple[int, float]]:
-        return list(zip(self.indices.tolist(), self.values.tolist()))
+    def take(self, rows: Sequence[int] | np.ndarray) -> "SparseBatch":
+        """The given rows, in the given order."""
+        rows = np.asarray(rows, dtype=np.int64)
+        starts, lens = self.indptr[rows], self.indptr[rows + 1] - self.indptr[rows]
+        indptr = np.concatenate(([0], np.cumsum(lens)))
+        pos = np.arange(indptr[-1]) + np.repeat(starts - indptr[:-1], lens)
+        return SparseBatch(self.dim, indptr, self.indices[pos], self.values[pos])
 
-    def get(self, j: int) -> float:
-        pos = np.searchsorted(self.indices, j)
-        if pos < self.indices.size and self.indices[pos] == j:
-            return float(self.values[pos])
-        return 0.0
+    @classmethod
+    def stack(cls, batches: Sequence["SparseBatch"]) -> "SparseBatch":
+        """The rows of every batch, in order; all share one dimension."""
+        if not batches:
+            raise ValueError("stack needs at least one batch")
+        dim = batches[0].dim
+        if any(b.dim != dim for b in batches):
+            raise DimensionMismatch(f"stack needs one dim, got {sorted({b.dim for b in batches})}")
+        lens = np.concatenate([np.diff(b.indptr) for b in batches])
+        indptr = np.concatenate(([0], np.cumsum(lens)))
+        return cls(dim, indptr, np.concatenate([b.indices for b in batches]),
+                   np.concatenate([b.values for b in batches]))
 
-    def scaled(self, factor: float) -> "SparseVector":
-        if factor == 0.0:
-            return SparseVector(self.dim, np.empty(0, np.int64), np.empty(0, np.float64))
-        return SparseVector(self.dim, self.indices, self.values * factor)
+    def matvec(self, w: np.ndarray) -> np.ndarray:
+        """X @ w for a dense weight vector; each row sums its entries in order."""
+        return np.bincount(self.row_ids, weights=self.values * w[self.indices],
+                           minlength=self.n_rows)
 
-    def to_dense(self) -> np.ndarray:
-        dense = np.zeros(self.dim, dtype=np.float64)
-        dense[self.indices] = self.values
-        return dense
+    def rmatvec(self, r: np.ndarray) -> np.ndarray:
+        """X.T @ r for a dense per-row vector."""
+        return np.bincount(self.indices, weights=self.values * r[self.row_ids],
+                           minlength=self.dim)
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, SparseVector) and self.dim == other.dim
-                and np.array_equal(self.indices, other.indices)
-                and np.array_equal(self.values, other.values))
+
+def _one_row(dim: int, counts: Counter) -> SparseBatch:
+    cols = sorted(counts)
+    return SparseBatch(dim, np.array([0, len(cols)]), np.array(cols, dtype=np.int64),
+                       np.array([counts[j] for j in cols], dtype=np.float64))
 
 
 def ngrams(tokens: Sequence[str], spec: NGramSpec) -> list[str]:
@@ -169,23 +186,28 @@ def fit_vocabulary(token_docs: Iterable[Sequence[str]], spec: NGramSpec,
                       num_docs=n_docs, min_tf=min_tf)
 
 
-def count_vectorize(grams: Sequence[str], vocab: Vocabulary) -> SparseVector:
-    """Counts of in-vocabulary grams; out-of-vocabulary grams are ignored."""
+def count_vectorize(grams: Sequence[str], vocab: Vocabulary) -> SparseBatch:
+    """One row of in-vocabulary gram counts; out-of-vocabulary grams are ignored."""
     counts: Counter[int] = Counter()
     lookup = vocab.term_to_index
     for gram in grams:
         j = lookup.get(gram)
         if j is not None:
             counts[j] += 1
-    return SparseVector.from_counts(vocab.dim, counts)
+    return _one_row(vocab.dim, counts)
+
+
+def check_num_buckets(num_buckets: int) -> None:
+    """ValueError unless ``num_buckets`` is a power of two >= 2."""
+    if num_buckets < 2 or num_buckets & (num_buckets - 1):
+        raise ValueError(f"num_buckets must be a power of two >= 2, got {num_buckets!r}")
 
 
 def hashing_tf(grams: Sequence[str], num_buckets: int = DEFAULT_NUM_BUCKETS,
-               _cache: dict | None = None) -> SparseVector:
-    """Counts summed per FNV-1a bucket. num_buckets must be a power of two.
-    ``_cache`` memoizes gram -> bucket and is cleared when it fills."""
-    if num_buckets < 2 or num_buckets & (num_buckets - 1):
-        raise ValueError(f"num_buckets must be a power of two >= 2, got {num_buckets}")
+               _cache: dict | None = None) -> SparseBatch:
+    """One row of counts summed per FNV-1a bucket. ``_cache`` memoizes
+    gram -> bucket and is cleared when it fills."""
+    check_num_buckets(num_buckets)
     counts: Counter[int] = Counter()
     for gram in grams:
         if _cache is not None:
@@ -198,7 +220,7 @@ def hashing_tf(grams: Sequence[str], num_buckets: int = DEFAULT_NUM_BUCKETS,
         else:
             bucket = fnv1a_32(gram) % num_buckets
         counts[bucket] += 1
-    return SparseVector.from_counts(num_buckets, counts)
+    return _one_row(num_buckets, counts)
 
 
 @dataclass
@@ -210,27 +232,24 @@ class IdfModel:
         return int(self.idf.size)
 
 
-def fit_idf(vectors: Sequence[SparseVector]) -> IdfModel:
+def fit_idf(counts: SparseBatch) -> IdfModel:
     """idf[j] = ln((N + 1) / (df_j + 1)) with df counted over nonzero
     columns; never negative, zero only for ubiquitous terms."""
-    if not vectors:
-        raise ValueError("fit_idf needs at least one vector")
-    dim = vectors[0].dim
-    df = np.zeros(dim, dtype=np.int64)
-    for vec in vectors:
-        if vec.dim != dim:
-            raise DimensionMismatch(f"vector dim {vec.dim} != {dim}")
-        df[vec.indices] += 1
-    idf = np.log((len(vectors) + 1.0) / (df + 1.0))
-    return IdfModel(idf=idf)
+    if not counts.n_rows:
+        raise ValueError("fit_idf needs at least one row")
+    df = np.bincount(counts.indices, minlength=counts.dim)
+    return IdfModel(idf=np.log((counts.n_rows + 1.0) / (df + 1.0)))
 
 
-def apply_tfidf(vec: SparseVector, idf: IdfModel) -> SparseVector:
-    if vec.dim != idf.dim:
-        raise DimensionMismatch(f"vector dim {vec.dim} != idf dim {idf.dim}")
-    values = vec.values * idf.idf[vec.indices]
+def apply_tfidf(counts: SparseBatch, idf: IdfModel, scale: float = 1.0) -> SparseBatch:
+    """count * scale * idf per entry; entries that come out zero are dropped."""
+    if counts.dim != idf.dim:
+        raise DimensionMismatch(f"batch dim {counts.dim} != idf dim {idf.dim}")
+    values = counts.values * scale * idf.idf[counts.indices]
     keep = values != 0.0
-    return SparseVector(vec.dim, vec.indices[keep], values[keep])
+    kept_before = np.concatenate(([0], np.cumsum(keep)))
+    return SparseBatch(counts.dim, kept_before[counts.indptr], counts.indices[keep],
+                       values[keep])
 
 
 @dataclass
@@ -261,21 +280,20 @@ class FeaturePipeline:
             raise NotFitted("pipeline has no fitted vocabulary")
         return self.vocab.dim
 
-    def _counts(self, grams: list[str]) -> SparseVector:
-        """Raw count vector for one document (no TF scaling, no IDF)."""
+    def _counts(self, grams: list[str]) -> SparseBatch:
+        """Raw count row for one document (no TF scaling, no IDF)."""
         dim = self.dim  # raises NotFitted before any gram is counted
         if self.hashing:
             return hashing_tf(grams, dim, _cache=self._bucket_cache)
         return count_vectorize(grams, self.vocab)
 
-    def transform(self, tokens: Sequence[str]) -> SparseVector:
+    def transform(self, tokens: Sequence[str]) -> SparseBatch:
+        """One TF-IDF row for one document."""
         if self.idf is None:
             raise NotFitted("transform called before fit")
         grams = ngrams(tokens, self.ngram)
-        raw = self._counts(grams)
-        if self.normalize_tf and grams:
-            raw = raw.scaled(1.0 / len(grams))
-        return apply_tfidf(raw, self.idf)
+        scale = 1.0 / len(grams) if self.normalize_tf and grams else 1.0
+        return apply_tfidf(self._counts(grams), self.idf, scale)
 
 
 def fit_pipeline(token_docs: Sequence[Sequence[str]], combo: FeatureCombo | str, *,
@@ -290,6 +308,6 @@ def fit_pipeline(token_docs: Sequence[Sequence[str]], combo: FeatureCombo | str,
         pipe.num_buckets = num_buckets
     else:
         pipe.vocab = fit_vocabulary(token_docs, spec, min_tf=min_tf, max_terms=vocab_cap)
-    counts = [pipe._counts(ngrams(tokens, spec)) for tokens in token_docs]
-    pipe.idf = fit_idf(counts)
+    pipe.idf = fit_idf(SparseBatch.stack([pipe._counts(ngrams(tokens, spec))
+                                          for tokens in token_docs]))
     return pipe

@@ -12,8 +12,9 @@ Keys are sorted and floats use the canonical repr, so saving the same
 in-memory artifact twice yields identical bytes. Arrays are stored
 little-endian. Version is checked before the checksum so a tampered
 version byte reports VersionMismatch, not CorruptPayload. A CRC-valid
-file whose arrays do not fit the header ``dim``, or whose tree is not a
-forward tree, is CorruptPayload too.
+file whose arrays do not fit the header ``dim``, whose tree is not a
+forward tree, or whose hashing bucket count is not a power of two >= 2,
+is CorruptPayload too.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .classifiers.naive_bayes import NBParams
 from .classifiers.tree import ForestParams, TreeParams
 from .errors import CorruptPayload, IoFailure, NotFitted, VersionMismatch
 from .features import (FeatureCombo, FeaturePipeline, IdfModel, NGramSpec,
-                       Vocabulary)
+                       Vocabulary, check_num_buckets)
 from .hashutil import sha256_hex
 
 MAGIC = b"ISPK"
@@ -205,6 +206,8 @@ def _rebuild(header: dict, arrays: dict) -> tuple[FeaturePipeline, ModelArtifact
         min_tf=ph["min_tf"],
         num_buckets=ph["num_buckets"],
     )
+    if pipe.hashing:
+        check_num_buckets(pipe.num_buckets)
     if "vocab.terms" in arrays:
         terms = arrays["vocab.terms"].decode("utf-8").split("\n")
         df = arrays["vocab.doc_freq"]

@@ -22,23 +22,21 @@ import pytest
 
 from ideation_stream import store
 from ideation_stream.broker import Broker
-from ideation_stream.classifiers import (LabeledDataset, ModelKind,
-                                         grid_search, predict, predict_batch,
-                                         train_dt, train_linear_svc, train_lr,
-                                         train_mlp, train_nb, train_rf)
+from ideation_stream.classifiers import (ModelKind, grid_search, predict,
+                                         predict_batch, train_dt, train_linear_svc,
+                                         train_lr, train_mlp, train_nb, train_rf)
 from ideation_stream.classifiers.linear import logistic_loss_grad
 from ideation_stream.classifiers.mlp import init_params, loss_and_grads
 from ideation_stream.classifiers.selection import fold_indices
 from ideation_stream.errors import CorruptPayload, VersionMismatch
 from ideation_stream.evaluation import (Averaging, ConfusionMatrix, confusion,
                                         evaluate_model, metrics, roc_auc)
-from ideation_stream.features import (FeatureCombo, SparseVector,
-                                      fit_pipeline)
+from ideation_stream.features import FeatureCombo, SparseBatch, fit_pipeline
 from ideation_stream.preprocess import PreprocessConfig, preprocess
 from ideation_stream.stream import (PredictionEvent, StreamConfig, aggregate,
                                     replay_produce, run_stream)
 
-from conftest import make_vec, random_sparse_dataset
+from conftest import dense, make_data, make_vec, random_sparse_dataset
 from oracles import (dense_cv_tfidf, dense_hashing_tfidf, pairwise_auc,
                      positive_metrics, recount_confusion)
 
@@ -72,7 +70,7 @@ def test_c01_tfidf_matches_dense_oracle():
             pipe = fit_pipeline(docs, combo, min_tf=0, normalize_tf=normalize)
             expected, _ = dense_cv_tfidf(docs, orders, 0, normalize)
         for i, doc in enumerate(docs):
-            got = pipe.transform(doc).to_dense()
+            got = dense(pipe.transform(doc))[0]
             assert np.all(np.abs(got - expected[i]) <= 1e-9)
         checked += 1
     assert checked == 50
@@ -149,9 +147,9 @@ def test_c04_nb_hand_oracle(nb_toy):
     for _ in range(30):
         nnz = int(rng.integers(0, 4))
         idx = np.sort(rng.choice(3, size=nnz, replace=False)).astype(np.int64)
-        v = SparseVector(3, idx, rng.uniform(0.2, 2.5, nnz))
+        v = SparseBatch(3, [0, nnz], idx, rng.uniform(0.2, 2.5, nnz))
         joint = model.params.log_prior + (model.params.log_lik[:, v.indices] @ v.values
-                                          if v.nnz else 0.0)
+                                          if nnz else 0.0)
         expd = np.exp(joint - joint.max())
         p0, p1 = float(expd[0] / expd.sum()), predict(model, v).score
         assert abs(p0 + p1 - 1.0) <= 1e-12
@@ -188,16 +186,16 @@ def test_c05_gradient_checks():
         data = random_sparse_dataset(rng, n=int(rng.integers(4, 10)), dim=dim)
         params = init_params(dim, hidden, seed=trial)
         y = data.labels.astype(np.int64)
-        _, grads_w, grads_b = loss_and_grads(params, data.vectors, y)
+        _, grads_w, grads_b = loss_and_grads(params, data.batch, y)
         eps = 1e-6
         for layer in range(len(params.weights)):
             w = params.weights[layer]
             probes = [(0, 0), (w.shape[0] // 2, w.shape[1] - 1)]
             for probe in probes:
                 w[probe] += eps
-                up, _, _ = loss_and_grads(params, data.vectors, y)
+                up, _, _ = loss_and_grads(params, data.batch, y)
                 w[probe] -= 2 * eps
-                down, _, _ = loss_and_grads(params, data.vectors, y)
+                down, _, _ = loss_and_grads(params, data.batch, y)
                 w[probe] += eps
                 numeric = (up - down) / (2 * eps)
                 analytic = grads_w[layer][probe]
@@ -205,9 +203,9 @@ def test_c05_gradient_checks():
                 assert abs(numeric - analytic) / denom < 1e-4
             b = params.biases[layer]
             b[0] += eps
-            up, _, _ = loss_and_grads(params, data.vectors, y)
+            up, _, _ = loss_and_grads(params, data.batch, y)
             b[0] -= 2 * eps
-            down, _, _ = loss_and_grads(params, data.vectors, y)
+            down, _, _ = loss_and_grads(params, data.batch, y)
             b[0] += eps
             numeric = (up - down) / (2 * eps)
             denom = max(abs(numeric), abs(grads_b[layer][0]), 1e-8)
@@ -222,17 +220,19 @@ def test_c05_gradient_checks():
 
 def test_c06_trainer_sanity(separable_toy, xor_toy):
     lr = train_lr(separable_toy, l2=0.0, max_iter=200)
-    assert [p.label for p in predict_batch(lr, separable_toy)] == list(separable_toy.labels)
+    assert [p.label for p in predict_batch(lr, separable_toy.batch)] == \
+        list(separable_toy.labels)
 
     svc = train_linear_svc(separable_toy, c=10.0, max_iter=2000)
-    assert [p.label for p in predict_batch(svc, separable_toy)] == list(separable_toy.labels)
+    assert [p.label for p in predict_batch(svc, separable_toy.batch)] == \
+        list(separable_toy.labels)
 
     mlp = train_mlp(xor_toy, hidden_layers=[4], learning_rate=0.5, epochs=5000,
                     batch_size=4, seed=0)
-    assert [p.label for p in predict_batch(mlp, xor_toy)] == [0, 1, 1, 0]
+    assert [p.label for p in predict_batch(mlp, xor_toy.batch)] == [0, 1, 1, 0]
 
     dt = train_dt(xor_toy, max_depth=2)
-    assert [p.label for p in predict_batch(dt, xor_toy)] == [0, 1, 1, 0]
+    assert [p.label for p in predict_batch(dt, xor_toy.batch)] == [0, 1, 1, 0]
     _report(6, "LR and SVC solve the separable toy, MLP[4] and depth-2 DT solve XOR")
 
 
@@ -253,8 +253,8 @@ def test_c07_cv_and_grid():
 
     pts = [((0.2, 10), 1), ((1.8, -6), 1), ((0.3, 9), 1), ((1.7, -5), 1),
            ((-0.2, 6), 0), ((-1.8, -10), 0), ((-0.3, 5), 0), ((-1.7, -9), 0)]
-    data = LabeledDataset([make_vec(2, [(0, a), (1, b)]) for (a, b), _ in pts],
-                          [y for _, y in pts])
+    data = make_data([make_vec(2, [(0, a), (1, b)]) for (a, b), _ in pts],
+                     [y for _, y in pts])
     grid = {"max_iter": [200, 1], "l2": [0.0, 0.1]}
     best, reports = grid_search(ModelKind.LR, grid, data, k=4, seed=1)
     assert len(reports) == 4  # exactly the Cartesian product
@@ -280,7 +280,7 @@ def test_c08_store_round_trip(tmp_path):
     labels = [1 if "t0" in d or "t1" in d else 0 for d in docs]
     if len(set(labels)) < 2:
         labels[0] = 1 - labels[0]
-    data = LabeledDataset(vectors, labels)
+    data = make_data(vectors, labels)
 
     trainers = {
         "nb": lambda: train_nb(data, alpha=1.0),
@@ -401,7 +401,7 @@ def test_c10_end_to_end_streaming(tmp_path):
     labels = [1] * 15 + [0] * 15
     tokens = [preprocess(t, pconfig).tokens for t in texts]
     pipeline = fit_pipeline(tokens, FeatureCombo.UNI_CV_IDF, min_tf=0)
-    model = train_nb(LabeledDataset([pipeline.transform(t) for t in tokens], labels))
+    model = train_nb(make_data([pipeline.transform(t) for t in tokens], labels))
     model_path = tmp_path / "stream.isp"
     store.save(pipeline, model, model_path, preprocess_config_digest=pconfig.digest())
 
@@ -538,8 +538,8 @@ def full_tokenized(full_corpus_split):
 def _combo_datasets(full_tokenized, combo):
     train_tokens, train_labels, test_tokens, test_labels = full_tokenized
     pipe = fit_pipeline(train_tokens, combo, min_tf=4, vocab_cap=65_536)
-    train = LabeledDataset([pipe.transform(t) for t in train_tokens], train_labels)
-    test = LabeledDataset([pipe.transform(t) for t in test_tokens], test_labels)
+    train = make_data([pipe.transform(t) for t in train_tokens], train_labels)
+    test = make_data([pipe.transform(t) for t in test_tokens], test_labels)
     return train, test
 
 

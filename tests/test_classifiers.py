@@ -7,12 +7,12 @@ from ideation_stream.classifiers import (LabeledDataset, ModelKind,
                                          train_mlp, train_nb, train_rf)
 from ideation_stream.classifiers.linear import LinearParams, logistic_loss_grad
 from ideation_stream.classifiers.mlp import init_params, loss_and_grads
-from ideation_stream.classifiers.tree import tree_scores
+from ideation_stream.classifiers.tree import score_batch as tree_score_batch
 from ideation_stream.errors import (DegenerateLabels, DimensionMismatch,
                                     NegativeFeature)
-from ideation_stream.features import SparseVector
+from ideation_stream.features import SparseBatch
 
-from conftest import random_sparse_dataset
+from conftest import make_data, random_sparse_dataset, rows_of
 
 
 class TestNaiveBayes:
@@ -34,26 +34,26 @@ class TestNaiveBayes:
         for _ in range(25):
             nnz = rng.integers(0, 4)
             idx = np.sort(rng.choice(3, size=nnz, replace=False))
-            v = SparseVector(3, idx.astype(np.int64), rng.uniform(0.5, 3, nnz))
+            v = SparseBatch(3, [0, nnz], idx, rng.uniform(0.5, 3, nnz))
             p1 = predict(model, v).score
             # scoring the complement class by symmetry of the softmax
             joint = model.params.log_prior + (model.params.log_lik[:, v.indices] @ v.values
-                                              if v.nnz else 0.0)
+                                              if nnz else 0.0)
             expd = np.exp(joint - joint.max())
             assert p1 + float(expd[0] / expd.sum()) == pytest.approx(1.0, abs=1e-12)
 
     def test_single_class_rejected(self, vec):
-        data = LabeledDataset([vec(2, [(0, 1)]), vec(2, [(1, 1)])], [1, 1])
+        data = make_data([vec(2, [(0, 1)]), vec(2, [(1, 1)])], [1, 1])
         with pytest.raises(DegenerateLabels):
             train_nb(data)
 
     def test_negative_features_rejected(self, vec):
-        data = LabeledDataset([vec(2, [(0, -1)]), vec(2, [(1, 1)])], [0, 1])
+        data = make_data([vec(2, [(0, -1)]), vec(2, [(1, 1)])], [0, 1])
         with pytest.raises(NegativeFeature):
             train_nb(data)
 
     def test_mirrored_corpus_mirrors_posterior(self, vec):
-        data = LabeledDataset([vec(2, [(0, 2)]), vec(2, [(1, 2)])], [1, 0])
+        data = make_data([vec(2, [(0, 2)]), vec(2, [(1, 2)])], [1, 0])
         model = train_nb(data, alpha=1.0)
         p_pos = predict(model, vec(2, [(0, 1)])).score
         p_neg = predict(model, vec(2, [(1, 1)])).score
@@ -63,11 +63,11 @@ class TestNaiveBayes:
 class TestLogisticRegression:
     def test_separable_within_200_iters(self, separable_toy):
         model = train_lr(separable_toy, l2=0.0, max_iter=200)
-        preds = predict_batch(model, separable_toy)
+        preds = predict_batch(model, separable_toy.batch)
         assert [p.label for p in preds] == list(separable_toy.labels)
 
     def test_all_zero_features(self, vec):
-        data = LabeledDataset([vec(2, []) for _ in range(4)], [1, 1, 1, 0])
+        data = make_data([vec(2, []) for _ in range(4)], [1, 1, 1, 0])
         model = train_lr(data, l2=0.0, max_iter=100)
         assert np.all(model.params.weights == 0.0)
         assert predict(model, vec(2, [])).label == 1  # prior class
@@ -97,15 +97,15 @@ class TestLogisticRegression:
         assert predict(model, vec(2, [(0, 5)])).score == 0.5
 
     def test_feature_scaling_preserves_label_ordering(self, separable_toy):
-        scaled_vectors = [SparseVector(2, v.indices, v.values * 3.0)
-                          for v in separable_toy.vectors]
-        scaled = LabeledDataset(scaled_vectors, separable_toy.labels)
+        b = separable_toy.batch
+        scaled = LabeledDataset(SparseBatch(2, b.indptr, b.indices, b.values * 3.0),
+                                separable_toy.labels)
         base = train_lr(separable_toy, l2=0.0, max_iter=300)
         other = train_lr(scaled, l2=0.0, max_iter=300)
-        labels_a = [predict(base, v).label for v in separable_toy.vectors]
-        labels_b = [predict(other, v).label for v in scaled.vectors]
-        scores_a = [predict(base, v).score for v in separable_toy.vectors]
-        scores_b = [predict(other, v).score for v in scaled.vectors]
+        labels_a = [predict(base, v).label for v in rows_of(separable_toy.batch)]
+        labels_b = [predict(other, v).label for v in rows_of(scaled.batch)]
+        scores_a = [predict(base, v).score for v in rows_of(separable_toy.batch)]
+        scores_b = [predict(other, v).score for v in rows_of(scaled.batch)]
         assert labels_a == labels_b
         assert scores_a != scores_b  # scores move, labels do not
 
@@ -114,15 +114,15 @@ class TestLinearSvc:
     def test_separable_zero_hinge(self, separable_toy):
         model = train_linear_svc(separable_toy, c=10.0, max_iter=2000)
         y_pm = separable_toy.labels.astype(np.float64) * 2 - 1
-        margins = y_pm * (separable_toy.matvec(model.params.weights) + model.params.bias)
+        margins = y_pm * (separable_toy.batch.matvec(model.params.weights) + model.params.bias)
         assert float(np.maximum(0, 1 - margins).mean()) == 0.0
-        assert [p.label for p in predict_batch(model, separable_toy)] == [1, 1, 0, 0]
+        assert [p.label for p in predict_batch(model, separable_toy.batch)] == [1, 1, 0, 0]
 
     def test_label_flip_negates_margin_signs(self, separable_toy):
         model = train_linear_svc(separable_toy, c=10.0, max_iter=1000, seed=5)
-        flipped = LabeledDataset(separable_toy.vectors, 1 - separable_toy.labels)
+        flipped = LabeledDataset(separable_toy.batch, 1 - separable_toy.labels)
         mirror = train_linear_svc(flipped, c=10.0, max_iter=1000, seed=5)
-        for v in separable_toy.vectors:
+        for v in rows_of(separable_toy.batch):
             a, b = predict(model, v).score, predict(mirror, v).score
             assert np.sign(a) == -np.sign(b)
 
@@ -133,26 +133,26 @@ class TestLinearSvc:
         assert all(b <= a for a, b in zip(trace, trace[1:]))
 
     def test_scaling_preserves_label_ordering(self, separable_toy):
-        scaled_vectors = [SparseVector(2, v.indices, v.values * 4.0)
-                          for v in separable_toy.vectors]
-        scaled = LabeledDataset(scaled_vectors, separable_toy.labels)
+        b = separable_toy.batch
+        scaled = LabeledDataset(SparseBatch(2, b.indptr, b.indices, b.values * 4.0),
+                                separable_toy.labels)
         base = train_linear_svc(separable_toy, c=10.0, max_iter=2000)
         other = train_linear_svc(scaled, c=10.0, max_iter=2000)
-        labels_a = [predict(base, v).label for v in separable_toy.vectors]
-        labels_b = [predict(other, v).label for v in scaled.vectors]
+        labels_a = [predict(base, v).label for v in rows_of(separable_toy.batch)]
+        labels_b = [predict(other, v).label for v in rows_of(scaled.batch)]
         assert labels_a == labels_b
 
 
 class TestDecisionTree:
     def test_single_perfect_feature_depth_one(self, vec):
-        data = LabeledDataset([vec(3, [(1, 5)]), vec(3, [(1, 6)]),
-                               vec(3, [(1, -5)]), vec(3, [(1, -6)])], [1, 1, 0, 0])
+        data = make_data([vec(3, [(1, 5)]), vec(3, [(1, 6)]),
+                          vec(3, [(1, -5)]), vec(3, [(1, -6)])], [1, 1, 0, 0])
         model = train_dt(data, max_depth=4)
         assert model.params.n_nodes == 3  # root + 2 leaves
-        assert [p.label for p in predict_batch(model, data)] == [1, 1, 0, 0]
+        assert [p.label for p in predict_batch(model, data.batch)] == [1, 1, 0, 0]
 
     def test_pure_labels_single_leaf(self, vec):
-        data = LabeledDataset([vec(2, [(0, 1)]), vec(2, [(1, 1)])], [1, 1])
+        data = make_data([vec(2, [(0, 1)]), vec(2, [(1, 1)])], [1, 1])
         model = train_dt(data, max_depth=4)
         assert model.params.n_nodes == 1
 
@@ -163,7 +163,7 @@ class TestDecisionTree:
         shallow = train_dt(xor_toy, max_depth=1)
         deep = train_dt(xor_toy, max_depth=2)
         acc = lambda m: sum(p.label == int(g) for p, g in
-                            zip(predict_batch(m, xor_toy), xor_toy.labels)) / 4
+                            zip(predict_batch(m, xor_toy.batch), xor_toy.labels)) / 4
         assert acc(shallow) < 1.0
         assert acc(deep) == 1.0
         assert int(deep.params.feature[0]) == 0 and deep.params.threshold[0] == 0.5
@@ -181,7 +181,7 @@ class TestRandomForest:
         tree = rf.params.trees[0]
         for f in ("feature", "threshold", "left", "right", "count_neg", "count_pos"):
             assert np.array_equal(getattr(dt.params, f), getattr(tree, f))
-        for v in fixture_dataset.vectors[:10]:
+        for v in rows_of(fixture_dataset.batch)[:10]:
             assert predict(dt, v).score == predict(rf, v).score
 
     def test_seed_determinism(self, fixture_dataset):
@@ -196,8 +196,8 @@ class TestRandomForest:
 
     def test_score_is_mean_of_tree_scores(self, fixture_dataset, vec):
         model = train_rf(fixture_dataset, num_trees=7, seed=1, max_depth=3)
-        for v in fixture_dataset.vectors[:8]:
-            per_tree = tree_scores(model.params, v)
+        for v in rows_of(fixture_dataset.batch)[:8]:
+            per_tree = [float(tree_score_batch(t, v)[0]) for t in model.params.trees]
             mean = float(np.mean(per_tree))
             got = predict(model, v).score
             assert 0.0 <= got <= 1.0
@@ -205,18 +205,18 @@ class TestRandomForest:
 
     def test_forest_at_least_as_good_as_tree_on_noisy_data(self):
         rng = np.random.default_rng(9)
-        vectors, labels = [], []
+        rows, labels = [], []
         for i in range(60):
             label = i % 2
             signal = 2.0 if label else -2.0
             vals = np.array([signal + rng.normal(0, 2.0), rng.normal(0, 1.0)])
             keep = vals != 0
             idx = np.flatnonzero(keep).astype(np.int64)
-            vectors.append(SparseVector(2, idx, vals[keep]))
+            rows.append(SparseBatch(2, [0, idx.size], idx, vals[keep]))
             labels.append(label)
-        data = LabeledDataset(vectors, labels)
+        data = make_data(rows, labels)
         acc = lambda m: float(np.mean([p.label == int(g) for p, g in
-                                       zip(predict_batch(m, data), data.labels)]))
+                                       zip(predict_batch(m, data.batch), data.labels)]))
         tree = train_dt(data, max_depth=2, min_leaf=2)
         forest = train_rf(data, num_trees=25, feature_fraction=1.0, seed=2,
                           max_depth=2, min_leaf=2)
@@ -234,15 +234,15 @@ class TestMlp:
             data = random_sparse_dataset(rng, n=6, dim=5)
             params = init_params(5, [3], seed=trial)
             y = data.labels.astype(np.int64)
-            loss, grads_w, grads_b = loss_and_grads(params, data.vectors, y)
+            loss, grads_w, grads_b = loss_and_grads(params, data.batch, y)
             eps = 1e-6
             for layer in range(len(params.weights)):
                 w = params.weights[layer]
                 for probe in [(0, 0), (w.shape[0] - 1, w.shape[1] - 1)]:
                     w[probe] += eps
-                    up, _, _ = loss_and_grads(params, data.vectors, y)
+                    up, _, _ = loss_and_grads(params, data.batch, y)
                     w[probe] -= 2 * eps
-                    down, _, _ = loss_and_grads(params, data.vectors, y)
+                    down, _, _ = loss_and_grads(params, data.batch, y)
                     w[probe] += eps
                     numeric = (up - down) / (2 * eps)
                     analytic = grads_w[layer][probe]
@@ -252,13 +252,13 @@ class TestMlp:
     def test_xor_with_four_hidden_units(self, xor_toy):
         model = train_mlp(xor_toy, hidden_layers=[4], learning_rate=0.5,
                           epochs=5000, batch_size=4, seed=0)
-        preds = predict_batch(model, xor_toy)
+        preds = predict_batch(model, xor_toy.batch)
         assert [p.label for p in preds] == [0, 1, 1, 0]
 
     def test_softmax_sums_to_one(self, fixture_dataset):
         from ideation_stream.classifiers.mlp import forward
         model = train_mlp(fixture_dataset, hidden_layers=[4], epochs=2, seed=3)
-        probs = forward(model.params, fixture_dataset.vectors[:20])[-1]
+        probs = forward(model.params, fixture_dataset.batch.take(range(20)))[-1]
         assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-9)
 
     def test_full_batch_loss_non_increasing_at_small_lr(self, xor_toy):
@@ -270,16 +270,30 @@ class TestMlp:
 
 
 class TestPredict:
-    def test_batch_equals_elementwise(self, fixture_dataset):
-        model = train_nb(fixture_dataset)
-        batch = predict_batch(model, fixture_dataset)
-        for v, p in zip(fixture_dataset.vectors, batch):
-            single = predict(model, v)
-            assert single.label == p.label and single.score == p.score
+    def test_batch_equals_elementwise(self, fixture_dataset, vec):
+        # for every kind, row i of a batch scores bit for bit as the one-row
+        # batch of row i, whatever rows come with it; one row is empty
+        trainers = [
+            lambda d: train_nb(d),
+            lambda d: train_lr(d, l2=0.01, max_iter=30),
+            lambda d: train_linear_svc(d, c=1.0, max_iter=100),
+            lambda d: train_dt(d, max_depth=4),
+            lambda d: train_rf(d, num_trees=12, max_depth=3, seed=1),  # 8+ terms: a pairwise sum
+            lambda d: train_mlp(d, hidden_layers=[5], epochs=2, seed=1),
+        ]
+        batch = SparseBatch.stack([fixture_dataset.batch, vec(12, [])])
+        for trainer in trainers:
+            model = trainer(fixture_dataset)
+            preds = predict_batch(model, batch)
+            assert len(preds) == batch.n_rows
+            for i, p in enumerate(preds):
+                single = predict(model, batch.take([i]))
+                assert single.label == p.label and single.score == p.score
+                assert type(p.label) is int and type(p.score) is float
 
     def test_batch_preserves_order(self, separable_toy):
         model = train_lr(separable_toy, max_iter=50)
-        preds = predict_batch(model, separable_toy.vectors)
+        preds = predict_batch(model, separable_toy.batch)
         assert len(preds) == 4
         assert [p.label for p in preds] == [1, 1, 0, 0]
 
@@ -297,7 +311,7 @@ class TestPredict:
             lambda d, s: train_rf(d, num_trees=2, max_depth=3, seed=s),
             lambda d, s: train_mlp(d, hidden_layers=[3], epochs=2, seed=s),
         ]
-        probe = fixture_dataset.vectors[:5]
+        probe = rows_of(fixture_dataset.batch)[:5]
         for trainer in trainers:
             a = trainer(fixture_dataset, 7)
             b = trainer(fixture_dataset, 7)

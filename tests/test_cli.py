@@ -186,6 +186,25 @@ class TestStreamingCommands:
         assert exc.value.code == 2
 
 
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        ["broker", "create-topic", "--broker-dir", "b", "--topic", "../x"],
+        ["broker", "create-topic", "--broker-dir", "b", "--topic", "t", "--partitions", "0"],
+        ["train", "--data", "d.csv", "--combo", "uni-tfidf", "--buckets", "48"],
+        ["serve", "--broker-dir", "b", "--model", "m.isp", "--trigger-ms", "0"],
+        ["serve", "--broker-dir", "b", "--model", "m.isp", "--output-topic", "Source-tweets"],
+        ["serve", "--broker-dir", "b", "--model", "m.isp", "--group", "../x"],
+        ["report", "--broker-dir", "b", "--group", "../x"],
+    ], ids=["topic-name", "partitions", "buckets", "trigger-ms", "same-topics",
+            "serve-group", "report-group"])
+    def test_bad_value_exits_2_before_any_work(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []  # no broker, manifest or model written
+
+
 class TestInspect:
     def test_header_dump(self, trained_model, capsys):
         assert main(["inspect", "--model", str(trained_model)]) == 0

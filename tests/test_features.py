@@ -8,12 +8,13 @@ from hypothesis import strategies as st
 from ideation_stream.errors import (DimensionMismatch, EmptyVocabulary,
                                     NotFitted)
 from ideation_stream.features import (FeatureCombo, FeaturePipeline,
-                                      IdfModel, NGramSpec, SparseVector,
+                                      IdfModel, NGramSpec, SparseBatch,
                                       apply_tfidf, count_vectorize,
                                       fit_idf, fit_pipeline, fit_vocabulary,
                                       hashing_tf, ngrams)
 from ideation_stream.hashutil import fnv1a_32
 
+from conftest import dense, entries, make_vec, same
 from oracles import dense_cv_tfidf, dense_hashing_tfidf, fnv1a_32_reference
 
 UNI = NGramSpec((1,))
@@ -21,27 +22,62 @@ BI = NGramSpec((2,))
 UNIBI = NGramSpec((1, 2))
 
 
-class TestSparseVector:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SparseVector(3, np.array([1, 1]), np.array([1.0, 2.0]))
-        with pytest.raises(ValueError):
-            SparseVector(3, np.array([0, 3]), np.array([1.0, 2.0]))
-        with pytest.raises(ValueError):
-            SparseVector(3, np.array([0]), np.array([0.0]))
+def _from_dense(matrix):
+    matrix = np.asarray(matrix, dtype=np.float64)
+    rows, cols = np.nonzero(matrix)
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=len(matrix)))))
+    return SparseBatch(matrix.shape[1], indptr, cols, matrix[rows, cols])
 
-    def test_get_and_dense(self, vec):
-        v = vec(5, [(1, 2.0), (4, -1.0)])
-        assert v.get(1) == 2.0 and v.get(0) == 0.0 and v.get(4) == -1.0
-        assert v.to_dense().tolist() == [0.0, 2.0, 0.0, 0.0, -1.0]
+
+class TestSparseBatch:
+    def test_validation(self):
+        one_row = np.array([0, 2])
+        with pytest.raises(ValueError):
+            SparseBatch(3, one_row, np.array([1, 1]), np.array([1.0, 2.0]))
+        with pytest.raises(ValueError):
+            SparseBatch(3, one_row, np.array([0, 3]), np.array([1.0, 2.0]))
+        with pytest.raises(ValueError):
+            SparseBatch(3, np.array([0, 1]), np.array([0]), np.array([0.0]))
+        with pytest.raises(ValueError):  # a row's columns go down
+            SparseBatch(3, one_row, np.array([2, 1]), np.array([1.0, 2.0]))
+        with pytest.raises(ValueError):  # indptr does not cover the entries
+            SparseBatch(3, np.array([0, 1]), np.array([0, 1]), np.array([1.0, 2.0]))
+        with pytest.raises(ValueError):  # indptr decreases
+            SparseBatch(3, np.array([0, 2, 1, 2]), np.array([0, 1]), np.array([1.0, 2.0]))
+        # a column may repeat across rows and restart lower in the next row
+        SparseBatch(3, np.array([0, 2, 2, 3]), np.array([1, 2, 0]), np.ones(3))
+
+    def test_take_and_dense(self):
+        v = make_vec(5, [(1, 2.0), (4, -1.0)])
+        assert dense(v)[0, 1] == 2.0 and dense(v)[0, 0] == 0.0 and dense(v)[0, 4] == -1.0
+        assert dense(v)[0].tolist() == [0.0, 2.0, 0.0, 0.0, -1.0]
+        batch = SparseBatch.stack([make_vec(5, [(3, 1.0)]), make_vec(5, []), v])
+        assert batch.n_rows == 3 and batch.indptr.tolist() == [0, 1, 1, 3]
+        assert same(batch.take([2]), v)
+        assert dense(batch.take([2, 1, 0, 2])).tolist() == \
+            [dense(batch)[i].tolist() for i in (2, 1, 0, 2)]
+        assert batch.take([]).n_rows == 0
+
+    def test_stack_needs_one_dim(self):
+        with pytest.raises(DimensionMismatch):
+            SparseBatch.stack([make_vec(3, [(0, 1)]), make_vec(4, [(0, 1)])])
+        with pytest.raises(ValueError):
+            SparseBatch.stack([])
 
     @settings(max_examples=50, deadline=None)
-    @given(st.dictionaries(st.integers(0, 19), st.floats(-5, 5).filter(lambda x: x != 0),
-                           max_size=10))
-    def test_from_counts_invariants(self, counts):
-        v = SparseVector.from_counts(20, counts)
-        assert list(v.indices) == sorted(counts)
-        assert all(val != 0 for val in v.values)
+    @given(st.lists(st.lists(st.sampled_from([0.0, 0.0, 1.0, -2.5, 0.25]), min_size=4,
+                             max_size=4), min_size=1, max_size=8),
+           st.data())
+    def test_rows_and_products_match_dense(self, matrix, data):
+        batch = _from_dense(matrix)
+        expected = np.array(matrix)
+        assert np.array_equal(dense(batch), expected)
+        rows = data.draw(st.lists(st.integers(0, len(matrix) - 1), max_size=10))
+        assert np.array_equal(dense(batch.take(rows)), expected[rows].reshape(-1, 4))
+        w = np.arange(1.0, 5.0)
+        r = np.arange(1.0, len(matrix) + 1.0)
+        assert np.allclose(batch.matvec(w), expected @ w)
+        assert np.allclose(batch.rmatvec(r), expected.T @ r)
 
 
 class TestNgrams:
@@ -103,17 +139,27 @@ class TestCountVectorize:
     def test_counting(self, vec):
         vocab = fit_vocabulary([["die", "die", "sad"]], UNI, min_tf=0)
         v = count_vectorize(["die", "die", "sad"], vocab)
-        assert v == vec(2, [(vocab.term_to_index["die"], 2),
-                            (vocab.term_to_index["sad"], 1)])
+        assert same(v, vec(2, [(vocab.term_to_index["die"], 2),
+                               (vocab.term_to_index["sad"], 1)]))
 
     def test_oov_ignored_dim_preserved(self):
         vocab = fit_vocabulary([["die"]], UNI, min_tf=0)
         v = count_vectorize(["unknown", "words"], vocab)
-        assert v.nnz == 0 and v.dim == vocab.dim
+        assert v.indices.size == 0 and v.dim == vocab.dim and v.n_rows == 1
 
     def test_empty_doc(self):
         vocab = fit_vocabulary([["die"]], UNI, min_tf=0)
-        assert count_vectorize([], vocab).nnz == 0
+        assert count_vectorize([], vocab).indices.size == 0
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.sampled_from(["a", "b", "c", "d", "zz"]), max_size=12))
+    def test_counts_invariants(self, grams):
+        vocab = fit_vocabulary([["a", "b", "c", "d"]], UNI, min_tf=0)
+        v = count_vectorize(grams, vocab)
+        seen = sorted({vocab.term_to_index[g] for g in grams if g != "zz"})
+        assert list(v.indices) == seen
+        assert all(val != 0 for val in v.values)
+        assert dense(v)[0].sum() == sum(g != "zz" for g in grams)
 
 
 class TestHashingTf:
@@ -127,7 +173,7 @@ class TestHashingTf:
 
     def test_additivity(self):
         v = hashing_tf(["die", "die"], num_buckets=16)
-        assert v.entries() == [(fnv1a_32("die") % 16, 2.0)]
+        assert entries(v) == [(fnv1a_32("die") % 16, 2.0)]
 
     def test_collision_by_construction(self):
         # find two distinct tokens landing in the same of 2 buckets,
@@ -137,10 +183,10 @@ class TestHashingTf:
                  if w != a and fnv1a_32_reference(w.encode()) % 2
                  == fnv1a_32_reference(a.encode()) % 2)
         v = hashing_tf([a, b], num_buckets=2)
-        assert v.nnz == 1 and float(v.values[0]) == 2.0
+        assert v.indices.size == 1 and float(v.values[0]) == 2.0
 
     def test_empty_doc(self):
-        assert hashing_tf([], num_buckets=8).nnz == 0
+        assert hashing_tf([], num_buckets=8).indices.size == 0
 
     def test_power_of_two_required(self):
         with pytest.raises(ValueError):
@@ -155,32 +201,37 @@ class TestHashingTf:
         rng = np.random.default_rng(seed)
         shuffled = list(tokens)
         rng.shuffle(shuffled)
-        assert hashing_tf(tokens, 8) == hashing_tf(shuffled, 8)
+        assert same(hashing_tf(tokens, 8), hashing_tf(shuffled, 8))
 
 
 class TestIdf:
     def test_ubiquitous_term_zero(self, vec):
-        vectors = [vec(1, [(0, 1)]), vec(1, [(0, 2)])]
+        vectors = SparseBatch.stack([vec(1, [(0, 1)]), vec(1, [(0, 2)])])
         model = fit_idf(vectors)
         assert model.idf[0] == 0.0
 
     def test_half_presence(self, vec):
-        vectors = [vec(1, [(0, 1)]), vec(1, [])]
+        vectors = SparseBatch.stack([vec(1, [(0, 1)]), vec(1, [])])
         model = fit_idf(vectors)
         assert model.idf[0] == pytest.approx(math.log(3 / 2), abs=1e-12)
 
     def test_unseen_column(self, vec):
-        vectors = [vec(2, [(0, 1)]), vec(2, [(0, 1)])]
+        vectors = SparseBatch.stack([vec(2, [(0, 1)]), vec(2, [(0, 1)])])
         model = fit_idf(vectors)
         assert model.idf[1] == pytest.approx(math.log(3), abs=1e-12)
 
     def test_apply_scalar_product(self, vec):
         out = apply_tfidf(vec(1, [(0, 2)]), IdfModel(np.array([0.5])))
-        assert out.entries() == [(0, 1.0)]
+        assert entries(out) == [(0, 1.0)]
 
     def test_apply_drops_zero_idf(self, vec):
         out = apply_tfidf(vec(2, [(0, 2), (1, 1)]), IdfModel(np.array([0.0, 1.0])))
-        assert out.entries() == [(1, 1.0)]
+        assert entries(out) == [(1, 1.0)]
+
+    def test_apply_keeps_rows_when_dropping(self, vec):
+        counts = SparseBatch.stack([vec(2, [(0, 2)]), vec(2, [(0, 1), (1, 4)]), vec(2, [])])
+        out = apply_tfidf(counts, IdfModel(np.array([0.0, 0.5])), scale=0.5)
+        assert out.indptr.tolist() == [0, 0, 1, 1] and entries(out) == [(1, 1.0)]
 
     def test_dimension_mismatch(self, vec):
         with pytest.raises(DimensionMismatch):
@@ -210,7 +261,7 @@ class TestPipeline:
         pipe = fit_pipeline(DOCS, FeatureCombo.UNI_CV_IDF, min_tf=0, normalize_tf=False)
         doc = DOCS[0]
         manual = apply_tfidf(count_vectorize(ngrams(doc, pipe.ngram), pipe.vocab), pipe.idf)
-        assert pipe.transform(doc) == manual
+        assert same(pipe.transform(doc), manual)
 
     def test_normalization_divides_by_gram_count(self):
         plain = fit_pipeline(DOCS, FeatureCombo.UNI_CV_IDF, min_tf=0, normalize_tf=False)
@@ -225,7 +276,7 @@ class TestPipeline:
         unseen = ["entirely", "new", "words", "die"]
         v1 = pipe.transform(unseen)
         v2 = pipe.transform(unseen)
-        assert v1 == v2
+        assert same(v1, v2)
         assert pipe.dim == dim_before
         assert set(np.asarray(v1.indices)) <= set(range(dim_before))
 
@@ -249,7 +300,7 @@ class TestPipeline:
         expected, terms = dense_cv_tfidf(docs, orders, 0, normalize)
         assert pipe.vocab.terms_by_index() == terms
         for i, doc in enumerate(docs):
-            assert np.allclose(pipe.transform(doc).to_dense(), expected[i], atol=1e-9)
+            assert np.allclose(dense(pipe.transform(doc))[0], expected[i], atol=1e-9)
 
     @pytest.mark.parametrize("normalize", [True, False])
     def test_hashing_matches_dense_oracle(self, normalize):
@@ -261,7 +312,7 @@ class TestPipeline:
                             normalize_tf=normalize)
         expected = dense_hashing_tfidf(docs, (1,), 32, normalize)
         for i, doc in enumerate(docs):
-            assert np.allclose(pipe.transform(doc).to_dense(), expected[i], atol=1e-9)
+            assert np.allclose(dense(pipe.transform(doc))[0], expected[i], atol=1e-9)
 
     def test_bucket_cache_stays_bounded(self):
         # 70,000 distinct grams through one pipeline, as a long serve sees
@@ -269,6 +320,6 @@ class TestPipeline:
         pipe = fit_pipeline(docs[:2], FeatureCombo.UNI_TFIDF, num_buckets=1 << 10)
         for doc in docs:
             grams = ngrams(doc, pipe.ngram)
-            uncached = hashing_tf(grams, 1 << 10).scaled(1.0 / len(grams))
-            assert pipe.transform(doc) == apply_tfidf(uncached, pipe.idf)
+            uncached = hashing_tf(grams, 1 << 10)
+            assert same(pipe.transform(doc), apply_tfidf(uncached, pipe.idf, 1.0 / len(grams)))
             assert len(pipe._bucket_cache) <= 1 << 16

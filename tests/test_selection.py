@@ -70,16 +70,15 @@ class TestGridSearch:
         assert best in [r.params for r in reports]
 
     def test_dominant_config_beats_crippled_one(self):
-        from conftest import make_vec
-        from ideation_stream.classifiers import LabeledDataset
+        from conftest import make_data, make_vec
 
         # separable by the sign of feature 0, but the class-mean
         # difference points along feature 1 — so a single gradient step
         # (max_iter=1) lands on a non-separating direction
         pts = [((0.2, 10), 1), ((1.8, -6), 1), ((0.3, 9), 1), ((1.7, -5), 1),
                ((-0.2, 6), 0), ((-1.8, -10), 0), ((-0.3, 5), 0), ((-1.7, -9), 0)]
-        data = LabeledDataset([make_vec(2, [(0, x0), (1, x1)]) for (x0, x1), _ in pts],
-                              [y for _, y in pts])
+        data = make_data([make_vec(2, [(0, x0), (1, x1)]) for (x0, x1), _ in pts],
+                         [y for _, y in pts])
         best, reports = grid_search(ModelKind.LR, {"max_iter": [200, 1]}, data,
                                     k=4, seed=1)
         assert best == {"max_iter": 200}

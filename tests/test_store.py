@@ -13,7 +13,9 @@ from ideation_stream.classifiers import (predict, train_dt, train_linear_svc,
                                          train_rf)
 from ideation_stream.errors import (CorruptPayload, IdeationStreamError, IoFailure,
                                     VersionMismatch)
-from ideation_stream.features import FeatureCombo, IdfModel, SparseVector, fit_pipeline
+from ideation_stream.features import FeatureCombo, IdfModel, SparseBatch, fit_pipeline
+
+from conftest import random_sparse_dataset, rows_of, same
 
 TRAIN_CALLS = {
     "nb": lambda d: train_nb(d, alpha=0.5),
@@ -51,7 +53,6 @@ def _shapes(header):
 
 def _dataset_for(pipeline, fixture_dataset):
     # reuse the 100-row fixture but re-dimension it onto the pipeline
-    from conftest import random_sparse_dataset
     rng = np.random.default_rng(0)
     return random_sparse_dataset(rng, 100, pipeline.dim, density=0.5)
 
@@ -73,7 +74,7 @@ class TestSaveLoad:
         store.save(pipeline, model, path)
         _, loaded = store.load(path)
         assert loaded.kind.value == kind
-        for v in data.vectors:
+        for v in rows_of(data.batch):
             a, b = predict(model, v), predict(loaded, v)
             assert a.label == b.label and a.score == b.score
 
@@ -83,7 +84,7 @@ class TestSaveLoad:
         store.save(pipeline, model, path)
         loaded_pipe, _ = store.load(path)
         for doc in (["want", "die"], ["sunny", "day", "unknown"], []):
-            assert loaded_pipe.transform(doc) == pipeline.transform(doc)
+            assert same(loaded_pipe.transform(doc), pipeline.transform(doc))
 
     def test_metrics_snapshot_and_digest_in_header(self, pipeline, fixture_dataset,
                                                    tmp_path):
@@ -193,6 +194,16 @@ class TestRejection:
         with pytest.raises(CorruptPayload):
             store.load(tmp_path / "i.isp")
 
+    def test_hashing_buckets_not_a_power_of_two(self, tmp_path):
+        # arrays sized 48 fit the header dim; 48 buckets cannot hash a gram
+        docs = [["want", "die"], ["sunny", "day"], ["die", "alone"], ["fun", "day"]]
+        pipe = fit_pipeline(docs, FeatureCombo.UNI_TFIDF, num_buckets=64, min_tf=0)
+        pipe = dataclasses.replace(pipe, num_buckets=48, idf=IdfModel(pipe.idf.idf[:48]))
+        data = random_sparse_dataset(np.random.default_rng(1), 20, 48)
+        store.save(pipe, train_nb(data), tmp_path / "h.isp")
+        with pytest.raises(CorruptPayload):
+            store.load(tmp_path / "h.isp")
+
     @pytest.mark.parametrize("kind", sorted(TRAIN_CALLS))
     @settings(max_examples=25, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -231,7 +242,8 @@ class TestRejection:
         except IdeationStreamError:
             return
         # whatever loads scores a row that holds every feature
-        predict(model, SparseVector(model.dim, np.arange(model.dim), np.ones(model.dim)))
+        predict(model, SparseBatch(model.dim, [0, model.dim], np.arange(model.dim),
+                                   np.ones(model.dim)))
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(IoFailure):

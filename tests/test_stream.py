@@ -6,7 +6,7 @@ from ideation_stream import store, stream
 from ideation_stream.broker import Broker
 from ideation_stream.classifiers import LabeledDataset, predict, train_nb
 from ideation_stream.errors import UnknownTopic
-from ideation_stream.features import FeatureCombo, fit_pipeline
+from ideation_stream.features import FeatureCombo, SparseBatch, fit_pipeline
 from ideation_stream.preprocess import PreprocessConfig, preprocess
 from ideation_stream.stream import (PredictionEvent, StreamConfig,
                                     StreamFilter, aggregate, replay_produce,
@@ -25,7 +25,7 @@ def model_path(tmp_path_factory):
     labels = [1] * 12 + [0] * 12
     tokens = [preprocess(t, pconfig).tokens for t in texts]
     pipeline = fit_pipeline(tokens, FeatureCombo.UNI_CV_IDF, min_tf=0)
-    data = LabeledDataset([pipeline.transform(t) for t in tokens], labels)
+    data = LabeledDataset(SparseBatch.stack([pipeline.transform(t) for t in tokens]), labels)
     model = train_nb(data, alpha=1.0)
     path = tmp_path_factory.mktemp("model") / "stream.isp"
     store.save(pipeline, model, path, preprocess_config_digest=pconfig.digest())
@@ -192,14 +192,14 @@ class TestRunStream:
         real_predict = stream.predict
 
         def flaky(model, vec):
-            if vec.nnz == 0:  # 'poison pill' preprocesses to stopword-free tokens
+            if vec.indices.size == 0:  # 'poison pill' preprocesses to stopword-free tokens
                 raise RuntimeError("boom")
             return real_predict(model, vec)
 
         monkeypatch.setattr(stream, "predict", flaky)
         pipeline, _ = store.load(model_path)
-        poison_nnz = pipeline.transform(preprocess("poison pill").tokens).nnz
-        healthy_nnz = pipeline.transform(preprocess("healthy line").tokens).nnz
+        poison_nnz = pipeline.transform(preprocess("poison pill").tokens).indices.size
+        healthy_nnz = pipeline.transform(preprocess("healthy line").tokens).indices.size
         assert poison_nnz == 0 and healthy_nnz == 0  # both OOV -> both dead-letter
         stats = run_stream(broker, _config(model_path), stop_when_idle=True)
         assert stats.dead_letters == 2
