@@ -93,28 +93,50 @@ def _load_labeled(path: str, text_col: str, label_col: str):
     return cleaned, raw.load_report, report
 
 
-def _vectorize(docs, pipeline, pconfig):
-    from .classifiers import LabeledDataset
-    from .corpus import LABEL_TO_INT
-    from .features import SparseBatch
+def _tokens(docs, pconfig) -> list:
     from .preprocess import preprocess
 
-    rows, labels = [], []
-    for doc in docs:
-        tokens = preprocess(doc.text, pconfig, source_id=doc.id)
-        rows.append(pipeline.transform(tokens.tokens))
-        labels.append(LABEL_TO_INT[doc.label])
-    return LabeledDataset(SparseBatch.stack(rows), labels)
+    return [preprocess(d.text, pconfig, source_id=d.id).tokens for d in docs]
 
 
-def _parse_hyper(pairs: list[str]) -> dict:
-    out = {}
-    for pair in pairs:
-        key, _, value = pair.partition("=")
-        if not _:
-            raise SystemExit(f"--hyper expects key=value, got {pair!r}")
-        out[key.replace("-", "_")] = json.loads(value) if value and value[0] in "[{0123456789.-tf" else value
-    return out
+def _labeled(pipeline, token_docs, docs):
+    """The documents' TF-IDF rows as one batch, with their labels."""
+    from .classifiers import LabeledDataset
+    from .corpus import LABEL_TO_INT
+
+    return LabeledDataset(pipeline.transform_batch(token_docs),
+                          [LABEL_TO_INT[d.label] for d in docs])
+
+
+def _hyper_pair(pair: str) -> tuple[str, object]:
+    """An argparse ``type`` for ``--hyper key=value``: the value is JSON
+    when it starts like a JSON number, list, object or boolean, else text."""
+    key, sep, value = pair.partition("=")
+    if not sep or not key:
+        raise argparse.ArgumentTypeError(f"expects key=value, got {pair!r}")
+    try:
+        parsed = json.loads(value) if value and value[0] in "[{0123456789.-tf" else value
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{pair!r}: {exc}") from None
+    return key.replace("-", "_"), parsed
+
+
+def _check_hyper(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """Usage error unless each ``--hyper`` key is a parameter of the chosen
+    trainer and its value has the type of that parameter's default."""
+    import inspect
+
+    from .classifiers import TRAINERS, ModelKind
+
+    params = inspect.signature(TRAINERS[ModelKind(args.model)]).parameters
+    for key, value in args.hyper:
+        if key not in params or key in ("data", "seed"):
+            parser.error(f"--hyper {key}: not a hyperparameter of the {args.model} trainer")
+        default = params[key].default
+        want = list if isinstance(default, tuple) else type(default)
+        if not (type(value) is want or want is float and type(value) is int):
+            parser.error(f"--hyper {key}={json.dumps(value)}: expects a value like "
+                         f"{json.dumps(default)}")
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -122,28 +144,24 @@ def cmd_train(args: argparse.Namespace) -> int:
     from .classifiers import DEFAULT_GRIDS, TRAINERS, ModelKind, cross_validate, grid_search
     from .corpus import SplitSpec, split
     from .evaluation import Averaging, evaluate_model
-    from .features import SparseBatch, fit_pipeline
-    from .preprocess import PreprocessConfig, preprocess
+    from .features import fit_pipeline
+    from .preprocess import PreprocessConfig
 
     started = time.time()
     corpus, load_report, clean_report = _load_labeled(args.data, args.text_col, args.label_col)
     train_corpus, test_corpus = split(corpus, SplitSpec(train_fraction=args.train_frac,
                                                         seed=args.seed))
     pconfig = PreprocessConfig.load_default()
-    train_tokens = [preprocess(d.text, pconfig, source_id=d.id).tokens
-                    for d in train_corpus.documents]
+    train_tokens = _tokens(train_corpus.documents, pconfig)
     pipeline = fit_pipeline(train_tokens, args.combo, min_tf=args.min_tf,
                             num_buckets=args.buckets, normalize_tf=not args.no_tf_norm,
                             vocab_cap=args.vocab_cap)
-
-    from .classifiers import LabeledDataset
-    from .corpus import LABEL_TO_INT
-    train_data = LabeledDataset(SparseBatch.stack([pipeline.transform(t) for t in train_tokens]),
-                                [LABEL_TO_INT[d.label] for d in train_corpus.documents])
-    test_data = _vectorize(test_corpus.documents, pipeline, pconfig)
+    train_data = _labeled(pipeline, train_tokens, train_corpus.documents)
+    test_data = _labeled(pipeline, _tokens(test_corpus.documents, pconfig),
+                         test_corpus.documents)
 
     kind = ModelKind(args.model)
-    params = _parse_hyper(args.hyper)
+    params = dict(args.hyper)
     cv_reports = []
     if args.grid:
         grid = DEFAULT_GRIDS[kind] if args.grid == "default" else json.loads(args.grid)
@@ -199,7 +217,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     pipeline, model = store.load(args.model)
     corpus, _, _ = _load_labeled(args.data, args.text_col, args.label_col)
     pconfig = PreprocessConfig.load_default()
-    data = _vectorize(corpus.documents, pipeline, pconfig)
+    data = _labeled(pipeline, _tokens(corpus.documents, pconfig), corpus.documents)
     report, cm = evaluate_model(model, data, averaging=Averaging(args.averaging))
 
     outputs = []
@@ -209,9 +227,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         Path(args.out).write_text(f"{header}\n{row}\n", "utf-8")
         outputs.append(args.out)
     if args.roc_out:
-        from .classifiers import predict_batch
-        preds = predict_batch(model, data.batch)
-        pts = roc_points([p.score for p in preds], [int(g) for g in data.labels])
+        pts = roc_points(report.scores, [int(g) for g in data.labels])
         lines = ["fpr,tpr,threshold"] + [f"{f:.6f},{t:.6f},{thr}" for f, t, thr in pts]
         Path(args.roc_out).write_text("\n".join(lines) + "\n", "utf-8")
         outputs.append(args.roc_out)
@@ -418,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab-cap", type=int, default=None)
     p.add_argument("--grid", default=None,
                    help="'default' for the shipped grid, or inline JSON")
-    p.add_argument("--hyper", action="append", default=[],
+    p.add_argument("--hyper", action="append", default=[], type=_hyper_pair,
                    help="key=value hyperparameter, repeatable")
     p.add_argument("--folds", type=int, default=10,
                    help="cross-validation folds (0 skips CV)")
@@ -517,6 +533,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "serve" and args.input_topic == args.output_topic:
         parser.error("serve: --input-topic and --output-topic must differ")
+    if args.command == "train":
+        _check_hyper(parser, args)
     try:
         return args.func(args)
     except errors.IdeationStreamError as exc:

@@ -10,7 +10,7 @@ tables. Division-by-zero cases score 0 and are flagged.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Sequence
 
@@ -50,6 +50,7 @@ class MetricsReport:
     averaging: Averaging
     auc: float | None = None
     zero_division_flags: tuple[str, ...] = ()
+    scores: list[float] | None = field(default=None, repr=False, compare=False)
 
     def csv_row(self) -> str:
         """One row in reported-table column order: ACC, PRE, REC, F1, AUC."""
@@ -196,10 +197,11 @@ def top_terms(labeled_tokens: Iterable[tuple[Sequence[str], object]], cls,
 def evaluate_model(model: ModelArtifact, test: LabeledDataset,
                    averaging: Averaging | str = Averaging.WEIGHTED
                    ) -> tuple[MetricsReport, ConfusionMatrix]:
-    """predict_batch + confusion + metrics + roc_auc in one call."""
+    """predict_batch + confusion + metrics + roc_auc; the report keeps the row scores."""
     predictions = predict_batch(model, test.batch)
     gold = [int(g) for g in test.labels]
     cm = confusion([p.label for p in predictions], gold)
     report = metrics(cm, averaging=averaging)
-    report.auc = roc_auc([p.score for p in predictions], gold)
+    report.scores = [p.score for p in predictions]
+    report.auc = roc_auc(report.scores, gold)
     return report, cm

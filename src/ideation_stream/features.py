@@ -6,10 +6,11 @@ Two vectorization routes share one smoothed-IDF stage:
 * vocabulary — grams above a corpus-frequency threshold get dense column
   indices ordered by descending frequency (``*-cv-idf`` combos).
 
-Raw rows hold counts; the pipeline optionally rescales them by document
-length (count / total grams in the document) before applying
-``idf = ln((N + 1) / (df + 1))``. A document becomes a one-row batch;
-``SparseBatch.stack`` joins rows for the trainers and scorers.
+``FeaturePipeline.transform_batch`` is the one vectorizer: it maps the
+grams of every document to columns in one pass, counts each (row, column)
+pair, optionally rescales by document length (count / total grams in the
+document) and applies ``idf = ln((N + 1) / (df + 1))``, all into a single
+``SparseBatch``. ``transform`` is its batch of one.
 """
 
 from __future__ import annotations
@@ -102,19 +103,6 @@ class SparseBatch:
         pos = np.arange(indptr[-1]) + np.repeat(starts - indptr[:-1], lens)
         return SparseBatch(self.dim, indptr, self.indices[pos], self.values[pos])
 
-    @classmethod
-    def stack(cls, batches: Sequence["SparseBatch"]) -> "SparseBatch":
-        """The rows of every batch, in order; all share one dimension."""
-        if not batches:
-            raise ValueError("stack needs at least one batch")
-        dim = batches[0].dim
-        if any(b.dim != dim for b in batches):
-            raise DimensionMismatch(f"stack needs one dim, got {sorted({b.dim for b in batches})}")
-        lens = np.concatenate([np.diff(b.indptr) for b in batches])
-        indptr = np.concatenate(([0], np.cumsum(lens)))
-        return cls(dim, indptr, np.concatenate([b.indices for b in batches]),
-                   np.concatenate([b.values for b in batches]))
-
     def matvec(self, w: np.ndarray) -> np.ndarray:
         """X @ w for a dense weight vector; each row sums its entries in order."""
         return np.bincount(self.row_ids, weights=self.values * w[self.indices],
@@ -124,12 +112,6 @@ class SparseBatch:
         """X.T @ r for a dense per-row vector."""
         return np.bincount(self.indices, weights=self.values * r[self.row_ids],
                            minlength=self.dim)
-
-
-def _one_row(dim: int, counts: Counter) -> SparseBatch:
-    cols = sorted(counts)
-    return SparseBatch(dim, np.array([0, len(cols)]), np.array(cols, dtype=np.int64),
-                       np.array([counts[j] for j in cols], dtype=np.float64))
 
 
 def ngrams(tokens: Sequence[str], spec: NGramSpec) -> list[str]:
@@ -186,17 +168,6 @@ def fit_vocabulary(token_docs: Iterable[Sequence[str]], spec: NGramSpec,
                       num_docs=n_docs, min_tf=min_tf)
 
 
-def count_vectorize(grams: Sequence[str], vocab: Vocabulary) -> SparseBatch:
-    """One row of in-vocabulary gram counts; out-of-vocabulary grams are ignored."""
-    counts: Counter[int] = Counter()
-    lookup = vocab.term_to_index
-    for gram in grams:
-        j = lookup.get(gram)
-        if j is not None:
-            counts[j] += 1
-    return _one_row(vocab.dim, counts)
-
-
 def check_num_buckets(num_buckets: int) -> None:
     """ValueError unless ``num_buckets`` is a power of two >= 2."""
     if num_buckets < 2 or num_buckets & (num_buckets - 1):
@@ -204,23 +175,20 @@ def check_num_buckets(num_buckets: int) -> None:
 
 
 def hashing_tf(grams: Sequence[str], num_buckets: int = DEFAULT_NUM_BUCKETS,
-               _cache: dict | None = None) -> SparseBatch:
-    """One row of counts summed per FNV-1a bucket. ``_cache`` memoizes
+               _cache: dict | None = None) -> np.ndarray:
+    """The FNV-1a bucket of each gram, in order. ``_cache`` memoizes
     gram -> bucket and is cleared when it fills."""
     check_num_buckets(num_buckets)
-    counts: Counter[int] = Counter()
+    cache = {} if _cache is None else _cache
+    buckets = []
     for gram in grams:
-        if _cache is not None:
-            bucket = _cache.get(gram)
-            if bucket is None:
-                if len(_cache) >= BUCKET_CACHE_MAX:
-                    _cache.clear()
-                bucket = fnv1a_32(gram) % num_buckets
-                _cache[gram] = bucket
-        else:
-            bucket = fnv1a_32(gram) % num_buckets
-        counts[bucket] += 1
-    return _one_row(num_buckets, counts)
+        bucket = cache.get(gram)
+        if bucket is None:
+            if len(cache) >= BUCKET_CACHE_MAX:
+                cache.clear()
+            bucket = cache[gram] = fnv1a_32(gram) % num_buckets
+        buckets.append(bucket)
+    return np.array(buckets, dtype=np.int64)
 
 
 @dataclass
@@ -230,26 +198,6 @@ class IdfModel:
     @property
     def dim(self) -> int:
         return int(self.idf.size)
-
-
-def fit_idf(counts: SparseBatch) -> IdfModel:
-    """idf[j] = ln((N + 1) / (df_j + 1)) with df counted over nonzero
-    columns; never negative, zero only for ubiquitous terms."""
-    if not counts.n_rows:
-        raise ValueError("fit_idf needs at least one row")
-    df = np.bincount(counts.indices, minlength=counts.dim)
-    return IdfModel(idf=np.log((counts.n_rows + 1.0) / (df + 1.0)))
-
-
-def apply_tfidf(counts: SparseBatch, idf: IdfModel, scale: float = 1.0) -> SparseBatch:
-    """count * scale * idf per entry; entries that come out zero are dropped."""
-    if counts.dim != idf.dim:
-        raise DimensionMismatch(f"batch dim {counts.dim} != idf dim {idf.dim}")
-    values = counts.values * scale * idf.idf[counts.indices]
-    keep = values != 0.0
-    kept_before = np.concatenate(([0], np.cumsum(keep)))
-    return SparseBatch(counts.dim, kept_before[counts.indptr], counts.indices[keep],
-                       values[keep])
 
 
 @dataclass
@@ -280,27 +228,49 @@ class FeaturePipeline:
             raise NotFitted("pipeline has no fitted vocabulary")
         return self.vocab.dim
 
-    def _counts(self, grams: list[str]) -> SparseBatch:
-        """Raw count row for one document (no TF scaling, no IDF)."""
-        dim = self.dim  # raises NotFitted before any gram is counted
+    def _keys(self, token_docs: Sequence[Sequence[str]], dim: int) -> tuple[np.ndarray, np.ndarray]:
+        """``row * dim + column`` of every gram that has a column, in gram
+        order, and the number of grams of each document."""
+        per_doc = [ngrams(tokens, self.ngram) for tokens in token_docs]
+        grams = [gram for doc_grams in per_doc for gram in doc_grams]
+        lengths = np.array([len(doc_grams) for doc_grams in per_doc], dtype=np.int64)
         if self.hashing:
-            return hashing_tf(grams, dim, _cache=self._bucket_cache)
-        return count_vectorize(grams, self.vocab)
+            cols = hashing_tf(grams, dim, _cache=self._bucket_cache)
+        else:
+            lookup = self.vocab.term_to_index
+            cols = np.array([lookup.get(g, -1) for g in grams], dtype=np.int64)
+        keys = np.repeat(np.arange(lengths.size) * dim, lengths) + cols
+        return keys[cols >= 0], lengths
 
-    def transform(self, tokens: Sequence[str]) -> SparseBatch:
-        """One TF-IDF row for one document."""
+    def transform_batch(self, token_docs: Sequence[Sequence[str]]) -> SparseBatch:
+        """One TF-IDF row per document, in one batch: count * scale * idf
+        per (row, column), where scale is 1 / grams in the document when
+        TF is normalized; entries that come out zero are dropped."""
         if self.idf is None:
             raise NotFitted("transform called before fit")
-        grams = ngrams(tokens, self.ngram)
-        scale = 1.0 / len(grams) if self.normalize_tf and grams else 1.0
-        return apply_tfidf(self._counts(grams), self.idf, scale)
+        dim = self.dim
+        if self.idf.dim != dim:
+            raise DimensionMismatch(f"pipeline dim {dim} != idf dim {self.idf.dim}")
+        keys, lengths = self._keys(token_docs, dim)
+        keys, counts = np.unique(keys, return_counts=True)
+        rows, cols = np.divmod(keys, dim)
+        scale = 1.0 / np.maximum(lengths, 1) if self.normalize_tf else np.ones(lengths.size)
+        values = counts * scale[rows] * self.idf.idf[cols]
+        keep = values != 0.0
+        indptr = np.searchsorted(rows[keep], np.arange(lengths.size + 1))  # rows ascend
+        return SparseBatch(dim, indptr, cols[keep], values[keep])
+
+    def transform(self, tokens: Sequence[str]) -> SparseBatch:
+        """One TF-IDF row for one document: a batch of one."""
+        return self.transform_batch([tokens])
 
 
 def fit_pipeline(token_docs: Sequence[Sequence[str]], combo: FeatureCombo | str, *,
                  min_tf: int = DEFAULT_MIN_TF, num_buckets: int = DEFAULT_NUM_BUCKETS,
                  normalize_tf: bool = True, vocab_cap: int | None = None) -> FeaturePipeline:
     """Fit on training documents only; the returned pipeline transforms
-    unseen documents at a fixed dimension."""
+    unseen documents at a fixed dimension. IDF counts each document's
+    distinct columns: ``idf[j] = ln((N + 1) / (df_j + 1))``."""
     combo = FeatureCombo(combo)
     spec = NGramSpec(orders=COMBO_ORDERS[combo])
     pipe = FeaturePipeline(combo=combo, ngram=spec, normalize_tf=normalize_tf, min_tf=min_tf)
@@ -308,6 +278,10 @@ def fit_pipeline(token_docs: Sequence[Sequence[str]], combo: FeatureCombo | str,
         pipe.num_buckets = num_buckets
     else:
         pipe.vocab = fit_vocabulary(token_docs, spec, min_tf=min_tf, max_terms=vocab_cap)
-    pipe.idf = fit_idf(SparseBatch.stack([pipe._counts(ngrams(tokens, spec))
-                                          for tokens in token_docs]))
+    if not token_docs:
+        raise ValueError("fit_pipeline needs at least one document")
+    dim = pipe.dim
+    keys, _ = pipe._keys(token_docs, dim)
+    df = np.bincount(np.unique(keys) % dim, minlength=dim)
+    pipe.idf = IdfModel(idf=np.log((len(token_docs) + 1.0) / (df + 1.0)))
     return pipe

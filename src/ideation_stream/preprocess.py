@@ -176,6 +176,5 @@ def looks_english(text: str, config: PreprocessConfig | None = None) -> bool:
     tokens = filter_text(text, config).split()
     if not tokens:
         return False
-    known = config.stopword_list | _COMMON_WORDS
-    hits = sum(1 for t in tokens if t in known)
+    hits = sum(1 for t in tokens if t in config.stopword_list or t in _COMMON_WORDS)
     return hits * 2 >= len(tokens)

@@ -18,8 +18,16 @@ def make_vec(dim, pairs):
                        np.array([float(p[1]) for p in pairs], dtype=np.float64))
 
 
+def stack(batches):
+    """The rows of every batch, in order, as one batch of the first's dim."""
+    lens = np.concatenate([np.diff(b.indptr) for b in batches])
+    return SparseBatch(batches[0].dim, np.concatenate(([0], np.cumsum(lens))),
+                       np.concatenate([b.indices for b in batches]),
+                       np.concatenate([b.values for b in batches]))
+
+
 def make_data(rows, labels):
-    return LabeledDataset(SparseBatch.stack(rows), labels)
+    return LabeledDataset(stack(rows), labels)
 
 
 def rows_of(batch):

@@ -12,7 +12,7 @@ from ideation_stream.errors import (DegenerateLabels, DimensionMismatch,
                                     NegativeFeature)
 from ideation_stream.features import SparseBatch
 
-from conftest import make_data, random_sparse_dataset, rows_of
+from conftest import make_data, random_sparse_dataset, rows_of, stack
 
 
 class TestNaiveBayes:
@@ -281,7 +281,7 @@ class TestPredict:
             lambda d: train_rf(d, num_trees=12, max_depth=3, seed=1),  # 8+ terms: a pairwise sum
             lambda d: train_mlp(d, hidden_layers=[5], epochs=2, seed=1),
         ]
-        batch = SparseBatch.stack([fixture_dataset.batch, vec(12, [])])
+        batch = stack([fixture_dataset.batch, vec(12, [])])
         for trainer in trainers:
             model = trainer(fixture_dataset)
             preds = predict_batch(model, batch)

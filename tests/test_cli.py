@@ -81,6 +81,21 @@ class TestTrain:
         assert 0 <= payload["metrics"]["accuracy"] <= 1
 
 
+    def test_hyper_values_reach_the_trainer(self, tmp_path, data_csv, capsys):
+        # an int where the default is a float, a list for a tuple default
+        for model, hyper, expected in (
+                ("lr", ["l2=0", "max-iter=5"], {"l2": 0, "max_iter": 5}),
+                ("mlp", ["hidden_layers=[4]"], {"hidden_layers": [4]}),
+                ("dt", ["max_depth=3", "impurity=gini"], {"max_depth": 3, "impurity": "gini"})):
+            argv = ["train", "--data", str(data_csv), "--model", model, "--combo",
+                    "uni-cv-idf", "--min-tf", "0", "--folds", "0", "--json",
+                    "--out", str(tmp_path / f"{model}.isp")]
+            for pair in hyper:
+                argv += ["--hyper", pair]
+            assert main(argv) == 0
+            assert json.loads(capsys.readouterr().out)["params"] == expected
+
+
 class TestEvaluate:
     def test_metrics_row(self, trained_model, data_csv, capsys, tmp_path):
         rc = main(["evaluate", "--model", str(trained_model), "--data", str(data_csv),
@@ -92,6 +107,18 @@ class TestEvaluate:
         roc = (tmp_path / "roc.csv").read_text().splitlines()
         assert roc[0] == "fpr,tpr,threshold"
         assert len(roc) > 2
+
+    def test_roc_out_scores_once(self, trained_model, data_csv, tmp_path, monkeypatch):
+        from ideation_stream import classifiers, evaluation
+
+        calls = []
+        score = evaluation.predict_batch
+        for module in (classifiers, evaluation):  # every name a scorer is called by
+            monkeypatch.setattr(module, "predict_batch",
+                                lambda *a, **kw: calls.append(1) or score(*a, **kw))
+        rc = main(["evaluate", "--model", str(trained_model), "--data", str(data_csv),
+                   "--roc-out", str(tmp_path / "roc.csv")])
+        assert rc == 0 and len(calls) == 1
 
     def test_bad_model_path_exit(self, data_csv, tmp_path):
         rc = main(["evaluate", "--model", str(tmp_path / "none.isp"),
@@ -186,6 +213,9 @@ class TestStreamingCommands:
         assert exc.value.code == 2
 
 
+DT_NO_CV = ["train", "--data", "d.csv", "--model", "dt", "--folds", "0"]
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize("argv", [
         ["broker", "create-topic", "--broker-dir", "b", "--topic", "../x"],
@@ -195,8 +225,13 @@ class TestUsageErrors:
         ["serve", "--broker-dir", "b", "--model", "m.isp", "--output-topic", "Source-tweets"],
         ["serve", "--broker-dir", "b", "--model", "m.isp", "--group", "../x"],
         ["report", "--broker-dir", "b", "--group", "../x"],
+        [*DT_NO_CV, "--hyper", "foo"],
+        [*DT_NO_CV, "--hyper", "bogus=1"],
+        [*DT_NO_CV, "--hyper", "max_depth=["],
+        [*DT_NO_CV, "--hyper", "max_depth=abc"],
     ], ids=["topic-name", "partitions", "buckets", "trigger-ms", "same-topics",
-            "serve-group", "report-group"])
+            "serve-group", "report-group", "hyper-no-equals", "hyper-unknown-key",
+            "hyper-bad-json", "hyper-wrong-type"])
     def test_bad_value_exits_2_before_any_work(self, tmp_path, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv)

@@ -9,17 +9,25 @@ from ideation_stream.errors import (DimensionMismatch, EmptyVocabulary,
                                     NotFitted)
 from ideation_stream.features import (FeatureCombo, FeaturePipeline,
                                       IdfModel, NGramSpec, SparseBatch,
-                                      apply_tfidf, count_vectorize,
-                                      fit_idf, fit_pipeline, fit_vocabulary,
+                                      fit_pipeline, fit_vocabulary,
                                       hashing_tf, ngrams)
 from ideation_stream.hashutil import fnv1a_32
 
-from conftest import dense, entries, make_vec, same
+from conftest import dense, entries, make_vec, same, stack
 from oracles import dense_cv_tfidf, dense_hashing_tfidf, fnv1a_32_reference
 
 UNI = NGramSpec((1,))
 BI = NGramSpec((2,))
 UNIBI = NGramSpec((1, 2))
+
+
+def counting(docs, combo=FeatureCombo.UNI_CV_IDF, idf=None, **kwargs):
+    """A pipeline fitted on ``docs`` with ``min_tf=0`` and no TF scaling,
+    whose IDF is ``idf`` (all ones by default): its rows are raw gram
+    counts times ``idf``."""
+    pipe = fit_pipeline(docs, combo, min_tf=0, normalize_tf=False, **kwargs)
+    pipe.idf = IdfModel(np.ones(pipe.dim) if idf is None else np.asarray(idf, dtype=float))
+    return pipe
 
 
 def _from_dense(matrix):
@@ -51,18 +59,12 @@ class TestSparseBatch:
         v = make_vec(5, [(1, 2.0), (4, -1.0)])
         assert dense(v)[0, 1] == 2.0 and dense(v)[0, 0] == 0.0 and dense(v)[0, 4] == -1.0
         assert dense(v)[0].tolist() == [0.0, 2.0, 0.0, 0.0, -1.0]
-        batch = SparseBatch.stack([make_vec(5, [(3, 1.0)]), make_vec(5, []), v])
+        batch = stack([make_vec(5, [(3, 1.0)]), make_vec(5, []), v])
         assert batch.n_rows == 3 and batch.indptr.tolist() == [0, 1, 1, 3]
         assert same(batch.take([2]), v)
         assert dense(batch.take([2, 1, 0, 2])).tolist() == \
             [dense(batch)[i].tolist() for i in (2, 1, 0, 2)]
         assert batch.take([]).n_rows == 0
-
-    def test_stack_needs_one_dim(self):
-        with pytest.raises(DimensionMismatch):
-            SparseBatch.stack([make_vec(3, [(0, 1)]), make_vec(4, [(0, 1)])])
-        with pytest.raises(ValueError):
-            SparseBatch.stack([])
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.lists(st.sampled_from([0.0, 0.0, 1.0, -2.5, 0.25]), min_size=4,
@@ -136,33 +138,38 @@ class TestVocabulary:
 
 
 class TestCountVectorize:
+    """The vocabulary route's counts: a pipeline with unit IDF and no TF
+    scaling transforms to raw in-vocabulary gram counts."""
+
     def test_counting(self, vec):
-        vocab = fit_vocabulary([["die", "die", "sad"]], UNI, min_tf=0)
-        v = count_vectorize(["die", "die", "sad"], vocab)
-        assert same(v, vec(2, [(vocab.term_to_index["die"], 2),
-                               (vocab.term_to_index["sad"], 1)]))
+        pipe = counting([["die", "die", "sad"]])
+        v = pipe.transform_batch([["die", "die", "sad"]])
+        assert same(v, vec(2, [(pipe.vocab.term_to_index["die"], 2),
+                               (pipe.vocab.term_to_index["sad"], 1)]))
 
     def test_oov_ignored_dim_preserved(self):
-        vocab = fit_vocabulary([["die"]], UNI, min_tf=0)
-        v = count_vectorize(["unknown", "words"], vocab)
-        assert v.indices.size == 0 and v.dim == vocab.dim and v.n_rows == 1
+        pipe = counting([["die"]])
+        v = pipe.transform_batch([["unknown", "words"]])
+        assert v.indices.size == 0 and v.dim == pipe.vocab.dim and v.n_rows == 1
 
     def test_empty_doc(self):
-        vocab = fit_vocabulary([["die"]], UNI, min_tf=0)
-        assert count_vectorize([], vocab).indices.size == 0
+        v = counting([["die"]]).transform_batch([[]])
+        assert v.indices.size == 0 and v.n_rows == 1
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.sampled_from(["a", "b", "c", "d", "zz"]), max_size=12))
     def test_counts_invariants(self, grams):
-        vocab = fit_vocabulary([["a", "b", "c", "d"]], UNI, min_tf=0)
-        v = count_vectorize(grams, vocab)
-        seen = sorted({vocab.term_to_index[g] for g in grams if g != "zz"})
+        pipe = counting([["a", "b", "c", "d"]])
+        v = pipe.transform_batch([grams])
+        seen = sorted({pipe.vocab.term_to_index[g] for g in grams if g != "zz"})
         assert list(v.indices) == seen
         assert all(val != 0 for val in v.values)
         assert dense(v)[0].sum() == sum(g != "zz" for g in grams)
 
 
 class TestHashingTf:
+    """``hashing_tf`` maps grams to buckets; the hashing route counts them."""
+
     def test_published_fnv_vectors(self):
         # published FNV-1a reference values
         assert fnv1a_32(b"") == 0x811C9DC5
@@ -172,8 +179,10 @@ class TestHashingTf:
             assert fnv1a_32(probe) == fnv1a_32_reference(probe)
 
     def test_additivity(self):
-        v = hashing_tf(["die", "die"], num_buckets=16)
-        assert entries(v) == [(fnv1a_32("die") % 16, 2.0)]
+        bucket = fnv1a_32("die") % 16
+        assert hashing_tf(["die", "die"], num_buckets=16).tolist() == [bucket, bucket]
+        pipe = counting([["die"]], FeatureCombo.UNI_TFIDF, num_buckets=16)
+        assert entries(pipe.transform_batch([["die", "die"]])) == [(bucket, 2.0)]
 
     def test_collision_by_construction(self):
         # find two distinct tokens landing in the same of 2 buckets,
@@ -182,17 +191,22 @@ class TestHashingTf:
         b = next(w for w in ("sad", "cry", "help", "dark", "rain")
                  if w != a and fnv1a_32_reference(w.encode()) % 2
                  == fnv1a_32_reference(a.encode()) % 2)
-        v = hashing_tf([a, b], num_buckets=2)
+        pipe = counting([[a]], FeatureCombo.UNI_TFIDF, num_buckets=2)
+        v = pipe.transform_batch([[a, b]])
         assert v.indices.size == 1 and float(v.values[0]) == 2.0
 
     def test_empty_doc(self):
-        assert hashing_tf([], num_buckets=8).indices.size == 0
+        assert hashing_tf([], num_buckets=8).size == 0
+        pipe = counting([["x"]], FeatureCombo.UNI_TFIDF, num_buckets=8)
+        assert pipe.transform_batch([[]]).indices.size == 0
 
     def test_power_of_two_required(self):
         with pytest.raises(ValueError):
             hashing_tf(["x"], num_buckets=12)
         with pytest.raises(ValueError):
             hashing_tf(["x"], num_buckets=1)
+        with pytest.raises(ValueError):
+            fit_pipeline([["x"]], FeatureCombo.UNI_TFIDF, num_buckets=12)
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.sampled_from(["a", "b", "c", "dd", "ee"]), max_size=12),
@@ -201,41 +215,43 @@ class TestHashingTf:
         rng = np.random.default_rng(seed)
         shuffled = list(tokens)
         rng.shuffle(shuffled)
-        assert same(hashing_tf(tokens, 8), hashing_tf(shuffled, 8))
+        pipe = counting([["a"]], FeatureCombo.UNI_TFIDF, num_buckets=8)
+        assert same(pipe.transform_batch([tokens]), pipe.transform_batch([shuffled]))
 
 
 class TestIdf:
-    def test_ubiquitous_term_zero(self, vec):
-        vectors = SparseBatch.stack([vec(1, [(0, 1)]), vec(1, [(0, 2)])])
-        model = fit_idf(vectors)
-        assert model.idf[0] == 0.0
+    """``fit_pipeline``'s smoothed IDF and how ``transform_batch`` applies it."""
 
-    def test_half_presence(self, vec):
-        vectors = SparseBatch.stack([vec(1, [(0, 1)]), vec(1, [])])
-        model = fit_idf(vectors)
-        assert model.idf[0] == pytest.approx(math.log(3 / 2), abs=1e-12)
+    def test_ubiquitous_term_zero(self):
+        pipe = fit_pipeline([["a"], ["a", "a"]], FeatureCombo.UNI_CV_IDF, min_tf=0)
+        assert pipe.idf.idf[0] == 0.0
 
-    def test_unseen_column(self, vec):
-        vectors = SparseBatch.stack([vec(2, [(0, 1)]), vec(2, [(0, 1)])])
-        model = fit_idf(vectors)
-        assert model.idf[1] == pytest.approx(math.log(3), abs=1e-12)
+    def test_half_presence(self):
+        pipe = fit_pipeline([["a"], []], FeatureCombo.UNI_CV_IDF, min_tf=0)
+        assert pipe.idf.idf[0] == pytest.approx(math.log(3 / 2), abs=1e-12)
 
-    def test_apply_scalar_product(self, vec):
-        out = apply_tfidf(vec(1, [(0, 2)]), IdfModel(np.array([0.5])))
-        assert entries(out) == [(0, 1.0)]
+    def test_unseen_column(self):
+        pipe = fit_pipeline([["a"], ["a"]], FeatureCombo.UNI_TFIDF, num_buckets=2)
+        unseen = 1 - fnv1a_32("a") % 2
+        assert pipe.idf.idf[unseen] == pytest.approx(math.log(3), abs=1e-12)
 
-    def test_apply_drops_zero_idf(self, vec):
-        out = apply_tfidf(vec(2, [(0, 2), (1, 1)]), IdfModel(np.array([0.0, 1.0])))
-        assert entries(out) == [(1, 1.0)]
+    def test_apply_scalar_product(self):
+        pipe = counting([["a"]], idf=[0.5])
+        assert entries(pipe.transform_batch([["a", "a"]])) == [(0, 1.0)]
 
-    def test_apply_keeps_rows_when_dropping(self, vec):
-        counts = SparseBatch.stack([vec(2, [(0, 2)]), vec(2, [(0, 1), (1, 4)]), vec(2, [])])
-        out = apply_tfidf(counts, IdfModel(np.array([0.0, 0.5])), scale=0.5)
+    def test_apply_drops_zero_idf(self):
+        pipe = counting([["a", "a", "b"]], idf=[0.0, 1.0])
+        assert entries(pipe.transform_batch([["a", "a", "b"]])) == [(1, 1.0)]
+
+    def test_apply_keeps_rows_when_dropping(self):
+        pipe = counting([["a", "a", "b"]], idf=[0.0, 0.5])
+        out = pipe.transform_batch([["a", "a"], ["a", "b", "b"], []])
         assert out.indptr.tolist() == [0, 0, 1, 1] and entries(out) == [(1, 1.0)]
 
-    def test_dimension_mismatch(self, vec):
+    def test_dimension_mismatch(self):
+        pipe = counting([["a", "b", "c"]], idf=[1.0])
         with pytest.raises(DimensionMismatch):
-            apply_tfidf(vec(3, [(0, 1)]), IdfModel(np.array([1.0])))
+            pipe.transform_batch([["a"]])
 
 
 DOCS = [
@@ -260,7 +276,10 @@ class TestPipeline:
     def test_composition_contract_without_normalization(self):
         pipe = fit_pipeline(DOCS, FeatureCombo.UNI_CV_IDF, min_tf=0, normalize_tf=False)
         doc = DOCS[0]
-        manual = apply_tfidf(count_vectorize(ngrams(doc, pipe.ngram), pipe.vocab), pipe.idf)
+        counts = counting(DOCS).transform_batch([doc])
+        values = counts.values * pipe.idf.idf[counts.indices]
+        manual = SparseBatch(pipe.dim, [0, np.count_nonzero(values)],
+                             counts.indices[values != 0], values[values != 0])
         assert same(pipe.transform(doc), manual)
 
     def test_normalization_divides_by_gram_count(self):
@@ -320,6 +339,49 @@ class TestPipeline:
         pipe = fit_pipeline(docs[:2], FeatureCombo.UNI_TFIDF, num_buckets=1 << 10)
         for doc in docs:
             grams = ngrams(doc, pipe.ngram)
-            uncached = hashing_tf(grams, 1 << 10)
-            assert same(pipe.transform(doc), apply_tfidf(uncached, pipe.idf, 1.0 / len(grams)))
+            cols, counts = np.unique(hashing_tf(grams, 1 << 10), return_counts=True)
+            values = counts * (1.0 / len(grams)) * pipe.idf.idf[cols]
+            uncached = SparseBatch(pipe.dim, [0, np.count_nonzero(values)],
+                                   cols[values != 0], values[values != 0])
+            assert same(pipe.transform(doc), uncached)
             assert len(pipe._bucket_cache) <= 1 << 16
+
+
+TOKENS = ["a", "b", "a", "ß", "naïve", "日本", "😢", "want", "to"]
+
+
+class TestTransformBatch:
+    """Row i of ``transform_batch(docs)`` is ``transform(docs[i])`` bit for
+    bit and matches the dense oracles; docs may be empty, all out of
+    vocabulary, repeat grams or hold non-ASCII tokens."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.lists(st.sampled_from(TOKENS), max_size=8), min_size=1, max_size=7),
+           st.booleans())
+    def test_rows_match_one_doc_and_cv_oracle(self, docs, normalize):
+        # min_tf=1 leaves every gram seen once out of the vocabulary
+        docs = docs + [["a", "a", "b", "a", "b"]]  # keeps the vocabulary non-empty
+        pipe = fit_pipeline(docs, FeatureCombo.UNI_BI_CV_IDF, min_tf=1, normalize_tf=normalize)
+        expected, terms = dense_cv_tfidf(docs, (1, 2), 1, normalize)
+        self._check(pipe, docs, expected)
+        assert pipe.vocab.terms_by_index() == terms
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.lists(st.sampled_from(TOKENS), max_size=8), min_size=1, max_size=7),
+           st.sampled_from([2, 4, 8, 16]), st.booleans())
+    def test_rows_match_one_doc_and_hashing_oracle(self, docs, buckets, normalize):
+        pipe = fit_pipeline(docs, FeatureCombo.UNI_TFIDF, num_buckets=buckets,
+                            normalize_tf=normalize)
+        self._check(pipe, docs, dense_hashing_tfidf(docs, (1,), buckets, normalize))
+
+    @staticmethod
+    def _check(pipe, docs, expected):
+        batch = pipe.transform_batch(docs)
+        assert batch.n_rows == len(docs)
+        for i, doc in enumerate(docs):
+            assert same(batch.take([i]), pipe.transform(doc))
+        assert np.allclose(dense(batch), expected, rtol=0, atol=1e-9)
+
+    def test_no_docs(self):
+        batch = fit_pipeline(DOCS, FeatureCombo.UNI_CV_IDF, min_tf=0).transform_batch([])
+        assert batch.n_rows == 0 and batch.indices.size == 0

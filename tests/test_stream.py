@@ -6,11 +6,13 @@ from ideation_stream import store, stream
 from ideation_stream.broker import Broker
 from ideation_stream.classifiers import LabeledDataset, predict, train_nb
 from ideation_stream.errors import UnknownTopic
-from ideation_stream.features import FeatureCombo, SparseBatch, fit_pipeline
+from ideation_stream.features import FeatureCombo, fit_pipeline
 from ideation_stream.preprocess import PreprocessConfig, preprocess
 from ideation_stream.stream import (PredictionEvent, StreamConfig,
                                     StreamFilter, aggregate, replay_produce,
                                     run_stream)
+
+from conftest import stack
 
 POSITIVE_TEXTS = ["i want to die", "kill myself tonight", "my life is hopeless i cry"]
 NEGATIVE_TEXTS = ["sunny day with friends", "pizza and games tonight", "my dog is happy"]
@@ -25,7 +27,7 @@ def model_path(tmp_path_factory):
     labels = [1] * 12 + [0] * 12
     tokens = [preprocess(t, pconfig).tokens for t in texts]
     pipeline = fit_pipeline(tokens, FeatureCombo.UNI_CV_IDF, min_tf=0)
-    data = LabeledDataset(SparseBatch.stack([pipeline.transform(t) for t in tokens]), labels)
+    data = LabeledDataset(stack([pipeline.transform(t) for t in tokens]), labels)
     model = train_nb(data, alpha=1.0)
     path = tmp_path_factory.mktemp("model") / "stream.isp"
     store.save(pipeline, model, path, preprocess_config_digest=pconfig.digest())
