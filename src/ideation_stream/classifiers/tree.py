@@ -153,8 +153,10 @@ def _build_tree(data: LabeledDataset, max_depth: int, min_leaf: int,
         c_pos[slot] = int(pos_w)
         if pos_w == 0 or neg_w == 0 or depth == 0 or tot_w < 2 * min_leaf:
             continue
-        candidates = (feature_sampler(rng) if feature_sampler is not None
-                      else np.unique(data.batch.take(rows).indices))
+        # a column with no entry in the node holds only 0 and cannot split
+        candidates = np.unique(data.batch.take(rows).indices)
+        if feature_sampler is not None:
+            candidates = np.intersect1d(feature_sampler(rng), candidates, assume_unique=True)
         found = best_split(rows, candidates, pos_w, neg_w)
         if found is None:
             continue

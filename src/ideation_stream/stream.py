@@ -1,25 +1,30 @@
 """Real-time phase: replay producer, record filters, the micro-batch
 prediction loop, and live aggregation of the output topic.
 
-The loop consumes up to ``micro_batch_max`` records per trigger, filters,
-preprocesses, transforms, predicts, produces one JSON event per kept
-record, and only then commits the input offsets — duplicates are possible
-after a crash, gaps are not. Per-record failures become dead-letter events
-and never kill the loop.
+The loop consumes up to ``micro_batch_max`` records per trigger, filters
+and preprocesses each one, vectorizes and scores the kept records with one
+``transform_batch`` and one ``predict_batch`` call, produces one JSON event
+per kept record in offset order, and only then commits the input offsets —
+duplicates are possible after a crash, gaps are not. Failures become
+dead-letter events and never kill the loop: a record whose preprocess
+raises is a dead letter on its own, and if vectorizing or scoring raises,
+every record of that call is a dead letter carrying the error.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import statistics
 import threading
 import time
 from collections import Counter, OrderedDict, deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from . import store
 from .broker import Broker
-from .classifiers.base import predict
+# `predict` is unused here: the benchmark tracer aliases `stream.predict`
+from .classifiers.base import predict, predict_batch  # noqa: F401
 from .corpus import INT_TO_LABEL
 from .errors import UnknownTopic
 from .hashutil import sha256_file, sha256_hex
@@ -63,17 +68,7 @@ class PredictionEvent:
     processed_at_ms: int
 
     def to_json(self) -> str:
-        return json.dumps({
-            "kind": "prediction",
-            "source_partition": self.source_partition,
-            "source_offset": self.source_offset,
-            "text_sha256": self.text_sha256,
-            "label": self.label,
-            "label_name": self.label_name,
-            "score": self.score,
-            "model_digest": self.model_digest,
-            "processed_at_ms": self.processed_at_ms,
-        }, sort_keys=True)
+        return json.dumps({"kind": "prediction", **asdict(self)}, sort_keys=True)
 
     @classmethod
     def from_json(cls, line: str) -> "PredictionEvent | None":
@@ -82,12 +77,7 @@ class PredictionEvent:
         if (not isinstance(obj, dict) or obj.get("kind") != "prediction"
                 or type(obj.get("label")) is not int or obj["label"] not in (0, 1)):
             return None
-        return cls(source_partition=obj["source_partition"],
-                   source_offset=obj["source_offset"],
-                   text_sha256=obj["text_sha256"], label=obj["label"],
-                   label_name=obj["label_name"], score=obj["score"],
-                   model_digest=obj["model_digest"],
-                   processed_at_ms=obj["processed_at_ms"])
+        return cls(**{f.name: obj[f.name] for f in fields(cls)})
 
 
 @dataclass
@@ -212,9 +202,10 @@ def run_stream(broker: Broker, config: StreamConfig, *,
                 break
             continue
         stats.batches += 1
+        t_start = time.perf_counter()
         next_offsets: dict[int, int] = {}
+        kept: list[tuple] = []  # (record, text, tokens or what preprocess raised)
         for rec in batch:
-            t_start = time.perf_counter()
             next_offsets[rec.partition] = max(next_offsets.get(rec.partition, 0),
                                               rec.offset + 1)
             text = rec.value.decode("utf-8", errors="replace")
@@ -224,30 +215,39 @@ def run_stream(broker: Broker, config: StreamConfig, *,
                     stats.dropped[reason] += 1
                     continue
             try:
-                tokens = preprocess(text, pconfig)
-                vec = pipeline.transform(tokens.tokens)
-                pred = predict(model, vec)
-                event = PredictionEvent(
-                    source_partition=rec.partition,
-                    source_offset=rec.offset,
-                    text_sha256=sha256_hex(text),
-                    label=pred.label,
-                    label_name=INT_TO_LABEL[pred.label],
-                    score=pred.score,
-                    model_digest=model_digest,
-                    processed_at_ms=int(time.time() * 1000),
-                )
-                broker.produce(config.output_topic, event.to_json().encode("utf-8"))
-                stats.events += 1
-                latencies.append((time.perf_counter() - t_start) * 1000.0)
+                tokens = preprocess(text, pconfig).tokens
             except Exception as exc:  # noqa: BLE001 - per-record dead letter
+                tokens = exc
+            kept.append((rec, text, tokens))
+        docs = [tokens for _, _, tokens in kept if not isinstance(tokens, Exception)]
+        try:
+            preds = iter(predict_batch(model, pipeline.transform_batch(docs)))
+        except Exception as exc:  # noqa: BLE001 - every record of the call dead-letters
+            preds = itertools.repeat(exc)
+        for rec, text, tokens in kept:
+            pred = tokens if isinstance(tokens, Exception) else next(preds)
+            if isinstance(pred, Exception):
                 dead = json.dumps({"kind": "dead_letter",
                                    "source_partition": rec.partition,
                                    "source_offset": rec.offset,
-                                   "error": f"{type(exc).__name__}: {exc}"},
+                                   "error": f"{type(pred).__name__}: {pred}"},
                                   sort_keys=True)
                 broker.produce(config.output_topic, dead.encode("utf-8"))
                 stats.dead_letters += 1
+                continue
+            event = PredictionEvent(
+                source_partition=rec.partition,
+                source_offset=rec.offset,
+                text_sha256=sha256_hex(text),
+                label=pred.label,
+                label_name=INT_TO_LABEL[pred.label],
+                score=pred.score,
+                model_digest=model_digest,
+                processed_at_ms=int(time.time() * 1000),
+            )
+            broker.produce(config.output_topic, event.to_json().encode("utf-8"))
+            stats.events += 1
+            latencies.append((time.perf_counter() - t_start) * 1000.0)
         stats.consumed += len(batch)
         # outputs acked above; only now move the input cursor
         broker.commit(config.group, config.input_topic, next_offsets)
@@ -265,9 +265,7 @@ class AggregateReport:
     pct_non_suicide: float | None = None
 
     def to_dict(self) -> dict:
-        return {"total": self.total, "suicide": self.suicide,
-                "non_suicide": self.non_suicide, "pct_suicide": self.pct_suicide,
-                "pct_non_suicide": self.pct_non_suicide}
+        return asdict(self)
 
 
 def _percent(count: int, total: int) -> float | None:

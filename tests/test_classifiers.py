@@ -184,6 +184,23 @@ class TestRandomForest:
         for v in rows_of(fixture_dataset.batch)[:10]:
             assert predict(dt, v).score == predict(rf, v).score
 
+    def test_wide_sparse_forest_equals_tree(self, vec):
+        # 2^18 columns, 8 entries per row: only the node's own columns are
+        # searched, so this is fast and builds the same tree as DT
+        rng = np.random.default_rng(3)
+        dim = 1 << 18
+        pool = rng.choice(dim, size=64, replace=False)
+        rows = [vec(dim, [(int(c), float(rng.uniform(0.1, 3.0)))
+                          for c in rng.choice(pool, size=8, replace=False)])
+                for _ in range(40)]
+        data = make_data(rows, [i % 2 for i in range(40)])
+        dt = train_dt(data, max_depth=3)
+        rf = train_rf(data, num_trees=1, feature_fraction=1.0, bootstrap=False, max_depth=3)
+        tree = rf.params.trees[0]
+        assert tree.n_nodes > 1
+        for f in ("feature", "threshold", "left", "right", "count_neg", "count_pos"):
+            assert np.array_equal(getattr(dt.params, f), getattr(tree, f))
+
     def test_seed_determinism(self, fixture_dataset):
         a = train_rf(fixture_dataset, num_trees=3, seed=5, max_depth=3)
         b = train_rf(fixture_dataset, num_trees=3, seed=5, max_depth=3)

@@ -6,7 +6,7 @@ from ideation_stream import store, stream
 from ideation_stream.broker import Broker
 from ideation_stream.classifiers import LabeledDataset, predict, train_nb
 from ideation_stream.errors import UnknownTopic
-from ideation_stream.features import FeatureCombo, fit_pipeline
+from ideation_stream.features import FeatureCombo, FeaturePipeline, fit_pipeline
 from ideation_stream.preprocess import PreprocessConfig, preprocess
 from ideation_stream.stream import (PredictionEvent, StreamConfig,
                                     StreamFilter, aggregate, replay_produce,
@@ -191,14 +191,14 @@ class TestRunStream:
         feed.write_text("poison pill\nhealthy line\n", "utf-8")
         replay_produce(feed, broker, "Source-tweets")
 
-        real_predict = stream.predict
+        real_predict_batch = stream.predict_batch
 
-        def flaky(model, vec):
-            if vec.indices.size == 0:  # 'poison pill' preprocesses to stopword-free tokens
+        def flaky(model, batch):
+            if batch.indices.size == 0:  # 'poison pill' preprocesses to stopword-free tokens
                 raise RuntimeError("boom")
-            return real_predict(model, vec)
+            return real_predict_batch(model, batch)
 
-        monkeypatch.setattr(stream, "predict", flaky)
+        monkeypatch.setattr(stream, "predict_batch", flaky)
         pipeline, _ = store.load(model_path)
         poison_nnz = pipeline.transform(preprocess("poison pill").tokens).indices.size
         healthy_nnz = pipeline.transform(preprocess("healthy line").tokens).indices.size
@@ -206,6 +206,57 @@ class TestRunStream:
         stats = run_stream(broker, _config(model_path), stop_when_idle=True)
         assert stats.dead_letters == 2
         assert stats.consumed == 2
+
+    def test_one_vectorize_and_score_call_per_micro_batch(self, broker, model_path,
+                                                         tmp_path, monkeypatch):
+        feed = tmp_path / "feed.txt"
+        feed.write_text("\n".join(f"i want to die case {i}" for i in range(10)) + "\n", "utf-8")
+        replay_produce(feed, broker, "Source-tweets")
+        calls = {"transform_batch": [], "predict_batch": [], "predict": 0}
+        real_transform_batch = FeaturePipeline.transform_batch
+        real_predict_batch = stream.predict_batch
+
+        def counted_transform_batch(self, docs):
+            calls["transform_batch"].append(len(docs))
+            return real_transform_batch(self, docs)
+
+        def counted_predict_batch(model, batch):
+            calls["predict_batch"].append(batch.n_rows)
+            return real_predict_batch(model, batch)
+
+        def counted_predict(model, batch):
+            calls["predict"] += 1
+            return predict(model, batch)
+
+        monkeypatch.setattr(FeaturePipeline, "transform_batch", counted_transform_batch)
+        monkeypatch.setattr(stream, "predict_batch", counted_predict_batch)
+        monkeypatch.setattr(stream, "predict", counted_predict)
+        stats = run_stream(broker, _config(model_path, micro_batch_max=4), stop_when_idle=True)
+        assert stats.batches == 3 and stats.events == 10
+        assert calls == {"transform_batch": [4, 4, 2], "predict_batch": [4, 4, 2], "predict": 0}
+
+    def test_preprocess_failure_dead_letters_only_its_record(self, broker, model_path,
+                                                            tmp_path, monkeypatch):
+        feed = tmp_path / "feed.txt"
+        lines = ["i want to die", "happy sunny day", "poison pill", "kill myself", "my dog"]
+        feed.write_text("\n".join(lines) + "\n", "utf-8")
+        replay_produce(feed, broker, "Source-tweets")
+        real_preprocess = stream.preprocess
+
+        def flaky(text, config=None):
+            if text == "poison pill":
+                raise RuntimeError("boom")
+            return real_preprocess(text, config)
+
+        monkeypatch.setattr(stream, "preprocess", flaky)
+        stats = run_stream(broker, _config(model_path), stop_when_idle=True)
+        assert (stats.batches, stats.events, stats.dead_letters) == (1, 4, 1)
+        outputs = [json.loads(r.value) for r in
+                   broker.consume("Predicted-tweets", "checker", max_records=100)]
+        assert [o["source_offset"] for o in outputs] == [0, 1, 2, 3, 4]
+        assert [o["kind"] for o in outputs] == ["prediction"] * 2 + ["dead_letter"] + \
+            ["prediction"] * 2
+        assert outputs[2]["error"] == "RuntimeError: boom"
 
     def test_requires_topics(self, tmp_path, model_path):
         with Broker(tmp_path / "nolog") as b:
@@ -226,6 +277,25 @@ class TestRunStream:
         assert stats.dropped["retweet"] == 1
         assert stats.dropped["duplicate"] == 1
         assert stats.events == 2
+
+
+class TestPredictionEvent:
+    EVENT = PredictionEvent(3, 17, "ab" * 32, 1, "suicide", 0.8125, "cd" * 32, 1700000000123)
+
+    def test_json_bytes(self):
+        assert self.EVENT.to_json() == (
+            '{"kind": "prediction", "label": 1, "label_name": "suicide", "model_digest": '
+            '"cdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcd", '
+            '"processed_at_ms": 1700000000123, "score": 0.8125, "source_offset": 17, '
+            '"source_partition": 3, "text_sha256": '
+            '"abababababababababababababababababababababababababababababababab"}')
+
+    def test_round_trip_and_missing_field(self):
+        assert PredictionEvent.from_json(self.EVENT.to_json()) == self.EVENT
+        obj = json.loads(self.EVENT.to_json())
+        del obj["model_digest"]
+        with pytest.raises(KeyError):
+            PredictionEvent.from_json(json.dumps(obj))
 
 
 class TestAggregate:
