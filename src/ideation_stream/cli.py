@@ -14,6 +14,7 @@ models, which makes re-runs byte-identical.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -22,6 +23,7 @@ from pathlib import Path
 
 from . import errors
 from .broker import _check_name
+from .corpus import SplitSpec
 from .hashutil import sha256_file
 
 EXIT_CODES: dict[type, int] = {
@@ -59,10 +61,7 @@ def _now() -> float:
 def _write_manifest(primary_output: str | None, command: str, args: argparse.Namespace,
                     inputs: list[str], outputs: list[str], started: float,
                     extra: dict | None = None) -> str:
-    if primary_output:
-        path = Path(str(primary_output) + ".manifest.json")
-    else:
-        path = Path(f"{command}.manifest.json")
+    path = Path(f"{primary_output or command}.manifest.json")
     manifest = {
         "command": command,
         "argv": {k: v for k, v in vars(args).items() if k != "func"},
@@ -99,13 +98,12 @@ def _tokens(docs, pconfig) -> list:
     return [preprocess(d.text, pconfig, source_id=d.id).tokens for d in docs]
 
 
-def _labeled(pipeline, token_docs, docs):
-    """The documents' TF-IDF rows as one batch, with their labels."""
+def _labeled(batch, docs):
+    """The documents' TF-IDF rows, one batch, with their labels."""
     from .classifiers import LabeledDataset
     from .corpus import LABEL_TO_INT
 
-    return LabeledDataset(pipeline.transform_batch(token_docs),
-                          [LABEL_TO_INT[d.label] for d in docs])
+    return LabeledDataset(batch, [LABEL_TO_INT[d.label] for d in docs])
 
 
 def _hyper_pair(pair: str) -> tuple[str, object]:
@@ -121,28 +119,35 @@ def _hyper_pair(pair: str) -> tuple[str, object]:
     return key.replace("-", "_"), parsed
 
 
-def _check_hyper(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    """Usage error unless each ``--hyper`` key is a parameter of the chosen
-    trainer and its value has the type of that parameter's default."""
-    import inspect
+def _grid_shape(grid) -> None:
+    if grid != "default" and not (isinstance(grid, dict) and grid and all(
+            isinstance(values, list) and values for values in grid.values())):
+        raise ValueError("expects 'default' or a JSON object whose values are non-empty lists")
 
+
+def _check_hyper(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """Usage error unless each ``--hyper`` and ``--grid`` key is a parameter of
+    the chosen trainer and each value for it has the type of its default."""
     from .classifiers import TRAINERS, ModelKind
 
     params = inspect.signature(TRAINERS[ModelKind(args.model)]).parameters
-    for key, value in args.hyper:
+    grid = args.grid if isinstance(args.grid, dict) else {}
+    pairs = [("--hyper", key, value) for key, value in args.hyper]
+    pairs += [("--grid", key, value) for key, values in grid.items() for value in values]
+    for flag, key, value in pairs:
         if key not in params or key in ("data", "seed"):
-            parser.error(f"--hyper {key}: not a hyperparameter of the {args.model} trainer")
+            parser.error(f"{flag} {key}: not a hyperparameter of the {args.model} trainer")
         default = params[key].default
         want = list if isinstance(default, tuple) else type(default)
         if not (type(value) is want or want is float and type(value) is int):
-            parser.error(f"--hyper {key}={json.dumps(value)}: expects a value like "
+            parser.error(f"{flag} {key}={json.dumps(value)}: expects a value like "
                          f"{json.dumps(default)}")
 
 
 def cmd_train(args: argparse.Namespace) -> int:
     from . import store
     from .classifiers import DEFAULT_GRIDS, TRAINERS, ModelKind, cross_validate, grid_search
-    from .corpus import SplitSpec, split
+    from .corpus import split
     from .evaluation import Averaging, evaluate_model
     from .features import fit_pipeline
     from .preprocess import PreprocessConfig
@@ -152,19 +157,18 @@ def cmd_train(args: argparse.Namespace) -> int:
     train_corpus, test_corpus = split(corpus, SplitSpec(train_fraction=args.train_frac,
                                                         seed=args.seed))
     pconfig = PreprocessConfig.load_default()
-    train_tokens = _tokens(train_corpus.documents, pconfig)
-    pipeline = fit_pipeline(train_tokens, args.combo, min_tf=args.min_tf,
-                            num_buckets=args.buckets, normalize_tf=not args.no_tf_norm,
-                            vocab_cap=args.vocab_cap)
-    train_data = _labeled(pipeline, train_tokens, train_corpus.documents)
-    test_data = _labeled(pipeline, _tokens(test_corpus.documents, pconfig),
+    pipeline, train_batch = fit_pipeline(
+        _tokens(train_corpus.documents, pconfig), args.combo, min_tf=args.min_tf,
+        num_buckets=args.buckets, normalize_tf=not args.no_tf_norm, vocab_cap=args.vocab_cap)
+    train_data = _labeled(train_batch, train_corpus.documents)
+    test_data = _labeled(pipeline.transform_batch(_tokens(test_corpus.documents, pconfig)),
                          test_corpus.documents)
 
     kind = ModelKind(args.model)
     params = dict(args.hyper)
     cv_reports = []
     if args.grid:
-        grid = DEFAULT_GRIDS[kind] if args.grid == "default" else json.loads(args.grid)
+        grid = DEFAULT_GRIDS[kind] if args.grid == "default" else args.grid
         best, cv_reports = grid_search(kind, grid, train_data, k=args.folds, seed=args.seed)
         params = {**best, **params}
     elif args.folds > 0:
@@ -217,7 +221,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     pipeline, model = store.load(args.model)
     corpus, _, _ = _load_labeled(args.data, args.text_col, args.label_col)
     pconfig = PreprocessConfig.load_default()
-    data = _labeled(pipeline, _tokens(corpus.documents, pconfig), corpus.documents)
+    data = _labeled(pipeline.transform_batch(_tokens(corpus.documents, pconfig)),
+                    corpus.documents)
     report, cm = evaluate_model(model, data, averaging=Averaging(args.averaging))
 
     outputs = []
@@ -341,10 +346,9 @@ def cmd_report(args: argparse.Namespace) -> int:
     from .stream import aggregate
 
     started = time.time()
-    window = None if args.window in (None, "all") else int(args.window)
     with _open_broker(args) as broker:
         report = aggregate(broker, output_topic=args.output_topic, group=args.group,
-                           window=window, jsonl_out=args.jsonl_out, csv_out=args.csv_out)
+                           window=args.window, jsonl_out=args.jsonl_out, csv_out=args.csv_out)
     outputs = [p for p in (args.jsonl_out, args.csv_out) if p]
     manifest = _write_manifest(args.csv_out or None, "report", args, [], outputs, started)
     pct_s = "NA" if report.pct_suicide is None else f"{report.pct_suicide:.2f}%"
@@ -426,14 +430,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", default="mlp", choices=MODEL_CHOICES)
     p.add_argument("--out", default="model.isp")
     p.add_argument("--seed", type=int, default=13)
-    p.add_argument("--train-frac", type=float, default=0.8)
+    p.add_argument("--train-frac", type=_checked(lambda f: SplitSpec(f), float), default=0.8)
     p.add_argument("--min-tf", type=int, default=4)
     p.add_argument("--buckets", type=_checked(_num_buckets, int), default=1 << 18)
     p.add_argument("--no-tf-norm", action="store_true",
                    help="skip the 1/doc-length term-frequency normalization")
     p.add_argument("--vocab-cap", type=int, default=None)
-    p.add_argument("--grid", default=None,
-                   help="'default' for the shipped grid, or inline JSON")
+    p.add_argument("--grid", help="'default' for the shipped grid, or inline JSON",
+                   type=_checked(_grid_shape, lambda t: t if t == "default" else json.loads(t)))
     p.add_argument("--hyper", action="append", default=[], type=_hyper_pair,
                    help="key=value hyperparameter, repeatable")
     p.add_argument("--folds", type=int, default=10,
@@ -482,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input-topic", type=TOPIC, default="Source-tweets")
     p.add_argument("--output-topic", type=TOPIC, default="Predicted-tweets")
     p.add_argument("--trigger-ms", type=_checked(_positive, float), default=500.0)
-    p.add_argument("--batch-max", type=int, default=1024)
+    p.add_argument("--batch-max", type=_checked(_positive, int), default=1024)
     p.add_argument("--keywords", default=None,
                    help="comma-separated keep phrases, e.g. 'feel,want to die,kill myself'")
     p.add_argument("--language-filter", default="off",
@@ -499,7 +503,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_broker_arg(p)
     p.add_argument("--output-topic", type=TOPIC, default="Predicted-tweets")
     p.add_argument("--group", type=GROUP, default="aggregate")
-    p.add_argument("--window", default="all", help="'all' or a sliding window size")
+    p.add_argument("--window", default="all", help="'all' or a sliding window size",
+                   type=_checked(lambda size: size is None or _positive(size),
+                                 lambda t: None if t == "all" else int(t)))
     p.add_argument("--jsonl-out", default=None)
     p.add_argument("--csv-out", default=None)
     p.add_argument("--json", action="store_true")

@@ -6,19 +6,19 @@ Two vectorization routes share one smoothed-IDF stage:
 * vocabulary — grams above a corpus-frequency threshold get dense column
   indices ordered by descending frequency (``*-cv-idf`` combos).
 
-``FeaturePipeline.transform_batch`` is the one vectorizer: it maps the
-grams of every document to columns in one pass, counts each (row, column)
-pair, optionally rescales by document length (count / total grams in the
-document) and applies ``idf = ln((N + 1) / (df + 1))``, all into a single
-``SparseBatch``. ``transform`` is its batch of one.
+``FeaturePipeline.transform_batch`` maps the grams of every document to
+columns in one pass, counts each (row, column) pair, optionally rescales by
+document length (count / total grams in the document) and applies
+``idf = ln((N + 1) / (df + 1))``, all into one ``SparseBatch``;
+``transform`` is its batch of one. ``fit_pipeline`` returns the fitted
+pipeline and the training documents' batch from one gram pass.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -130,42 +130,13 @@ class Vocabulary:
     term_to_index: dict[str, int]
     doc_freq: np.ndarray
     num_docs: int
-    min_tf: int
 
     @property
     def dim(self) -> int:
         return len(self.term_to_index)
 
     def terms_by_index(self) -> list[str]:
-        out = [""] * self.dim
-        for term, j in self.term_to_index.items():
-            out[j] = term
-        return out
-
-
-def fit_vocabulary(token_docs: Iterable[Sequence[str]], spec: NGramSpec,
-                   min_tf: int = DEFAULT_MIN_TF, max_terms: int | None = None) -> Vocabulary:
-    """Keep grams whose corpus-level frequency is strictly greater than
-    ``min_tf``; indices run by descending frequency, ties lexicographic."""
-    term_freq: Counter[str] = Counter()
-    doc_freq: Counter[str] = Counter()
-    n_docs = 0
-    for tokens in token_docs:
-        n_docs += 1
-        grams = ngrams(tokens, spec)
-        term_freq.update(grams)
-        doc_freq.update(set(grams))
-    kept = sorted((term for term, tf in term_freq.items() if tf > min_tf),
-                  key=lambda t: (-term_freq[t], t))
-    if max_terms is not None:
-        kept = kept[:max_terms]
-    if not kept:
-        raise EmptyVocabulary(
-            f"no gram exceeded min_tf={min_tf} over {n_docs} documents")
-    term_to_index = {term: j for j, term in enumerate(kept)}
-    df = np.fromiter((doc_freq[t] for t in kept), dtype=np.int64, count=len(kept))
-    return Vocabulary(term_to_index=term_to_index, doc_freq=df,
-                      num_docs=n_docs, min_tf=min_tf)
+        return sorted(self.term_to_index, key=self.term_to_index.get)
 
 
 def check_num_buckets(num_buckets: int) -> None:
@@ -194,10 +165,6 @@ def hashing_tf(grams: Sequence[str], num_buckets: int = DEFAULT_NUM_BUCKETS,
 @dataclass
 class IdfModel:
     idf: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return int(self.idf.size)
 
 
 @dataclass
@@ -228,37 +195,43 @@ class FeaturePipeline:
             raise NotFitted("pipeline has no fitted vocabulary")
         return self.vocab.dim
 
-    def _keys(self, token_docs: Sequence[Sequence[str]], dim: int) -> tuple[np.ndarray, np.ndarray]:
-        """``row * dim + column`` of every gram that has a column, in gram
-        order, and the number of grams of each document."""
+    def _grams(self, token_docs: Sequence[Sequence[str]]) -> tuple[list[str], np.ndarray]:
+        """The grams of all documents in order, and each document's gram count."""
         per_doc = [ngrams(tokens, self.ngram) for tokens in token_docs]
-        grams = [gram for doc_grams in per_doc for gram in doc_grams]
         lengths = np.array([len(doc_grams) for doc_grams in per_doc], dtype=np.int64)
-        if self.hashing:
-            cols = hashing_tf(grams, dim, _cache=self._bucket_cache)
-        else:
-            lookup = self.vocab.term_to_index
-            cols = np.array([lookup.get(g, -1) for g in grams], dtype=np.int64)
-        keys = np.repeat(np.arange(lengths.size) * dim, lengths) + cols
-        return keys[cols >= 0], lengths
+        return [gram for doc_grams in per_doc for gram in doc_grams], lengths
 
-    def transform_batch(self, token_docs: Sequence[Sequence[str]]) -> SparseBatch:
-        """One TF-IDF row per document, in one batch: count * scale * idf
-        per (row, column), where scale is 1 / grams in the document when
-        TF is normalized; entries that come out zero are dropped."""
-        if self.idf is None:
-            raise NotFitted("transform called before fit")
+    @staticmethod
+    def _counts(cols: np.ndarray, lengths: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
+        """Distinct ``row * dim + col`` keys of grams with a column, ascending, and counts."""
+        keys = np.repeat(np.arange(lengths.size) * dim, lengths) + cols
+        return np.unique(keys[cols >= 0], return_counts=True)
+
+    def _assemble(self, keys: np.ndarray, counts: np.ndarray, lengths: np.ndarray) -> SparseBatch:
+        """count * scale * idf per (row, column) key, scale being 1 / grams in
+        the document when TF is normalized; entries that come out 0 are dropped."""
         dim = self.dim
-        if self.idf.dim != dim:
-            raise DimensionMismatch(f"pipeline dim {dim} != idf dim {self.idf.dim}")
-        keys, lengths = self._keys(token_docs, dim)
-        keys, counts = np.unique(keys, return_counts=True)
         rows, cols = np.divmod(keys, dim)
         scale = 1.0 / np.maximum(lengths, 1) if self.normalize_tf else np.ones(lengths.size)
         values = counts * scale[rows] * self.idf.idf[cols]
         keep = values != 0.0
         indptr = np.searchsorted(rows[keep], np.arange(lengths.size + 1))  # rows ascend
         return SparseBatch(dim, indptr, cols[keep], values[keep])
+
+    def transform_batch(self, token_docs: Sequence[Sequence[str]]) -> SparseBatch:
+        """One TF-IDF row per document, in one batch."""
+        if self.idf is None:
+            raise NotFitted("transform called before fit")
+        dim = self.dim
+        if self.idf.idf.size != dim:
+            raise DimensionMismatch(f"pipeline dim {dim} != idf dim {self.idf.idf.size}")
+        grams, lengths = self._grams(token_docs)
+        if self.hashing:
+            cols = hashing_tf(grams, dim, _cache=self._bucket_cache)
+        else:
+            lookup = self.vocab.term_to_index
+            cols = np.array([lookup.get(g, -1) for g in grams], dtype=np.int64)
+        return self._assemble(*self._counts(cols, lengths, dim), lengths)
 
     def transform(self, tokens: Sequence[str]) -> SparseBatch:
         """One TF-IDF row for one document: a batch of one."""
@@ -267,21 +240,40 @@ class FeaturePipeline:
 
 def fit_pipeline(token_docs: Sequence[Sequence[str]], combo: FeatureCombo | str, *,
                  min_tf: int = DEFAULT_MIN_TF, num_buckets: int = DEFAULT_NUM_BUCKETS,
-                 normalize_tf: bool = True, vocab_cap: int | None = None) -> FeaturePipeline:
-    """Fit on training documents only; the returned pipeline transforms
-    unseen documents at a fixed dimension. IDF counts each document's
-    distinct columns: ``idf[j] = ln((N + 1) / (df_j + 1))``."""
-    combo = FeatureCombo(combo)
-    spec = NGramSpec(orders=COMBO_ORDERS[combo])
-    pipe = FeaturePipeline(combo=combo, ngram=spec, normalize_tf=normalize_tf, min_tf=min_tf)
-    if combo is FeatureCombo.UNI_TFIDF:
-        pipe.num_buckets = num_buckets
+                 normalize_tf: bool = True, vocab_cap: int | None = None
+                 ) -> tuple[FeaturePipeline, SparseBatch]:
+    """Fit on training documents only; return the pipeline, which transforms
+    unseen documents at a fixed dimension, and the documents' batch, equal to
+    its ``transform_batch(token_docs)``, both from one gram pass. The
+    vocabulary keeps grams seen more than ``min_tf`` times, at most
+    ``vocab_cap``, in columns by descending frequency, ties lexicographic;
+    ``idf[j] = ln((N + 1) / (df_j + 1))``, df_j the documents holding column j."""
+    combo, n_docs = FeatureCombo(combo), len(token_docs)
+    pipe = FeaturePipeline(combo=combo, ngram=NGramSpec(orders=COMBO_ORDERS[combo]),
+                           normalize_tf=normalize_tf, min_tf=min_tf)
+    grams, lengths = pipe._grams(token_docs)
+    if pipe.hashing:
+        pipe.num_buckets = dim = num_buckets
+        cols = hashing_tf(grams, dim, _cache=pipe._bucket_cache)
     else:
-        pipe.vocab = fit_vocabulary(token_docs, spec, min_tf=min_tf, max_terms=vocab_cap)
-    if not token_docs:
+        ids: dict[str, int] = {}  # gram -> provisional id, in first-seen order
+        gram_ids = np.fromiter((ids.setdefault(g, len(ids)) for g in grams), np.int64, len(grams))
+        tf, terms = np.bincount(gram_ids, minlength=len(ids)).tolist(), list(ids)
+        kept = sorted((i for i, n in enumerate(tf) if n > min_tf),
+                      key=lambda i: (-tf[i], terms[i]))[:vocab_cap]
+        if not kept:
+            raise EmptyVocabulary(f"no gram exceeded min_tf={min_tf} over {n_docs} documents")
+        dim = len(kept)
+        column = np.full(len(ids), -1, dtype=np.int64)  # provisional id -> column
+        column[kept] = np.arange(dim)
+        cols, term_to_index = column[gram_ids], {terms[i]: j for j, i in enumerate(kept)}
+        del ids, gram_ids, tf, terms, column
+    del grams  # held past here, grams and provisional ids add ~2 MB to train's peak RSS
+    if not n_docs:
         raise ValueError("fit_pipeline needs at least one document")
-    dim = pipe.dim
-    keys, _ = pipe._keys(token_docs, dim)
-    df = np.bincount(np.unique(keys) % dim, minlength=dim)
-    pipe.idf = IdfModel(idf=np.log((len(token_docs) + 1.0) / (df + 1.0)))
-    return pipe
+    keys, counts = pipe._counts(cols, lengths, dim)
+    df = np.bincount(keys % dim, minlength=dim)
+    if not pipe.hashing:
+        pipe.vocab = Vocabulary(term_to_index, df, n_docs)
+    pipe.idf = IdfModel(idf=np.log((n_docs + 1.0) / (df + 1.0)))
+    return pipe, pipe._assemble(keys, counts, lengths)

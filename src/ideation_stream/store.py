@@ -212,8 +212,7 @@ def _rebuild(header: dict, arrays: dict) -> tuple[FeaturePipeline, ModelArtifact
         terms = arrays["vocab.terms"].decode("utf-8").split("\n")
         df = arrays["vocab.doc_freq"]
         pipe.vocab = Vocabulary(term_to_index={t: j for j, t in enumerate(terms)},
-                                doc_freq=df, num_docs=ph["vocab_num_docs"],
-                                min_tf=ph["min_tf"])
+                                doc_freq=df, num_docs=ph["vocab_num_docs"])
         _require(pipe.vocab.dim == len(terms), "vocabulary terms are not distinct")
     pipe.idf = IdfModel(idf=arrays["idf"])
     dim = header["dim"]

@@ -50,6 +50,8 @@ class StreamConfig:
     def __post_init__(self) -> None:
         if self.trigger_interval_ms <= 0:
             raise ValueError("trigger_interval_ms must be > 0")
+        if self.micro_batch_max < 1:
+            raise ValueError("micro_batch_max must be >= 1")
         if self.input_topic == self.output_topic:
             raise ValueError("input and output topics must differ")
         if self.language_filter not in ("off", "english-heuristic"):

@@ -62,12 +62,12 @@ def test_c01_tfidf_matches_dense_oracle():
                  for _ in range(int(rng.integers(2, 12)))] for _ in range(n_docs)]
         normalize = bool(rng.integers(0, 2))
         if trial % 4 == 3:
-            pipe = fit_pipeline(docs, FeatureCombo.UNI_TFIDF, num_buckets=64,
-                                normalize_tf=normalize)
+            pipe, _ = fit_pipeline(docs, FeatureCombo.UNI_TFIDF, num_buckets=64,
+                                   normalize_tf=normalize)
             expected = dense_hashing_tfidf(docs, (1,), 64, normalize)
         else:
             combo, orders = cv_combos[trial % 3]
-            pipe = fit_pipeline(docs, combo, min_tf=0, normalize_tf=normalize)
+            pipe, _ = fit_pipeline(docs, combo, min_tf=0, normalize_tf=normalize)
             expected, _ = dense_cv_tfidf(docs, orders, 0, normalize)
         for i, doc in enumerate(docs):
             got = dense(pipe.transform(doc))[0]
@@ -275,7 +275,7 @@ def test_c08_store_round_trip(tmp_path):
     rng = np.random.default_rng(108)
     docs = [[f"t{int(rng.integers(0, 20))}" for _ in range(int(rng.integers(2, 8)))]
             for _ in range(100)]
-    pipeline = fit_pipeline(docs, FeatureCombo.UNI_CV_IDF, min_tf=0)
+    pipeline, _ = fit_pipeline(docs, FeatureCombo.UNI_CV_IDF, min_tf=0)
     vectors = [pipeline.transform(d) for d in docs]
     labels = [1 if "t0" in d or "t1" in d else 0 for d in docs]
     if len(set(labels)) < 2:
@@ -400,7 +400,7 @@ def test_c10_end_to_end_streaming(tmp_path):
     texts = pos_train * 5 + neg_train * 5
     labels = [1] * 15 + [0] * 15
     tokens = [preprocess(t, pconfig).tokens for t in texts]
-    pipeline = fit_pipeline(tokens, FeatureCombo.UNI_CV_IDF, min_tf=0)
+    pipeline, _ = fit_pipeline(tokens, FeatureCombo.UNI_CV_IDF, min_tf=0)
     model = train_nb(make_data([pipeline.transform(t) for t in tokens], labels))
     model_path = tmp_path / "stream.isp"
     store.save(pipeline, model, model_path, preprocess_config_digest=pconfig.digest())
@@ -537,7 +537,7 @@ def full_tokenized(full_corpus_split):
 
 def _combo_datasets(full_tokenized, combo):
     train_tokens, train_labels, test_tokens, test_labels = full_tokenized
-    pipe = fit_pipeline(train_tokens, combo, min_tf=4, vocab_cap=65_536)
+    pipe, _ = fit_pipeline(train_tokens, combo, min_tf=4, vocab_cap=65_536)
     train = make_data([pipe.transform(t) for t in train_tokens], train_labels)
     test = make_data([pipe.transform(t) for t in test_tokens], test_labels)
     return train, test

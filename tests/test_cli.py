@@ -54,6 +54,26 @@ class TestTrain:
         assert (tmp_path / "model.isp.manifest.json").is_file()
         cv_rows = (tmp_path / "cv.csv").read_text().strip().splitlines()
         assert len(cv_rows) == 1 + 3  # header + 3 shipped l2 grid points
+        # an inline grid runs one CV per listed point
+        assert main(["train", "--data", str(data_csv), "--model", "lr", "--combo",
+                     "uni-cv-idf", "--min-tf", "0", "--out", str(out),
+                     "--grid", '{"l2": [0, 0.5]}', "--folds", "3", "--seed", "5",
+                     "--cv-out", str(tmp_path / "cv.csv")]) == 0
+        assert len((tmp_path / "cv.csv").read_text().strip().splitlines()) == 1 + 2
+
+    @pytest.mark.parametrize("combo", ["uni-bi-cv-idf", "uni-tfidf"])
+    def test_one_ngrams_call_per_document(self, tmp_path, data_csv, monkeypatch, combo):
+        from ideation_stream import features
+
+        calls = []
+        original = features.ngrams
+        monkeypatch.setattr(features, "ngrams",
+                            lambda tokens, spec: calls.append(1) or original(tokens, spec))
+        assert main(["train", "--data", str(data_csv), "--model", "nb", "--combo", combo,
+                     "--min-tf", "0", "--folds", "0", "--out", str(tmp_path / "m.isp")]) == 0
+        manifest = json.loads((tmp_path / "m.isp.manifest.json").read_text())
+        assert manifest["train_rows"] and manifest["test_rows"]
+        assert len(calls) == manifest["train_rows"] + manifest["test_rows"]
 
     def test_missing_column_exit_code(self, tmp_path, data_csv):
         rc = main(["train", "--data", str(data_csv), "--text-col", "nope",
@@ -160,7 +180,7 @@ class TestStreamingCommands:
 
         assert main(["serve", "--broker-dir", broker_dir, "--model",
                      str(trained_model), "--no-filter", "--stop-when-idle",
-                     "--trigger-ms", "20", "--json"]) == 0
+                     "--trigger-ms", "20", "--batch-max", "5", "--json"]) == 0
         serve_out = json.loads(capsys.readouterr().out)
         assert serve_out["events"] == 16
 
@@ -171,6 +191,10 @@ class TestStreamingCommands:
         assert report_out["total"] == 16
         assert report_out["pct_suicide"] == 25.0
         assert csv_out.is_file()
+        # a second group with a window counts only the last 4 events
+        assert main(["report", "--broker-dir", broker_dir, "--group", "last4",
+                     "--window", "4", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["total"] == 4
 
     def test_duplicate_topic_exit(self, tmp_path):
         broker_dir = str(tmp_path / "broker")
@@ -229,9 +253,25 @@ class TestUsageErrors:
         [*DT_NO_CV, "--hyper", "bogus=1"],
         [*DT_NO_CV, "--hyper", "max_depth=["],
         [*DT_NO_CV, "--hyper", "max_depth=abc"],
+        ["train", "--data", "d.csv", "--train-frac", "1.5"],
+        ["train", "--data", "d.csv", "--train-frac", "0"],
+        [*DT_NO_CV, "--grid", "{bad"],
+        [*DT_NO_CV, "--grid", '{"bogus": [1]}'],
+        ["train", "--data", "d.csv", "--model", "lr", "--grid", '{"l2": 0.1}'],
+        [*DT_NO_CV, "--grid", '{"max_depth": []}'],
+        [*DT_NO_CV, "--grid", "{}"],
+        [*DT_NO_CV, "--grid", "[8]"],
+        [*DT_NO_CV, "--grid", '{"max_depth": [8, "x"]}'],
+        ["serve", "--broker-dir", "b", "--model", "m.isp", "--batch-max", "0"],
+        ["report", "--broker-dir", "b", "--window", "abc"],
+        ["report", "--broker-dir", "b", "--window", "-5"],
+        ["report", "--broker-dir", "b", "--window", "0"],
     ], ids=["topic-name", "partitions", "buckets", "trigger-ms", "same-topics",
             "serve-group", "report-group", "hyper-no-equals", "hyper-unknown-key",
-            "hyper-bad-json", "hyper-wrong-type"])
+            "hyper-bad-json", "hyper-wrong-type", "train-frac-above-1", "train-frac-0",
+            "grid-bad-json", "grid-unknown-key", "grid-not-a-list", "grid-empty-list",
+            "grid-empty", "grid-not-an-object", "grid-wrong-type", "batch-max",
+            "window-text", "window-negative", "window-zero"])
     def test_bad_value_exits_2_before_any_work(self, tmp_path, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv)

@@ -9,8 +9,7 @@ from ideation_stream.errors import (DimensionMismatch, EmptyVocabulary,
                                     NotFitted)
 from ideation_stream.features import (FeatureCombo, FeaturePipeline,
                                       IdfModel, NGramSpec, SparseBatch,
-                                      fit_pipeline, fit_vocabulary,
-                                      hashing_tf, ngrams)
+                                      fit_pipeline, hashing_tf, ngrams)
 from ideation_stream.hashutil import fnv1a_32
 
 from conftest import dense, entries, make_vec, same, stack
@@ -25,7 +24,7 @@ def counting(docs, combo=FeatureCombo.UNI_CV_IDF, idf=None, **kwargs):
     """A pipeline fitted on ``docs`` with ``min_tf=0`` and no TF scaling,
     whose IDF is ``idf`` (all ones by default): its rows are raw gram
     counts times ``idf``."""
-    pipe = fit_pipeline(docs, combo, min_tf=0, normalize_tf=False, **kwargs)
+    pipe, _ = fit_pipeline(docs, combo, min_tf=0, normalize_tf=False, **kwargs)
     pipe.idf = IdfModel(np.ones(pipe.dim) if idf is None else np.asarray(idf, dtype=float))
     return pipe
 
@@ -102,38 +101,45 @@ class TestNgrams:
             NGramSpec((3,))
 
 
+def fit_vocab(docs, **kwargs):
+    """The vocabulary of a unigram pipeline fitted on ``docs``."""
+    return fit_pipeline(docs, FeatureCombo.UNI_CV_IDF, **kwargs)[0].vocab
+
+
 class TestVocabulary:
     def test_threshold_strictly_greater(self):
         docs = [["die"]] * 5 + [["zebra"]]
-        vocab = fit_vocabulary(docs, UNI, min_tf=4)
+        vocab = fit_vocab(docs, min_tf=4)
         assert "die" in vocab.term_to_index and "zebra" not in vocab.term_to_index
 
     def test_tie_breaks_lexicographic(self):
         docs = [["bee", "ant"], ["ant", "bee"]]
-        vocab = fit_vocabulary(docs, UNI, min_tf=0)
+        vocab = fit_vocab(docs, min_tf=0)
         assert vocab.term_to_index == {"ant": 0, "bee": 1}
 
     def test_ordering_by_descending_frequency(self):
         docs = [["rare"], ["common", "common"], ["common"]]
-        vocab = fit_vocabulary(docs, UNI, min_tf=0)
+        vocab = fit_vocab(docs, min_tf=0)
         assert vocab.term_to_index["common"] == 0
         assert vocab.term_to_index["rare"] == 1
 
     def test_doc_freq_hand_count(self):
         # 3 docs: df(die)=2, df(sad)=2, df(happy)=1 by inspection
         docs = [["die", "sad", "die"], ["sad"], ["die", "happy"]]
-        vocab = fit_vocabulary(docs, UNI, min_tf=0)
+        vocab = fit_vocab(docs, min_tf=0)
         df = {t: int(vocab.doc_freq[j]) for t, j in vocab.term_to_index.items()}
         assert df == {"die": 2, "sad": 2, "happy": 1}
         assert vocab.num_docs == 3
 
     def test_empty_vocabulary(self):
         with pytest.raises(EmptyVocabulary):
-            fit_vocabulary([["once"]], UNI, min_tf=4)
+            fit_vocab([["once"]], min_tf=4)
+        with pytest.raises(EmptyVocabulary):  # no documents: no gram passes either
+            fit_vocab([], min_tf=0)
 
     def test_max_terms_cap(self):
         docs = [["a", "b", "c"], ["a", "b"], ["a"]]
-        vocab = fit_vocabulary(docs, UNI, min_tf=0, max_terms=2)
+        vocab = fit_vocab(docs, min_tf=0, vocab_cap=2)
         assert set(vocab.term_to_index) == {"a", "b"}
 
 
@@ -223,15 +229,15 @@ class TestIdf:
     """``fit_pipeline``'s smoothed IDF and how ``transform_batch`` applies it."""
 
     def test_ubiquitous_term_zero(self):
-        pipe = fit_pipeline([["a"], ["a", "a"]], FeatureCombo.UNI_CV_IDF, min_tf=0)
+        pipe, _ = fit_pipeline([["a"], ["a", "a"]], FeatureCombo.UNI_CV_IDF, min_tf=0)
         assert pipe.idf.idf[0] == 0.0
 
     def test_half_presence(self):
-        pipe = fit_pipeline([["a"], []], FeatureCombo.UNI_CV_IDF, min_tf=0)
+        pipe, _ = fit_pipeline([["a"], []], FeatureCombo.UNI_CV_IDF, min_tf=0)
         assert pipe.idf.idf[0] == pytest.approx(math.log(3 / 2), abs=1e-12)
 
     def test_unseen_column(self):
-        pipe = fit_pipeline([["a"], ["a"]], FeatureCombo.UNI_TFIDF, num_buckets=2)
+        pipe, _ = fit_pipeline([["a"], ["a"]], FeatureCombo.UNI_TFIDF, num_buckets=2)
         unseen = 1 - fnv1a_32("a") % 2
         assert pipe.idf.idf[unseen] == pytest.approx(math.log(3), abs=1e-12)
 
@@ -264,17 +270,19 @@ DOCS = [
 
 class TestPipeline:
     def test_hashing_combo_has_no_vocabulary(self):
-        pipe = fit_pipeline(DOCS, FeatureCombo.UNI_TFIDF, num_buckets=64, min_tf=0)
+        pipe, _ = fit_pipeline(DOCS, FeatureCombo.UNI_TFIDF, num_buckets=64, min_tf=0)
         assert pipe.vocab is None and pipe.dim == 64
+        with pytest.raises(ValueError):  # nothing to fit the IDF on
+            fit_pipeline([], FeatureCombo.UNI_TFIDF, num_buckets=64)
 
     def test_unibi_combo_covers_both_orders(self):
-        pipe = fit_pipeline(DOCS, FeatureCombo.UNI_BI_CV_IDF, min_tf=0)
+        pipe, _ = fit_pipeline(DOCS, FeatureCombo.UNI_BI_CV_IDF, min_tf=0)
         assert pipe.ngram.orders == (1, 2)
         terms = set(pipe.vocab.term_to_index)
         assert "want" in terms and "to die" in terms
 
     def test_composition_contract_without_normalization(self):
-        pipe = fit_pipeline(DOCS, FeatureCombo.UNI_CV_IDF, min_tf=0, normalize_tf=False)
+        pipe, _ = fit_pipeline(DOCS, FeatureCombo.UNI_CV_IDF, min_tf=0, normalize_tf=False)
         doc = DOCS[0]
         counts = counting(DOCS).transform_batch([doc])
         values = counts.values * pipe.idf.idf[counts.indices]
@@ -283,14 +291,14 @@ class TestPipeline:
         assert same(pipe.transform(doc), manual)
 
     def test_normalization_divides_by_gram_count(self):
-        plain = fit_pipeline(DOCS, FeatureCombo.UNI_CV_IDF, min_tf=0, normalize_tf=False)
-        normed = fit_pipeline(DOCS, FeatureCombo.UNI_CV_IDF, min_tf=0, normalize_tf=True)
+        plain, _ = fit_pipeline(DOCS, FeatureCombo.UNI_CV_IDF, min_tf=0, normalize_tf=False)
+        normed, _ = fit_pipeline(DOCS, FeatureCombo.UNI_CV_IDF, min_tf=0, normalize_tf=True)
         doc = DOCS[0]
         a, b = plain.transform(doc), normed.transform(doc)
         assert np.allclose(a.values / len(doc), b.values)
 
     def test_transform_pure_and_fit_only_on_train(self):
-        pipe = fit_pipeline(DOCS, FeatureCombo.UNI_CV_IDF, min_tf=0)
+        pipe, _ = fit_pipeline(DOCS, FeatureCombo.UNI_CV_IDF, min_tf=0)
         dim_before = pipe.dim
         unseen = ["entirely", "new", "words", "die"]
         v1 = pipe.transform(unseen)
@@ -315,7 +323,7 @@ class TestPipeline:
         words = [f"w{i}" for i in range(12)]
         docs = [[words[rng.integers(0, len(words))] for _ in range(rng.integers(2, 9))]
                 for _ in range(10)]
-        pipe = fit_pipeline(docs, combo, min_tf=0, normalize_tf=normalize)
+        pipe, _ = fit_pipeline(docs, combo, min_tf=0, normalize_tf=normalize)
         expected, terms = dense_cv_tfidf(docs, orders, 0, normalize)
         assert pipe.vocab.terms_by_index() == terms
         for i, doc in enumerate(docs):
@@ -327,8 +335,8 @@ class TestPipeline:
         words = [f"tok{i}" for i in range(9)]
         docs = [[words[rng.integers(0, len(words))] for _ in range(rng.integers(1, 7))]
                 for _ in range(8)]
-        pipe = fit_pipeline(docs, FeatureCombo.UNI_TFIDF, num_buckets=32,
-                            normalize_tf=normalize)
+        pipe, _ = fit_pipeline(docs, FeatureCombo.UNI_TFIDF, num_buckets=32,
+                               normalize_tf=normalize)
         expected = dense_hashing_tfidf(docs, (1,), 32, normalize)
         for i, doc in enumerate(docs):
             assert np.allclose(dense(pipe.transform(doc))[0], expected[i], atol=1e-9)
@@ -336,7 +344,7 @@ class TestPipeline:
     def test_bucket_cache_stays_bounded(self):
         # 70,000 distinct grams through one pipeline, as a long serve sees
         docs = [[f"g{i}_{j}" for j in range(1000)] for i in range(70)]
-        pipe = fit_pipeline(docs[:2], FeatureCombo.UNI_TFIDF, num_buckets=1 << 10)
+        pipe, _ = fit_pipeline(docs[:2], FeatureCombo.UNI_TFIDF, num_buckets=1 << 10)
         for doc in docs:
             grams = ngrams(doc, pipe.ngram)
             cols, counts = np.unique(hashing_tf(grams, 1 << 10), return_counts=True)
@@ -361,7 +369,7 @@ class TestTransformBatch:
     def test_rows_match_one_doc_and_cv_oracle(self, docs, normalize):
         # min_tf=1 leaves every gram seen once out of the vocabulary
         docs = docs + [["a", "a", "b", "a", "b"]]  # keeps the vocabulary non-empty
-        pipe = fit_pipeline(docs, FeatureCombo.UNI_BI_CV_IDF, min_tf=1, normalize_tf=normalize)
+        pipe, _ = fit_pipeline(docs, FeatureCombo.UNI_BI_CV_IDF, min_tf=1, normalize_tf=normalize)
         expected, terms = dense_cv_tfidf(docs, (1, 2), 1, normalize)
         self._check(pipe, docs, expected)
         assert pipe.vocab.terms_by_index() == terms
@@ -370,8 +378,8 @@ class TestTransformBatch:
     @given(st.lists(st.lists(st.sampled_from(TOKENS), max_size=8), min_size=1, max_size=7),
            st.sampled_from([2, 4, 8, 16]), st.booleans())
     def test_rows_match_one_doc_and_hashing_oracle(self, docs, buckets, normalize):
-        pipe = fit_pipeline(docs, FeatureCombo.UNI_TFIDF, num_buckets=buckets,
-                            normalize_tf=normalize)
+        pipe, _ = fit_pipeline(docs, FeatureCombo.UNI_TFIDF, num_buckets=buckets,
+                               normalize_tf=normalize)
         self._check(pipe, docs, dense_hashing_tfidf(docs, (1,), buckets, normalize))
 
     @staticmethod
@@ -383,5 +391,35 @@ class TestTransformBatch:
         assert np.allclose(dense(batch), expected, rtol=0, atol=1e-9)
 
     def test_no_docs(self):
-        batch = fit_pipeline(DOCS, FeatureCombo.UNI_CV_IDF, min_tf=0).transform_batch([])
+        batch = fit_pipeline(DOCS, FeatureCombo.UNI_CV_IDF, min_tf=0)[0].transform_batch([])
         assert batch.n_rows == 0 and batch.indices.size == 0
+
+
+class TestFitBatch:
+    """``fit_pipeline``'s training batch is ``transform_batch`` of the
+    returned pipeline on the same documents, arrays and dtypes alike, and
+    its ``doc_freq`` is the number of documents holding each term."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.lists(st.sampled_from(TOKENS), max_size=8), min_size=1, max_size=7),
+           st.sampled_from(list(FeatureCombo)), st.booleans(),
+           st.sampled_from([None, 1, 3]))
+    def test_fit_batch_equals_transform_batch(self, docs, combo, normalize, vocab_cap):
+        docs = docs + [["a", "a", "b", "a", "b"]]  # keeps the vocabulary non-empty
+        pipe, batch = fit_pipeline(docs, combo, min_tf=1, num_buckets=16,
+                                   normalize_tf=normalize, vocab_cap=vocab_cap)
+        again = pipe.transform_batch(docs)
+        for name in ("indptr", "indices", "values"):
+            got, want = getattr(batch, name), getattr(again, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        if pipe.hashing:
+            doc_cols = [set(hashing_tf(ngrams(doc, pipe.ngram), 16).tolist()) for doc in docs]
+        else:
+            assert vocab_cap is None or pipe.vocab.dim <= vocab_cap
+            lookup = pipe.vocab.term_to_index
+            doc_cols = [{lookup[g] for g in ngrams(doc, pipe.ngram) if g in lookup}
+                        for doc in docs]
+        df = np.array([sum(j in cols for cols in doc_cols) for j in range(pipe.dim)])
+        if not pipe.hashing:
+            assert pipe.vocab.doc_freq.tolist() == df.tolist()
+        assert np.array_equal(pipe.idf.idf, np.log((len(docs) + 1.0) / (df + 1.0)))

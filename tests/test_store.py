@@ -31,7 +31,7 @@ TRAIN_CALLS = {
 def pipeline():
     docs = [["want", "die", "sad"], ["sunny", "day", "fun"],
             ["die", "alone"], ["fun", "games", "day"]]
-    return fit_pipeline(docs, FeatureCombo.UNI_CV_IDF, min_tf=0)
+    return fit_pipeline(docs, FeatureCombo.UNI_CV_IDF, min_tf=0)[0]
 
 
 def _rewrite_header(path, edit):
@@ -197,7 +197,7 @@ class TestRejection:
     def test_hashing_buckets_not_a_power_of_two(self, tmp_path):
         # arrays sized 48 fit the header dim; 48 buckets cannot hash a gram
         docs = [["want", "die"], ["sunny", "day"], ["die", "alone"], ["fun", "day"]]
-        pipe = fit_pipeline(docs, FeatureCombo.UNI_TFIDF, num_buckets=64, min_tf=0)
+        pipe, _ = fit_pipeline(docs, FeatureCombo.UNI_TFIDF, num_buckets=64, min_tf=0)
         pipe = dataclasses.replace(pipe, num_buckets=48, idf=IdfModel(pipe.idf.idf[:48]))
         data = random_sparse_dataset(np.random.default_rng(1), 20, 48)
         store.save(pipe, train_nb(data), tmp_path / "h.isp")

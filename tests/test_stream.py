@@ -26,7 +26,7 @@ def model_path(tmp_path_factory):
     texts = POSITIVE_TEXTS * 4 + NEGATIVE_TEXTS * 4
     labels = [1] * 12 + [0] * 12
     tokens = [preprocess(t, pconfig).tokens for t in texts]
-    pipeline = fit_pipeline(tokens, FeatureCombo.UNI_CV_IDF, min_tf=0)
+    pipeline, _ = fit_pipeline(tokens, FeatureCombo.UNI_CV_IDF, min_tf=0)
     data = LabeledDataset(stack([pipeline.transform(t) for t in tokens]), labels)
     model = train_nb(data, alpha=1.0)
     path = tmp_path_factory.mktemp("model") / "stream.isp"
@@ -47,6 +47,16 @@ def _config(model_path, **overrides):
                     filters_enabled=False, dedupe_window=0)
     defaults.update(overrides)
     return StreamConfig(**defaults)
+
+
+class TestStreamConfig:
+    @pytest.mark.parametrize("overrides", [
+        {"trigger_interval_ms": 0.0}, {"micro_batch_max": 0},
+        {"output_topic": "Source-tweets"}, {"language_filter": "klingon"},
+    ], ids=["trigger-ms", "batch-max", "same-topics", "language"])
+    def test_bad_value_raises(self, overrides):
+        with pytest.raises(ValueError):
+            _config("m.isp", **overrides)
 
 
 class TestLineParsing:
