@@ -3,7 +3,9 @@ cross-entropy loss, mini-batch gradient descent.
 
 Weights start Glorot-uniform (+-sqrt(6/(fan_in+fan_out))) from the seed;
 biases start at zero. The first layer reads the rows of a CSR
-``SparseBatch`` one at a time, so the input dimension never gets densified.
+``SparseBatch`` one at a time, so the input dimension never gets densified,
+and the dense layers after it run a stack of 1-row products: a row scores
+alike in any batch, and training and scoring share one ``forward``.
 """
 
 from __future__ import annotations
@@ -47,15 +49,22 @@ def _first_layer(batch: SparseBatch, w0: np.ndarray, b0: np.ndarray) -> np.ndarr
     return z
 
 
+def _dense(a: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # numpy runs the same product per row of a 1-row or an N-row stack,
+    # where one N-row matmul could round a row differently
+    return np.matmul(a[:, None, :], w)[:, 0] + b
+
+
 def forward(params: MLPParams, rows: SparseBatch) -> list[np.ndarray]:
-    """Activations per layer; the last entry is the softmax output."""
+    """Activations per layer, each row computed alone; the last entry is
+    the softmax output."""
     acts = []
     a = _sigmoid(_first_layer(rows, params.weights[0], params.biases[0]))
     acts.append(a)
     for w, b in zip(params.weights[1:-1], params.biases[1:-1]):
-        a = _sigmoid(a @ w + b)
+        a = _sigmoid(_dense(a, w, b))
         acts.append(a)
-    logits = a @ params.weights[-1] + params.biases[-1]
+    logits = _dense(a, params.weights[-1], params.biases[-1])
     m = logits.max(axis=1, keepdims=True)
     expd = np.exp(logits - m)
     acts.append(expd / expd.sum(axis=1, keepdims=True))
@@ -128,7 +137,5 @@ def train_mlp(data: LabeledDataset, hidden_layers: Sequence[int] = (64,),
 
 
 def score_batch(params: MLPParams, batch: SparseBatch) -> np.ndarray:
-    """P(positive) per row, each row run alone: an N-row matmul can round
-    differently from a 1-row one, and a score must not depend on its batch."""
-    return np.array([forward(params, batch.take([i]))[-1][0, 1]
-                     for i in range(batch.n_rows)], dtype=np.float64)
+    """P(positive) per row."""
+    return forward(params, batch)[-1][:, 1]

@@ -84,15 +84,7 @@ def fold_indices(n: int, k: int, seed: int) -> list[np.ndarray]:
         raise TooFewRows(f"need k >= 2 folds, got {k}")
     if k > n:
         raise TooFewRows(f"cannot split {n} rows into {k} folds")
-    perm = np.random.default_rng(seed).permutation(n)
-    base, extra = divmod(n, k)
-    folds = []
-    start = 0
-    for i in range(k):
-        size = base + (1 if i < extra else 0)
-        folds.append(perm[start:start + size])
-        start += size
-    return folds
+    return np.array_split(np.random.default_rng(seed).permutation(n), k)
 
 
 def cross_validate(kind: ModelKind | str, params: dict, data: LabeledDataset,

@@ -1,8 +1,9 @@
 """Decision tree (Gini) and bagged random forest.
 
 Trees split on feature thresholds chosen from midpoints of observed unique
-values, capped at 32 evenly spaced picks per feature. Implicit zeros of the
-sparse columns are folded into the counts analytically, never materialized.
+values, capped at 32 evenly spaced picks per feature. The split search folds
+the implicit zeros of the sparse columns into its counts analytically; rows
+then go left when ``x <= threshold``, the rule the scorer applies.
 Ties between equal gains go to the lower feature index, then the lower
 threshold; a zero-gain split is still taken when the node is impure, which
 is what lets depth-2 trees carve XOR-shaped data.
@@ -122,24 +123,12 @@ def _build_tree(data: LabeledDataset, max_depth: int, min_leaf: int,
         return best
 
     def partition(rows: np.ndarray, j: int, t: float) -> tuple[np.ndarray, np.ndarray]:
-        in_node = np.zeros(n, dtype=bool)
-        in_node[rows] = True
+        """``rows`` split by the scorer's rule ``x <= t``, each side in order."""
         lo, hi = col_ptr[j], col_ptr[j + 1]
-        sel = in_node[col_rows[lo:hi]]
-        rj = col_rows[lo:hi][sel]
-        vj = col_vals[lo:hi][sel]
-        has_nz = np.zeros(n, dtype=bool)
-        has_nz[rj] = True
-        zero_rows = rows[~has_nz[rows]]
-        nz_left = rj[vj <= t]
-        nz_right = rj[vj > t]
-        if 0.0 <= t:
-            left_rows = np.sort(np.concatenate((nz_left, zero_rows)))
-            right_rows = np.sort(nz_right)
-        else:
-            left_rows = np.sort(nz_left)
-            right_rows = np.sort(np.concatenate((nz_right, zero_rows)))
-        return left_rows, right_rows
+        x = np.zeros(n)
+        x[col_rows[lo:hi]] = col_vals[lo:hi]
+        goes_left = x[rows] <= t
+        return rows[goes_left], rows[~goes_left]
 
     root = alloc()
     all_rows = np.flatnonzero(weights > 0).astype(np.int64)

@@ -401,6 +401,11 @@ def _positive(value) -> None:
         raise ValueError(f"must be > 0, got {value}")
 
 
+def _non_negative(value) -> None:
+    if value < 0:
+        raise ValueError(f"must be >= 0, got {value}")
+
+
 def _num_buckets(value: int) -> None:
     from .features import check_num_buckets
     check_num_buckets(value)
@@ -435,12 +440,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--buckets", type=_checked(_num_buckets, int), default=1 << 18)
     p.add_argument("--no-tf-norm", action="store_true",
                    help="skip the 1/doc-length term-frequency normalization")
-    p.add_argument("--vocab-cap", type=int, default=None)
+    p.add_argument("--vocab-cap", type=_checked(_positive, int), default=None)
     p.add_argument("--grid", help="'default' for the shipped grid, or inline JSON",
                    type=_checked(_grid_shape, lambda t: t if t == "default" else json.loads(t)))
     p.add_argument("--hyper", action="append", default=[], type=_hyper_pair,
                    help="key=value hyperparameter, repeatable")
-    p.add_argument("--folds", type=int, default=10,
+    p.add_argument("--folds", type=_checked(_non_negative, int), default=10,
                    help="cross-validation folds (0 skips CV)")
     p.add_argument("--averaging", default="weighted", choices=["weighted", "positive"])
     p.add_argument("--metrics-out", default=None)
@@ -464,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--text-col", default="text")
     p.add_argument("--label-col", default="class")
     p.add_argument("--class", dest="cls", required=True)
-    p.add_argument("--k", type=int, default=50)
+    p.add_argument("--k", type=_checked(_positive, int), default=50)
     p.add_argument("--out", default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_top_terms)
@@ -491,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated keep phrases, e.g. 'feel,want to die,kill myself'")
     p.add_argument("--language-filter", default="off",
                    choices=["off", "english-heuristic"])
-    p.add_argument("--dedupe-window", type=int, default=1024)
+    p.add_argument("--dedupe-window", type=_checked(_non_negative, int), default=1024)
     p.add_argument("--no-filter", action="store_true")
     p.add_argument("--group", type=GROUP, default="stream-engine")
     p.add_argument("--stop-when-idle", action="store_true")

@@ -70,17 +70,8 @@ def confusion(preds: Sequence[int], gold: Sequence[int]) -> ConfusionMatrix:
         raise LengthMismatch(f"{len(preds)} predictions vs {len(gold)} gold labels")
     if not preds:
         raise LengthMismatch("cannot build a confusion matrix from zero predictions")
-    tp = fp = fn = tn = 0
-    for p, g in zip(preds, gold):
-        if p == 1 and g == 1:
-            tp += 1
-        elif p == 1 and g == 0:
-            fp += 1
-        elif p == 0 and g == 1:
-            fn += 1
-        else:
-            tn += 1
-    return ConfusionMatrix(tp=tp, fp=fp, fn=fn, tn=tn)
+    pairs = Counter(zip(preds, gold))  # (prediction, gold) -> rows, labels 0 or 1
+    return ConfusionMatrix(tp=pairs[1, 1], fp=pairs[1, 0], fn=pairs[0, 1], tn=pairs[0, 0])
 
 
 def _prf(tp: int, fp: int, fn: int, flags: list[str], tag: str) -> tuple[float, float, float]:
@@ -181,6 +172,8 @@ def roc_points(scores: Sequence[float], gold: Sequence[int]) -> list[tuple[float
 def top_terms(labeled_tokens: Iterable[tuple[Sequence[str], object]], cls,
               k: int) -> list[tuple[str, int]]:
     """Top-k terms by raw frequency within one class, ties lexicographic."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     counts: Counter[str] = Counter()
     class_seen = False
     for tokens, label in labeled_tokens:

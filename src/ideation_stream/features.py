@@ -248,6 +248,8 @@ def fit_pipeline(token_docs: Sequence[Sequence[str]], combo: FeatureCombo | str,
     vocabulary keeps grams seen more than ``min_tf`` times, at most
     ``vocab_cap``, in columns by descending frequency, ties lexicographic;
     ``idf[j] = ln((N + 1) / (df_j + 1))``, df_j the documents holding column j."""
+    if vocab_cap is not None and vocab_cap < 1:
+        raise ValueError(f"vocab_cap must be >= 1, got {vocab_cap}")
     combo, n_docs = FeatureCombo(combo), len(token_docs)
     pipe = FeaturePipeline(combo=combo, ngram=NGramSpec(orders=COMBO_ORDERS[combo]),
                            normalize_tf=normalize_tf, min_tf=min_tf)

@@ -19,7 +19,7 @@ import statistics
 import threading
 import time
 from collections import Counter, OrderedDict, deque
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 
 from . import store
 from .broker import Broker
@@ -52,6 +52,8 @@ class StreamConfig:
             raise ValueError("trigger_interval_ms must be > 0")
         if self.micro_batch_max < 1:
             raise ValueError("micro_batch_max must be >= 1")
+        if self.dedupe_window < 0:
+            raise ValueError("dedupe_window must be >= 0")
         if self.input_topic == self.output_topic:
             raise ValueError("input and output topics must differ")
         if self.language_filter not in ("off", "english-heuristic"):
@@ -70,7 +72,7 @@ class PredictionEvent:
     processed_at_ms: int
 
     def to_json(self) -> str:
-        return json.dumps({"kind": "prediction", **asdict(self)}, sort_keys=True)
+        return json.dumps({"kind": "prediction", **vars(self)}, sort_keys=True)
 
     @classmethod
     def from_json(cls, line: str) -> "PredictionEvent | None":
@@ -267,7 +269,7 @@ class AggregateReport:
     pct_non_suicide: float | None = None
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))
 
 
 def _percent(count: int, total: int) -> float | None:
@@ -279,13 +281,14 @@ def aggregate(broker: Broker, output_topic: str = DEFAULT_OUTPUT_TOPIC,
               jsonl_out=None, csv_out=None) -> AggregateReport:
     """Drain prediction events with a dedicated group and count labels.
 
-    ``window`` of N keeps only the most recent N events (sliding window);
-    None aggregates everything. A running-totals JSONL feed and a final
-    CSV can be written as the dashboard replacement.
+    ``window`` of N counts only the most recent N events (sliding window);
+    None counts everything, in O(1) memory. A running-totals JSONL feed and
+    a final CSV can be written as the dashboard replacement.
     """
     if output_topic not in broker.topics():
         raise UnknownTopic(f"topic {output_topic!r} does not exist")
-    recent: deque = deque(maxlen=window) if window else deque()
+    counts = [0, 0]  # events per label
+    recent: deque = deque()  # the labels inside the window, when one is set
     feed = open(jsonl_out, "w", encoding="utf-8") if jsonl_out else None
     try:
         while True:
@@ -298,18 +301,22 @@ def aggregate(broker: Broker, output_topic: str = DEFAULT_OUTPUT_TOPIC,
                 except (json.JSONDecodeError, KeyError, UnicodeDecodeError):
                     continue
                 if event is not None:
-                    recent.append(event.label)
+                    counts[event.label] += 1
+                    if window:
+                        recent.append(event.label)
+                        if len(recent) > window:
+                            counts[recent.popleft()] -= 1
             broker.commit(group, output_topic,
                           {p: max(r.offset for r in batch if r.partition == p) + 1
                            for p in {r.partition for r in batch}})
             if feed:
-                snapshot = _report_from(recent)
+                snapshot = _report_from(*counts)
                 feed.write(json.dumps(snapshot.to_dict(), sort_keys=True) + "\n")
     finally:
         if feed:
             feed.close()
 
-    report = _report_from(recent)
+    report = _report_from(*counts)
     if csv_out:
         with open(csv_out, "w", encoding="utf-8") as fh:
             fh.write("suicide,non_suicide,total,pct_suicide,pct_non_suicide\n")
@@ -319,9 +326,8 @@ def aggregate(broker: Broker, output_topic: str = DEFAULT_OUTPUT_TOPIC,
     return report
 
 
-def _report_from(labels) -> AggregateReport:
-    total = len(labels)
-    pos = sum(labels)
-    return AggregateReport(total=total, suicide=pos, non_suicide=total - pos,
+def _report_from(neg: int, pos: int) -> AggregateReport:
+    total = neg + pos
+    return AggregateReport(total=total, suicide=pos, non_suicide=neg,
                            pct_suicide=_percent(pos, total),
-                           pct_non_suicide=_percent(total - pos, total))
+                           pct_non_suicide=_percent(neg, total))

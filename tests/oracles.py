@@ -113,3 +113,29 @@ def weighted_metrics(tp, fp, fn, tn):
     total = s_pos + s_neg
     merge = lambda a, b: (s_pos * a + s_neg * b) / total
     return tuple(merge(a, b) for a, b in zip(pos, neg))
+
+
+def _sigmoid_reference(z):
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def mlp_scores_per_row(weights, biases, indptr, indices, values):
+    """P(positive) per CSR row, each row run alone through 2-D 1-row
+    products: the sparse first layer, sigmoid hidden layers, softmax."""
+    scores = []
+    for lo, hi in zip(indptr[:-1], indptr[1:]):
+        z = biases[0][None, :].copy()
+        if hi > lo:
+            z[0] += values[lo:hi] @ weights[0][indices[lo:hi]]
+        a = _sigmoid_reference(z)
+        for w, b in zip(weights[1:-1], biases[1:-1]):
+            a = _sigmoid_reference(a[0:1] @ w + b)
+        logits = a[0:1] @ weights[-1] + biases[-1]
+        expd = np.exp(logits - logits.max(axis=1, keepdims=True))
+        scores.append((expd / expd.sum(axis=1, keepdims=True))[0, 1])
+    return np.array(scores, dtype=np.float64)

@@ -13,6 +13,7 @@ from ideation_stream.errors import (DegenerateLabels, DimensionMismatch,
 from ideation_stream.features import SparseBatch
 
 from conftest import make_data, random_sparse_dataset, rows_of, stack
+from oracles import mlp_scores_per_row
 
 
 class TestNaiveBayes:
@@ -277,6 +278,20 @@ class TestMlp:
         model = train_mlp(fixture_dataset, hidden_layers=[4], epochs=2, seed=3)
         probs = forward(model.params, fixture_dataset.batch.take(range(20)))[-1]
         assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-9)
+
+    @pytest.mark.parametrize("hidden", [[5], [64], [32, 16]], ids=str)
+    def test_batch_scores_equal_per_row_oracle_bitwise(self, vec, hidden):
+        from ideation_stream.classifiers.mlp import score_batch
+        data = random_sparse_dataset(np.random.default_rng(7), 200, 300, density=0.05)
+        model = train_mlp(data, hidden_layers=hidden, epochs=2, seed=4)
+        batch = stack([data.batch, vec(300, []), data.batch.take([3])])
+        p = model.params
+        expected = mlp_scores_per_row(p.weights, p.biases, batch.indptr, batch.indices,
+                                      batch.values)
+        got = score_batch(p, batch)
+        assert got.dtype == np.float64 and got.tolist() == expected.tolist()
+        empty = score_batch(p, batch.take([]))
+        assert empty.dtype == np.float64 and empty.shape == (0,)
 
     def test_full_batch_loss_non_increasing_at_small_lr(self, xor_toy):
         model = train_mlp(xor_toy, hidden_layers=[4], learning_rate=0.01,

@@ -80,11 +80,13 @@ class TestTrain:
                    "--out", str(tmp_path / "x.isp")])
         assert rc == 10
 
+    @pytest.mark.parametrize("kind", ["nb", "lr", "svc", "dt", "rf", "mlp"])
     def test_reruns_byte_identical_with_pinned_epoch(self, tmp_path, data_csv,
-                                                     monkeypatch):
+                                                     monkeypatch, kind):
         monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
-        args = ["train", "--data", str(data_csv), "--model", "nb", "--combo",
+        args = ["train", "--data", str(data_csv), "--model", kind, "--combo",
                 "uni-cv-idf", "--min-tf", "0", "--folds", "0", "--seed", "9"]
+        args += ["--hyper", "num_trees=10"] if kind == "rf" else []
         a, b = tmp_path / "a.isp", tmp_path / "b.isp"
         assert main(args + ["--out", str(a)]) == 0
         assert main(args + ["--out", str(b)]) == 0
@@ -266,12 +268,20 @@ class TestUsageErrors:
         ["report", "--broker-dir", "b", "--window", "abc"],
         ["report", "--broker-dir", "b", "--window", "-5"],
         ["report", "--broker-dir", "b", "--window", "0"],
+        ["train", "--data", "d.csv", "--vocab-cap", "0"],
+        ["train", "--data", "d.csv", "--vocab-cap", "-1"],
+        ["train", "--data", "d.csv", "--folds", "-1"],
+        ["top-terms", "--data", "d.csv", "--class", "suicide", "--k", "0"],
+        ["top-terms", "--data", "d.csv", "--class", "suicide", "--k", "-1"],
+        ["serve", "--broker-dir", "b", "--model", "m.isp", "--dedupe-window", "-1"],
     ], ids=["topic-name", "partitions", "buckets", "trigger-ms", "same-topics",
             "serve-group", "report-group", "hyper-no-equals", "hyper-unknown-key",
             "hyper-bad-json", "hyper-wrong-type", "train-frac-above-1", "train-frac-0",
             "grid-bad-json", "grid-unknown-key", "grid-not-a-list", "grid-empty-list",
             "grid-empty", "grid-not-an-object", "grid-wrong-type", "batch-max",
-            "window-text", "window-negative", "window-zero"])
+            "window-text", "window-negative", "window-zero", "vocab-cap-0",
+            "vocab-cap-negative", "folds-negative", "k-0", "k-negative",
+            "dedupe-window-negative"])
     def test_bad_value_exits_2_before_any_work(self, tmp_path, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv)

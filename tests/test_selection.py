@@ -19,12 +19,14 @@ class TestFolds:
         for _ in range(50):
             n = int(rng.integers(5, 200))
             k = int(rng.integers(2, min(n, 12) + 1))
-            folds = fold_indices(n, k, seed=int(rng.integers(0, 2**31)))
+            seed = int(rng.integers(0, 2**31))
+            folds = fold_indices(n, k, seed=seed)
             sizes = [len(f) for f in folds]
             assert max(sizes) - min(sizes) <= 1
+            assert sizes == sorted(sizes, reverse=True)  # the larger folds come first
             joined = np.concatenate(folds)
-            assert len(joined) == n
-            assert sorted(joined.tolist()) == list(range(n))
+            # contiguous runs of the seeded shuffle, which every stored CV result depends on
+            assert joined.tolist() == np.random.default_rng(seed).permutation(n).tolist()
 
     def test_too_few_rows(self):
         with pytest.raises(TooFewRows):

@@ -1,10 +1,14 @@
 import json
+import tempfile
+from collections import deque
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ideation_stream import store, stream
 from ideation_stream.broker import Broker
-from ideation_stream.classifiers import LabeledDataset, predict, train_nb
+from ideation_stream.classifiers import LabeledDataset, predict, train_mlp, train_nb
 from ideation_stream.errors import UnknownTopic
 from ideation_stream.features import FeatureCombo, FeaturePipeline, fit_pipeline
 from ideation_stream.preprocess import PreprocessConfig, preprocess
@@ -162,6 +166,33 @@ class TestRunStream:
             assert event.label == offline.label
             assert event.score == offline.score  # bit-identical
 
+    def test_mlp_events_match_offline_predictions_bitwise(self, broker, tmp_path):
+        # the paper's real-time model: an MLP scoring micro-batches of many rows
+        pconfig = PreprocessConfig.load_default()
+        texts = POSITIVE_TEXTS * 4 + NEGATIVE_TEXTS * 4
+        tokens = [preprocess(t, pconfig).tokens for t in texts]
+        pipeline, batch = fit_pipeline(tokens, FeatureCombo.UNI_BI_CV_IDF, min_tf=0)
+        model = train_mlp(LabeledDataset(batch, [1] * 12 + [0] * 12),
+                          hidden_layers=[32, 16], epochs=5, seed=2)
+        path = tmp_path / "mlp.isp"
+        store.save(pipeline, model, path, preprocess_config_digest=pconfig.digest())
+        words = " ".join(POSITIVE_TEXTS + NEGATIVE_TEXTS).split()
+        lines = [" ".join(words[i % len(words):][:3 + i % 5]) + f" case {i}"
+                 for i in range(40)]
+        (tmp_path / "feed.txt").write_text("\n".join(lines) + "\n", "utf-8")
+        replay_produce(tmp_path / "feed.txt", broker, "Source-tweets")
+        stats = run_stream(broker, _config(path, micro_batch_max=16), stop_when_idle=True)
+        assert (stats.batches, stats.events) == (3, 40)
+
+        records = broker.consume("Predicted-tweets", "checker", max_records=100)
+        scores = set()
+        for rec, text in zip(records, lines, strict=True):
+            event = PredictionEvent.from_json(rec.value.decode())
+            offline = predict(model, pipeline.transform(preprocess(text).tokens))
+            assert (event.label, event.score) == (offline.label, offline.score)
+            scores.add(event.score)
+        assert len(scores) > 1
+
     def test_commit_after_output(self, broker, model_path, tmp_path):
         feed = tmp_path / "feed.txt"
         feed.write_text("one line\n", "utf-8")
@@ -300,6 +331,16 @@ class TestPredictionEvent:
             '"source_partition": 3, "text_sha256": '
             '"abababababababababababababababababababababababababababababababab"}')
 
+    def test_json_bytes_keep_full_float_repr(self):
+        event = PredictionEvent(0, 2 ** 40, "ef" * 32, 0, "non-suicide",
+                                0.1 + 0.2, "01" * 32, 0)
+        assert event.to_json() == (
+            '{"kind": "prediction", "label": 0, "label_name": "non-suicide", '
+            '"model_digest": "0101010101010101010101010101010101010101010101010101010101010101", '
+            '"processed_at_ms": 0, "score": 0.30000000000000004, '
+            '"source_offset": 1099511627776, "source_partition": 0, "text_sha256": '
+            '"efefefefefefefefefefefefefefefefefefefefefefefefefefefefefefefef"}')
+
     def test_round_trip_and_missing_field(self):
         assert PredictionEvent.from_json(self.EVENT.to_json()) == self.EVENT
         obj = json.loads(self.EVENT.to_json())
@@ -346,6 +387,33 @@ class TestAggregate:
         feed_lines = jsonl.read_text().strip().splitlines()
         assert json.loads(feed_lines[-1])["total"] == 4
         assert csv.read_text().splitlines()[1] == "1,3,4,25.00,75.00"
+
+    @settings(max_examples=15, deadline=None)
+    @given(runs=st.lists(st.tuples(st.sampled_from([0, 1]), st.integers(1, 3000)),
+                         max_size=5),
+           window=st.none() | st.integers(1, 9000))
+    @example(runs=[(1, 5000), (0, 4000)], window=None)
+    @example(runs=[(1, 5000), (0, 4000)], window=3000)
+    def test_snapshots_equal_a_recount(self, runs, window):
+        # aggregate consumes 4096 records per batch and writes one snapshot per batch
+        labels = [label for label, length in runs for _ in range(length)]
+        with tempfile.TemporaryDirectory() as tmp, \
+                Broker(f"{tmp}/log", durability="none") as broker:
+            broker.create_topic("Predicted-tweets")
+            self._emit(broker, labels)
+            report = aggregate(broker, window=window, jsonl_out=f"{tmp}/feed.jsonl")
+            with open(f"{tmp}/feed.jsonl", encoding="utf-8") as fh:
+                snapshots = [json.loads(line) for line in fh]
+        ends = list(range(4096, len(labels), 4096)) + [len(labels)] if labels else []
+        assert len(snapshots) == len(ends)
+        for snapshot, end in zip(snapshots + [report.to_dict()], ends + [len(labels)]):
+            counted = list(deque(labels[:end], maxlen=window))
+            pos = sum(counted)
+            assert snapshot == {
+                "total": len(counted), "suicide": pos, "non_suicide": len(counted) - pos,
+                "pct_suicide": round(100.0 * pos / len(counted), 2) if counted else None,
+                "pct_non_suicide": (round(100.0 * (len(counted) - pos) / len(counted), 2)
+                                    if counted else None)}
 
     def test_dead_letters_ignored(self, broker):
         self._emit(broker, [1, 0])
