@@ -3,9 +3,10 @@ cross-entropy loss, mini-batch gradient descent.
 
 Weights start Glorot-uniform (+-sqrt(6/(fan_in+fan_out))) from the seed;
 biases start at zero. The first layer reads the rows of a CSR
-``SparseBatch`` one at a time, so the input dimension never gets densified,
-and the dense layers after it run a stack of 1-row products: a row scores
-alike in any batch, and training and scoring share one ``forward``.
+``SparseBatch`` one at a time, and its gradient holds the touched rows only,
+so the input dimension never gets densified. The dense layers after it run
+a stack of 1-row products: a row scores alike in any batch, and training
+and scoring share one ``forward``.
 """
 
 from __future__ import annotations
@@ -74,7 +75,8 @@ def forward(params: MLPParams, rows: SparseBatch) -> list[np.ndarray]:
 def loss_and_grads(params: MLPParams, rows: SparseBatch,
                    y: np.ndarray) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
     """Mean cross-entropy over the batch plus gradients for every weight
-    matrix and bias vector."""
+    matrix and bias vector; the first layer's holds the rows
+    ``np.unique(rows.indices)`` only, in that order (the rest are zero)."""
     b = rows.n_rows
     acts = forward(params, rows)
     probs = acts[-1]
@@ -94,10 +96,11 @@ def loss_and_grads(params: MLPParams, rows: SparseBatch,
         d_a = d_z @ params.weights[layer].T
         d_z = d_a * a_prev * (1.0 - a_prev)
 
-    dw0 = np.zeros_like(params.weights[0])
+    touched, local = np.unique(rows.indices, return_inverse=True)
+    dw0 = np.zeros((touched.size, params.weights[0].shape[1]))
     for i, (lo, hi) in enumerate(zip(rows.indptr[:-1].tolist(), rows.indptr[1:].tolist())):
         if hi > lo:
-            dw0[rows.indices[lo:hi]] += np.outer(rows.values[lo:hi], d_z[i])
+            dw0[local[lo:hi]] += np.outer(rows.values[lo:hi], d_z[i])
     grads_w[0] = dw0
     grads_b[0] = d_z.sum(axis=0)
     return loss, grads_w, grads_b
@@ -124,7 +127,8 @@ def train_mlp(data: LabeledDataset, hidden_layers: Sequence[int] = (64,),
             rows = data.batch.take(batch_idx)
             loss, grads_w, grads_b = loss_and_grads(params, rows, y[batch_idx])
             epoch_loss += loss * len(batch_idx)
-            for w, gw in zip(params.weights, grads_w):
+            params.weights[0][np.unique(rows.indices)] -= learning_rate * grads_w[0]
+            for w, gw in zip(params.weights[1:], grads_w[1:]):
                 w -= learning_rate * gw
             for bvec, gb in zip(params.biases, grads_b):
                 bvec -= learning_rate * gb

@@ -1,11 +1,13 @@
-"""Four-stage text normalization: filter, tokenize, stopword removal,
-rule-based lemmatization.
+"""Text normalization in one pass: filter, split, then one cached lookup
+per token that drops stopwords and lemmatizes (exceptions, then suffix rules).
 
-The filter stage case-folds, expands contractions, strips URLs and the
-``#``/``@`` marks, deletes every remaining non-alphanumeric codepoint, and
-collapses whitespace. Lemmatization is table-driven (exception lookup
-first, then ordered suffix rules). The shipped tables live in ``data/``;
-other tables come in through the ``PreprocessConfig`` constructor.
+The filter case-folds, expands contractions, strips URLs and deletes every
+non-alphanumeric codepoint by the rule ``_keep`` (through the ASCII table
+``_ASCII_RULE`` built from it when the text is ASCII). Each config caches
+token -> lemma or stopword, cleared at ``LEMMA_CACHE_MAX`` entries; an entry
+depends only on the token and the tables, so the cache never changes a
+result. Shipped tables live in ``data/``; others come in through the
+``PreprocessConfig`` constructor.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ from dataclasses import dataclass, field
 from importlib import resources
 
 _URL_RE = re.compile(r"(?:https?://|www\.)\S*")
-_WS_RE = re.compile(r"\s+")
+LEMMA_CACHE_MAX = 1 << 16  # tokens a config's lemma cache holds before it is cleared
+_STOPWORD = object()  # cached in place of a lemma; no lemma is this object
 
 # Common-word supplement for the language heuristic only; the heuristic
 # counts tokens found in stopwords | these.
@@ -33,12 +36,6 @@ class TokenSeq:
     tokens: tuple[str, ...]
     source_id: str = ""
 
-    def __iter__(self):
-        return iter(self.tokens)
-
-    def __len__(self) -> int:
-        return len(self.tokens)
-
 
 @dataclass
 class PreprocessConfig:
@@ -46,7 +43,9 @@ class PreprocessConfig:
     contraction_table: dict[str, str]
     lemma_exceptions: dict[str, str]
     suffix_rules: list[tuple[str, str, int]]
-    _contraction_re: re.Pattern | None = field(default=None, repr=False, compare=False)
+    # built on first use; init=False, so dataclasses.replace never shares them
+    _contraction_re: re.Pattern | None = field(default=None, init=False, repr=False, compare=False)
+    _lemma_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for key in self.contraction_table:
@@ -55,10 +54,14 @@ class PreprocessConfig:
 
     def contraction_pattern(self) -> re.Pattern:
         if self._contraction_re is None:
-            # longest-first so shouldn't've wins over shouldn't
-            keys = sorted(self.contraction_table, key=len, reverse=True)
-            pattern = r"\b(?:" + "|".join(re.escape(k) for k in keys) + r")\b"
-            self._contraction_re = re.compile(pattern)
+            # one branch per first character, so a word boundary tries one branch,
+            # and longest-first inside it, so shouldn't've wins over shouldn't
+            branches: dict[str, list[str]] = {}
+            for key in sorted(self.contraction_table, key=len, reverse=True):
+                branches.setdefault(key[:1], []).append(re.escape(key[1:]))
+            alts = "|".join(re.escape(first) + "(?:" + "|".join(rests) + ")"
+                            for first, rests in branches.items())
+            self._contraction_re = re.compile(r"\b(?:" + alts + r")\b" if alts else r"(?!)")
         return self._contraction_re
 
     def digest(self) -> str:
@@ -66,12 +69,11 @@ class PreprocessConfig:
         h = hashlib.sha256()
         for word in sorted(self.stopword_list):
             h.update(word.encode("utf-8") + b"\n")
-        h.update(b"--contractions--\n")
-        for k in sorted(self.contraction_table):
-            h.update(f"{k}\t{self.contraction_table[k]}\n".encode("utf-8"))
-        h.update(b"--exceptions--\n")
-        for k in sorted(self.lemma_exceptions):
-            h.update(f"{k}\t{self.lemma_exceptions[k]}\n".encode("utf-8"))
+        for name, table in (("contractions", self.contraction_table),
+                            ("exceptions", self.lemma_exceptions)):
+            h.update(f"--{name}--\n".encode("utf-8"))
+            for k in sorted(table):
+                h.update(f"{k}\t{table[k]}\n".encode("utf-8"))
         h.update(b"--suffix-rules--\n")
         for suffix, repl, min_stem in self.suffix_rules:
             h.update(f"{suffix}\t{repl}\t{min_stem}\n".encode("utf-8"))
@@ -96,7 +98,6 @@ _DEFAULT_CONFIG: PreprocessConfig | None = None
 
 def _data_lines(text: str):
     for line in text.splitlines():
-        line = line.rstrip("\n")
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         yield line
@@ -107,42 +108,33 @@ def _parse_wordlist(text: str) -> frozenset[str]:
 
 
 def _parse_pairs(text: str) -> dict[str, str]:
-    table = {}
-    for line in _data_lines(text):
-        key, _, value = line.partition("\t")
-        table[key] = value
-    return table
+    return dict(line.partition("\t")[::2] for line in _data_lines(text))
 
 
 def _parse_suffix_rules(text: str) -> list[tuple[str, str, int]]:
-    rules = []
-    for line in _data_lines(text):
-        suffix, repl, min_stem = line.split("\t")
-        rules.append((suffix, repl, int(min_stem)))
-    return rules
+    rows = (line.split("\t") for line in _data_lines(text))
+    return [(suffix, repl, int(min_stem)) for suffix, repl, min_stem in rows]
+
+
+def _keep(ch: str) -> str:
+    # drop punctuation/symbols; codepoints that stay uppercase through
+    # casefold (math alphabets etc.) count as symbols, not letters
+    if ch.isalnum() and not ch.isupper():
+        return ch
+    return " " if ch.isspace() else ""
+
+
+_ASCII_RULE = str.maketrans({chr(i): _keep(chr(i)) for i in range(128)})
 
 
 def filter_text(raw: str, config: PreprocessConfig) -> str:
-    """Case-fold, expand contractions, strip URLs and #/@ marks, delete
-    punctuation/symbols, collapse whitespace. May return an empty string."""
+    """Case-fold, expand contractions, strip URLs, delete punctuation and
+    symbols (#/@ too), collapse whitespace. May return an empty string."""
     s = raw.casefold()
     s = config.contraction_pattern().sub(lambda m: config.contraction_table[m.group(0)], s)
     s = _URL_RE.sub(" ", s)
-    s = s.replace("#", "").replace("@", "")
-    # drop punctuation/symbols; codepoints that stay uppercase through
-    # casefold (math alphabets etc.) count as symbols, not letters
-    s = "".join(ch if (ch.isalnum() and not ch.isupper()) else (" " if ch.isspace() else "")
-                for ch in s)
+    s = s.translate(_ASCII_RULE) if s.isascii() else "".join(map(_keep, s))
     return " ".join(s.split())
-
-
-def tokenize(cleaned: str, source_id: str = "") -> TokenSeq:
-    return TokenSeq(tokens=tuple(cleaned.split()), source_id=source_id)
-
-
-def remove_stopwords(seq: TokenSeq, config: PreprocessConfig) -> TokenSeq:
-    kept = tuple(t for t in seq.tokens if t not in config.stopword_list)
-    return TokenSeq(tokens=kept, source_id=seq.source_id)
 
 
 def lemmatize_token(token: str, config: PreprocessConfig) -> str:
@@ -155,17 +147,22 @@ def lemmatize_token(token: str, config: PreprocessConfig) -> str:
     return token
 
 
-def lemmatize(seq: TokenSeq, config: PreprocessConfig) -> TokenSeq:
-    return TokenSeq(tokens=tuple(lemmatize_token(t, config) for t in seq.tokens),
-                    source_id=seq.source_id)
-
-
 def preprocess(raw: str, config: PreprocessConfig | None = None, source_id: str = "") -> TokenSeq:
-    """Run all four stages in order on one raw text."""
+    """The lemma of every filtered token that is not a stopword, in order."""
     if config is None:
         config = PreprocessConfig.load_default()
-    seq = tokenize(filter_text(raw, config), source_id=source_id)
-    return lemmatize(remove_stopwords(seq, config), config)
+    cache = config._lemma_cache
+    lemmas = []
+    for token in filter_text(raw, config).split():
+        lemma = cache.get(token)
+        if lemma is None:
+            if len(cache) >= LEMMA_CACHE_MAX:
+                cache.clear()
+            lemma = cache[token] = (_STOPWORD if token in config.stopword_list
+                                    else lemmatize_token(token, config))
+        if lemma is not _STOPWORD:
+            lemmas.append(lemma)
+    return TokenSeq(tokens=tuple(lemmas), source_id=source_id)
 
 
 def looks_english(text: str, config: PreprocessConfig | None = None) -> bool:
@@ -174,7 +171,5 @@ def looks_english(text: str, config: PreprocessConfig | None = None) -> bool:
     if config is None:
         config = PreprocessConfig.load_default()
     tokens = filter_text(text, config).split()
-    if not tokens:
-        return False
     hits = sum(1 for t in tokens if t in config.stopword_list or t in _COMMON_WORDS)
-    return hits * 2 >= len(tokens)
+    return bool(tokens) and hits * 2 >= len(tokens)

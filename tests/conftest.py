@@ -41,6 +41,14 @@ def dense(batch):
     return out
 
 
+def densify_first_layer(block, batch, w0):
+    """An MLP first-layer gradient, which holds the rows
+    ``np.unique(batch.indices)`` only, scattered into ``w0``'s shape."""
+    out = np.zeros_like(w0)
+    out[np.unique(batch.indices)] = block
+    return out
+
+
 def entries(batch):
     return list(zip(batch.indices.tolist(), batch.values.tolist()))
 

@@ -7,6 +7,7 @@ the package internals.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 
 import numpy as np
@@ -139,3 +140,30 @@ def mlp_scores_per_row(weights, biases, indptr, indices, values):
         expd = np.exp(logits - logits.max(axis=1, keepdims=True))
         scores.append((expd / expd.sum(axis=1, keepdims=True))[0, 1])
     return np.array(scores, dtype=np.float64)
+
+
+def lemma_reference(token, config):
+    if token in config.lemma_exceptions:
+        return config.lemma_exceptions[token]
+    for suffix, repl, min_stem in config.suffix_rules:
+        if token.endswith(suffix) and len(token) - len(suffix) >= min_stem:
+            return token[: len(token) - len(suffix)] + repl
+    return token
+
+
+def preprocess_reference(raw, config):
+    """Tokens of ``raw`` through four separate stages: filter (one
+    character at a time), tokenize, drop stopwords, lemmatize. Reads only
+    the config's four tables."""
+    s = raw.casefold()
+    keys = sorted(config.contraction_table, key=len, reverse=True)
+    if keys:
+        pattern = r"\b(?:" + "|".join(re.escape(k) for k in keys) + r")\b"
+        s = re.sub(pattern, lambda m: config.contraction_table[m.group(0)], s)
+    s = re.sub(r"(?:https?://|www\.)\S*", " ", s)
+    s = s.replace("#", "").replace("@", "")
+    s = "".join(ch if (ch.isalnum() and not ch.isupper()) else (" " if ch.isspace() else "")
+                for ch in s)
+    tokens = " ".join(s.split()).split()
+    kept = [t for t in tokens if t not in config.stopword_list]
+    return tuple(lemma_reference(t, config) for t in kept)

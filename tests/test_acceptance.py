@@ -36,7 +36,7 @@ from ideation_stream.preprocess import PreprocessConfig, preprocess
 from ideation_stream.stream import (PredictionEvent, StreamConfig, aggregate,
                                     replay_produce, run_stream)
 
-from conftest import dense, make_data, make_vec, random_sparse_dataset
+from conftest import dense, densify_first_layer, make_data, make_vec, random_sparse_dataset
 from oracles import (dense_cv_tfidf, dense_hashing_tfidf, pairwise_auc,
                      positive_metrics, recount_confusion)
 
@@ -187,6 +187,8 @@ def test_c05_gradient_checks():
         params = init_params(dim, hidden, seed=trial)
         y = data.labels.astype(np.int64)
         _, grads_w, grads_b = loss_and_grads(params, data.batch, y)
+        # the first layer's gradient holds the touched input rows only
+        grads_w[0] = densify_first_layer(grads_w[0], data.batch, params.weights[0])
         eps = 1e-6
         for layer in range(len(params.weights)):
             w = params.weights[layer]

@@ -12,7 +12,8 @@ from ideation_stream.errors import (DegenerateLabels, DimensionMismatch,
                                     NegativeFeature)
 from ideation_stream.features import SparseBatch
 
-from conftest import make_data, random_sparse_dataset, rows_of, stack
+from conftest import (densify_first_layer, make_data, random_sparse_dataset,
+                      rows_of, stack)
 from oracles import mlp_scores_per_row
 
 
@@ -253,6 +254,8 @@ class TestMlp:
             params = init_params(5, [3], seed=trial)
             y = data.labels.astype(np.int64)
             loss, grads_w, grads_b = loss_and_grads(params, data.batch, y)
+            # the first layer's gradient holds the touched input rows only
+            grads_w[0] = densify_first_layer(grads_w[0], data.batch, params.weights[0])
             eps = 1e-6
             for layer in range(len(params.weights)):
                 w = params.weights[layer]

@@ -1,17 +1,30 @@
+import dataclasses
+import sys
+import threading
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ideation_stream.preprocess import (PreprocessConfig, TokenSeq,
-                                        filter_text, lemmatize,
+from ideation_stream import preprocess as preprocess_mod
+from ideation_stream.preprocess import (PreprocessConfig, filter_text,
                                         lemmatize_token, looks_english,
-                                        preprocess, remove_stopwords,
-                                        tokenize)
+                                        preprocess)
+
+from oracles import preprocess_reference
 
 
 @pytest.fixture(scope="module")
 def cfg():
     return PreprocessConfig.load_default()
+
+
+def tables(cfg, stopwords=frozenset(), lemmas=False):
+    """A config with the shipped contractions, the given stopwords, and
+    the shipped lemma tables only if ``lemmas``."""
+    return dataclasses.replace(cfg, stopword_list=frozenset(stopwords),
+                               lemma_exceptions=dict(cfg.lemma_exceptions) if lemmas else {},
+                               suffix_rules=list(cfg.suffix_rules) if lemmas else [])
 
 
 class TestFilterText:
@@ -44,27 +57,28 @@ class TestFilterText:
 
 
 class TestTokenize:
-    def test_basic(self):
-        assert tokenize("i feel sad").tokens == ("i", "feel", "sad")
+    # no stopwords and no lemma tables: preprocess only splits
+    def test_basic(self, cfg):
+        assert preprocess("i feel sad", tables(cfg)).tokens == ("i", "feel", "sad")
 
-    def test_empty(self):
-        assert tokenize("").tokens == ()
+    def test_empty(self, cfg):
+        assert preprocess("", tables(cfg)).tokens == ()
 
-    def test_double_space_collapses(self):
-        assert tokenize("a  b").tokens == ("a", "b")
+    def test_double_space_collapses(self, cfg):
+        assert preprocess("a  b", tables(cfg)).tokens == ("a", "b")
 
 
 class TestStopwords:
+    # the shipped stopwords and no lemma tables
     def test_shipped_list_removes_i_and_to(self, cfg):
-        seq = TokenSeq(("i", "want", "to", "die"))
-        assert remove_stopwords(seq, cfg).tokens == ("want", "die")
+        assert preprocess("i want to die", tables(cfg, cfg.stopword_list)).tokens == ("want", "die")
 
     def test_empty(self, cfg):
-        assert remove_stopwords(TokenSeq(()), cfg).tokens == ()
+        assert preprocess("", tables(cfg, cfg.stopword_list)).tokens == ()
 
     def test_identity_when_no_stopwords(self, cfg):
-        seq = TokenSeq(("want", "die", "cry"))
-        assert remove_stopwords(seq, cfg).tokens == seq.tokens
+        tokens = ("want", "die", "cry")
+        assert preprocess(" ".join(tokens), tables(cfg, cfg.stopword_list)).tokens == tokens
 
 
 class TestLemmatize:
@@ -93,9 +107,9 @@ class TestLemmatize:
         assert lemmatize_token(token, cfg) == lemma
 
     def test_never_lengthens_and_never_empty(self, cfg):
-        seq = TokenSeq(("crying", "classes", "a1", "x"))
-        out = lemmatize(seq, cfg)
-        assert len(out.tokens) == len(seq.tokens)
+        tokens = ("crying", "classes", "a1", "x")
+        out = preprocess(" ".join(tokens), tables(cfg, lemmas=True))
+        assert len(out.tokens) == len(tokens)
         assert all(out.tokens)
 
 
@@ -127,6 +141,90 @@ class TestFullPipeline:
     def test_no_stage_emits_empty_tokens(self, cfg):
         out = preprocess("a!!! b### ''' x", cfg)
         assert all(out.tokens)
+
+
+# words the two configs below treat differently, mixed into arbitrary text
+_WORDS = ("i", "to", "feel", "feeling", "sad", "crying", "died", "classes", "willing",
+          "can't", "shouldn't've", "#help", "@sam", "https://t.co/x", "café", "𝐀")
+_TEXTS = st.one_of(st.text(),
+                   st.lists(st.one_of(st.sampled_from(_WORDS), st.text(max_size=6)),
+                            max_size=12).map(" ".join))
+
+
+@pytest.fixture(scope="module")
+def custom(cfg):
+    """Other stopwords and exceptions than the shipped tables: the shipped
+    stopwords "i" and "to" get lemmas, the shipped lemma "feel" is dropped."""
+    return dataclasses.replace(cfg, stopword_list=frozenset({"feel", "sad", "class"}),
+                               lemma_exceptions={"i": "me", "to": "toward", "died": "dead"})
+
+
+class TestOneLoop:
+    # preprocess against the four separate stages of oracles.py; both
+    # configs live for the module, so their caches are warm, and each
+    # text alternates between them, so an entry cached under one config
+    # would show up in the other's tokens
+    @settings(max_examples=300, deadline=None)
+    @given(_TEXTS)
+    @example("a\x1cb\x1dc\x1ed\x1ff")
+    @example("tab\there\nnew\rline\x0bvt\x0cff\x85nel\xa0nbsp\u2028ls\u3000ideo")
+    @example("\x00\x07\x7f ctrl")
+    @example("Café NAÏVE über #mood @sam can't stop feeling 😢")
+    @example("𝐀𝐁𝐂 abc ⅫⅯ ǅ ß ﬃ İ")
+    def test_matches_four_stage_oracle(self, cfg, custom, raw):
+        for config in (cfg, custom, cfg, custom):
+            assert preprocess(raw, config).tokens == preprocess_reference(raw, config)
+
+    def test_configs_keep_their_own_cache(self, cfg, custom):
+        text = "i want to feel sad classes"
+        assert preprocess(text, cfg).tokens == ("want", "feel", "sad", "class")
+        assert preprocess(text, custom).tokens == ("me", "want", "toward", "class")
+        assert custom._lemma_cache is not cfg._lemma_cache
+
+    def test_source_id_kept(self, cfg):
+        assert preprocess("i feel sad", cfg, source_id="t1").source_id == "t1"
+
+    def test_cache_bound(self, cfg, monkeypatch):
+        texts = ["i want to die", "crying classes feeling sad today", "the quick brown foxes",
+                 "didn't sleep, can't eat #tired", "dying studies houses wanted"] * 3
+        monkeypatch.setattr(preprocess_mod, "LEMMA_CACHE_MAX", 4)
+        bounded = dataclasses.replace(cfg)
+        for text in texts:
+            assert preprocess(text, bounded).tokens == preprocess_reference(text, cfg)
+            assert len(bounded._lemma_cache) <= 4
+
+    def test_shared_cache_under_threads(self, cfg, monkeypatch):
+        # the serve loop and a checker thread may share one config; with a
+        # tiny bound the cache is cleared while other threads read it
+        texts = ["i want to die", "crying classes feeling sad today", "the quick brown foxes",
+                 "didn't sleep, can't eat #tired", "dying studies houses wanted"]
+        expected = [preprocess_reference(t, cfg) for t in texts]
+        monkeypatch.setattr(preprocess_mod, "LEMMA_CACHE_MAX", 3)
+        shared = dataclasses.replace(cfg)
+        wrong = []
+
+        def work():
+            for _ in range(200):
+                for text, want in zip(texts, expected):
+                    if preprocess(text, shared).tokens != want:
+                        wrong.append(text)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+
+    def test_empty_contraction_table(self, cfg):
+        bare = dataclasses.replace(cfg, contraction_table={})
+        assert preprocess("i can't feel", bare).tokens == ("cant", "feel")
 
 
 class TestConfig:
