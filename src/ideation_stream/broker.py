@@ -21,8 +21,10 @@ immediately and never block producers except for the per-partition append
 lock held during segment rotation.
 
 On reopen, segments are scanned and a torn tail (short frame or CRC
-mismatch) is truncated away: at-least-once delivery for acked records,
-never a gap mid-partition.
+mismatch) of a partition's last segment is truncated away: at-least-once
+delivery for acked records, never a gap mid-partition. An earlier, sealed
+segment must scan clean; a bad frame there raises ``CorruptPayload``
+rather than drop acked records behind it.
 """
 
 from __future__ import annotations
@@ -114,8 +116,10 @@ class _Segment:
         self.size = 0
         self.fd = -1
 
-    def open_and_scan(self) -> None:
-        """Index every intact frame; truncate a torn tail in place."""
+    def open_and_scan(self, sealed: bool) -> None:
+        """Index every intact frame. A torn tail of the active segment is
+        truncated in place; a sealed segment must scan clean, and one that
+        does not is left untouched and raises ``CorruptPayload``."""
         self.fd = os.open(self.path, os.O_RDWR | os.O_CREAT, 0o644)
         file_size = os.fstat(self.fd).st_size
         pos = 0
@@ -133,6 +137,10 @@ class _Segment:
             self.positions.append(pos)
             pos += _HEADER.size + body_len
         if pos < file_size:
+            if sealed:
+                self.close()
+                raise CorruptPayload(f"{self.path}: sealed segment has a bad frame at byte "
+                                     f"{pos} of {file_size}")
             os.ftruncate(self.fd, pos)
         self.size = pos
 
@@ -167,9 +175,9 @@ class _Partition:
         paths = sorted(self.dir.glob("*.log"))
         if not paths:
             paths = [self.dir / f"{0:020d}.log"]
-        for path in paths:
+        for i, path in enumerate(paths):
             seg = _Segment(path, base_offset=int(path.stem))
-            seg.open_and_scan()
+            seg.open_and_scan(sealed=i < len(paths) - 1)
             self.segments.append(seg)
 
     @property
@@ -185,7 +193,7 @@ class _Partition:
                     os.fsync(seg.fd)  # retire the old segment fully synced
                     self.unsynced = 0
                 new = _Segment(self.dir / f"{self.end_offset:020d}.log", self.end_offset)
-                new.open_and_scan()
+                new.open_and_scan(sealed=False)
                 self.segments.append(new)
                 seg = new
             offset = seg.append(frame)

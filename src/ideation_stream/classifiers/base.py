@@ -1,7 +1,7 @@
 """Dataset container, model artifact, and prediction dispatch.
 
 Feature rows are one CSR ``SparseBatch``, which trainers and scorers read
-directly; the tree learners add a CSC view. Weight vectors are dense.
+directly. Weight vectors are dense.
 Every kind scores a whole batch through its ``score_batch``. The positive
 class is 1 (= suicide).
 """
@@ -60,20 +60,9 @@ class LabeledDataset:
         self.batch = batch
         self.labels = labels
         self.dim = batch.dim
-        self._csc: tuple | None = None
 
     def __len__(self) -> int:
         return self.batch.n_rows
-
-    def csc(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(col_ptr, row_idx, col_values) over nonzero entries."""
-        if self._csc is None:
-            b = self.batch
-            order = np.argsort(b.indices, kind="stable")
-            col_ptr = np.zeros(self.dim + 1, dtype=np.int64)
-            np.cumsum(np.bincount(b.indices, minlength=self.dim), out=col_ptr[1:])
-            self._csc = (col_ptr, b.row_ids[order], b.values[order])
-        return self._csc
 
     def subset(self, rows: Sequence[int] | np.ndarray) -> "LabeledDataset":
         return LabeledDataset(self.batch.take(rows), self.labels[rows])

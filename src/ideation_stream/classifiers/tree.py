@@ -8,8 +8,12 @@ Ties between equal gains go to the lower feature index, then the lower
 threshold; a zero-gain split is still taken when the node is impure, which
 is what lets depth-2 trees carve XOR-shaped data.
 
-Bootstrap resampling is encoded as integer row weights so node bookkeeping
-stays set-based. Forest scores are the mean of per-tree leaf fractions.
+Each node carries its rows and its own stored entries as (column, row,
+value) arrays sorted by column, then row; a split hands each child the
+entries of its rows. The sort is made once per ``train_dt`` / ``train_rf``
+call, so a forest's trees share it. Bootstrap resampling is encoded as
+integer row weights, and a zero-weight row's entries are dropped at the
+root. Forest scores are the mean of per-tree leaf fractions.
 """
 
 from __future__ import annotations
@@ -44,42 +48,31 @@ class ForestParams:
     trees: list[TreeParams] = field(default_factory=list)
 
 
-def _build_tree(data: LabeledDataset, max_depth: int, min_leaf: int,
-                weights: np.ndarray, feature_sampler=None, rng=None) -> TreeParams:
-    col_ptr, col_rows, col_vals = data.csc()
-    labels = data.labels.astype(np.int64)
-    n = len(data)
+def _entries(data: LabeledDataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(column, row, value) of every stored entry, sorted by column, then row."""
+    b = data.batch
+    order = np.argsort(b.indices, kind="stable")  # CSR entries already ascend by row
+    return b.indices[order], b.row_ids[order], b.values[order]
+
+
+def _build_tree(entries: tuple[np.ndarray, np.ndarray, np.ndarray], labels: np.ndarray,
+                max_depth: int, min_leaf: int, weights: np.ndarray,
+                feature_sampler=None, rng=None) -> TreeParams:
     w_pos_all = weights * labels
+    # one [feature, threshold, left, right, count_neg, count_pos] per node, the root first
+    nodes: list[list] = [[-1, 0.0, -1, -1, 0, 0]]
 
-    feat: list[int] = []
-    thr: list[float] = []
-    left: list[int] = []
-    right: list[int] = []
-    c_neg: list[int] = []
-    c_pos: list[int] = []
-
-    def alloc() -> int:
-        feat.append(-1)
-        thr.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        c_neg.append(0)
-        c_pos.append(0)
-        return len(feat) - 1
-
-    def best_split(rows: np.ndarray, candidates: np.ndarray,
-                   pos_w: float, neg_w: float):
+    def best_split(cols: np.ndarray, ent_rows: np.ndarray, vals: np.ndarray,
+                   candidates: np.ndarray, pos_w: float, neg_w: float):
         tot_w = pos_w + neg_w
         parent = tot_w - (pos_w * pos_w + neg_w * neg_w) / tot_w  # tot * gini
-        in_node = np.zeros(n, dtype=bool)
-        in_node[rows] = True
         best_gain = -math.inf
         best = None
-        for j in candidates:
-            lo, hi = col_ptr[j], col_ptr[j + 1]
-            sel = in_node[col_rows[lo:hi]]
-            rj = col_rows[lo:hi][sel]
-            vj = col_vals[lo:hi][sel]
+        starts = np.searchsorted(cols, candidates, side="left")
+        ends = np.searchsorted(cols, candidates, side="right")
+        for j, lo, hi in zip(candidates.tolist(), starts.tolist(), ends.tolist()):
+            rj = ent_rows[lo:hi]
+            vj = vals[lo:hi]
             nz_pos = float(w_pos_all[rj].sum())
             nz_tot = float(weights[rj].sum())
             z_pos = pos_w - nz_pos
@@ -119,55 +112,45 @@ def _build_tree(data: LabeledDataset, max_depth: int, min_leaf: int,
             idx = int(np.argmax(gains))  # argmax takes the first max: lowest threshold
             if gains[idx] > best_gain:
                 best_gain = float(gains[idx])
-                best = (int(j), float(thresholds[idx]))
+                best = (j, float(thresholds[idx]))
         return best
 
-    def partition(rows: np.ndarray, j: int, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """``rows`` split by the scorer's rule ``x <= t``, each side in order."""
-        lo, hi = col_ptr[j], col_ptr[j + 1]
-        x = np.zeros(n)
-        x[col_rows[lo:hi]] = col_vals[lo:hi]
-        goes_left = x[rows] <= t
-        return rows[goes_left], rows[~goes_left]
-
-    root = alloc()
-    all_rows = np.flatnonzero(weights > 0).astype(np.int64)
-    stack = [(root, all_rows, max_depth)]
+    # a node is (slot, its rows ascending, its entries as in ``entries``, depth left)
+    kept = weights[entries[1]] > 0
+    stack = [(0, np.flatnonzero(weights > 0), tuple(e[kept] for e in entries), max_depth)]
     while stack:
-        slot, rows, depth = stack.pop()
+        slot, rows, node_entries, depth = stack.pop()
+        cols, ent_rows, vals = node_entries
         pos_w = float(w_pos_all[rows].sum())
         tot_w = float(weights[rows].sum())
         neg_w = tot_w - pos_w
-        c_neg[slot] = int(neg_w)
-        c_pos[slot] = int(pos_w)
+        node = nodes[slot]
+        node[4], node[5] = int(neg_w), int(pos_w)
         if pos_w == 0 or neg_w == 0 or depth == 0 or tot_w < 2 * min_leaf:
             continue
         # a column with no entry in the node holds only 0 and cannot split
-        candidates = np.unique(data.batch.take(rows).indices)
+        candidates = np.unique(cols)
         if feature_sampler is not None:
             candidates = np.intersect1d(feature_sampler(rng), candidates, assume_unique=True)
-        found = best_split(rows, candidates, pos_w, neg_w)
+        found = best_split(cols, ent_rows, vals, candidates, pos_w, neg_w)
         if found is None:
             continue
         j, t = found
-        left_rows, right_rows = partition(rows, j, t)
-        feat[slot] = j
-        thr[slot] = t
-        l = alloc()
-        r = alloc()
-        left[slot] = l
-        right[slot] = r
-        stack.append((r, right_rows, depth - 1))
-        stack.append((l, left_rows, depth - 1))
+        # the scorer's rule x <= t, where a row without an entry in column j holds 0
+        at = np.searchsorted(rows, ent_rows)  # each entry's position among the rows
+        lo, hi = np.searchsorted(cols, [j, j + 1])
+        goes_left = np.full(rows.size, 0.0 <= t)
+        goes_left[at[lo:hi]] = vals[lo:hi] <= t
+        entry_left = goes_left[at]
+        node[:4] = [j, t, len(nodes), len(nodes) + 1]
+        nodes += [[-1, 0.0, -1, -1, 0, 0] for _ in range(2)]
+        stack.append((node[3], rows[~goes_left], tuple(e[~entry_left] for e in node_entries),
+                      depth - 1))
+        stack.append((node[2], rows[goes_left], tuple(e[entry_left] for e in node_entries),
+                      depth - 1))
 
-    return TreeParams(
-        feature=np.asarray(feat, dtype=np.int64),
-        threshold=np.asarray(thr, dtype=np.float64),
-        left=np.asarray(left, dtype=np.int64),
-        right=np.asarray(right, dtype=np.int64),
-        count_neg=np.asarray(c_neg, dtype=np.int64),
-        count_pos=np.asarray(c_pos, dtype=np.int64),
-    )
+    dtypes = (np.int64, np.float64, np.int64, np.int64, np.int64, np.int64)
+    return TreeParams(*(np.asarray(column, dtype=d) for column, d in zip(zip(*nodes), dtypes)))
 
 
 def train_dt(data: LabeledDataset, max_depth: int = 16, min_leaf: int = 1,
@@ -177,7 +160,7 @@ def train_dt(data: LabeledDataset, max_depth: int = 16, min_leaf: int = 1,
     if impurity != "gini":
         raise ValueError(f"only gini impurity is implemented, got {impurity!r}")
     weights = np.ones(len(data), dtype=np.int64)
-    tree = _build_tree(data, max_depth, min_leaf, weights)
+    tree = _build_tree(_entries(data), data.labels, max_depth, min_leaf, weights)
     meta = {"max_depth": max_depth, "min_leaf": min_leaf, "impurity": impurity,
             "seed": seed, "n_nodes": tree.n_nodes}
     return ModelArtifact(kind=ModelKind.DT, dim=data.dim, params=tree, training_meta=meta)
@@ -197,6 +180,7 @@ def train_rf(data: LabeledDataset, num_trees: int = 100, feature_fraction: float
     def sampler(rng):
         return np.sort(rng.choice(data.dim, size=m, replace=False))
 
+    entries = _entries(data)
     trees = []
     for child in children:
         rng = np.random.default_rng(child)
@@ -204,7 +188,7 @@ def train_rf(data: LabeledDataset, num_trees: int = 100, feature_fraction: float
             weights = np.bincount(rng.integers(0, n, size=n), minlength=n).astype(np.int64)
         else:
             weights = np.ones(n, dtype=np.int64)
-        trees.append(_build_tree(data, max_depth, min_leaf, weights,
+        trees.append(_build_tree(entries, data.labels, max_depth, min_leaf, weights,
                                  feature_sampler=sampler, rng=rng))
     meta = {"num_trees": num_trees, "feature_fraction": feature_fraction,
             "max_depth": max_depth, "min_leaf": min_leaf, "bootstrap": bootstrap,

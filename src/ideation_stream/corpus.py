@@ -46,9 +46,6 @@ class CleanupReport:
     duplicates_removed: int = 0
     empty_removed: int = 0
 
-    def total_removed(self) -> int:
-        return self.duplicates_removed + self.empty_removed
-
 
 @dataclass
 class Corpus:
@@ -121,15 +118,6 @@ def load_csv(path, text_column: str, label_column: str | None = None) -> Corpus:
     if not documents:
         raise EmptyCorpus(f"{path}: zero usable rows")
     return Corpus(documents=documents, load_report=report)
-
-
-def save_csv(corpus: Corpus, path, text_column: str = "text", label_column: str = "class") -> None:
-    """Inverse of load_csv for fixtures and round-trips (RFC-4180 quoting)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([text_column, label_column])
-        for doc in corpus.documents:
-            writer.writerow([doc.text, doc.label if doc.label is not None else ""])
 
 
 def normalized_text_key(text: str) -> str:

@@ -1,5 +1,6 @@
-"""Confusion matrices, accuracy/precision/recall/F1, rank-statistic
-ROC-AUC, and per-class term frequency rankings.
+"""Confusion matrices, accuracy/precision/recall/F1, ROC-AUC and ROC
+points from one grouped pass over the scores, and per-class term
+frequency rankings.
 
 Precision/recall/F1 come in two flavors: ``positive`` scores the positive
 class alone (the textbook formulas); ``weighted`` averages per-class scores
@@ -119,54 +120,42 @@ def metrics(cm: ConfusionMatrix, averaging: Averaging | str = Averaging.WEIGHTED
     return report
 
 
-def roc_auc(scores: Sequence[float], gold: Sequence[int]) -> float:
-    """Probability that a random positive outscores a random negative,
-    ties counting half: (concordant + 0.5 * tied) / (P * N). Computed from
-    average ranks in O(n log n); equals trapezoidal ROC integration."""
+def _roc_groups(scores: Sequence[float],
+                gold: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows grouped by equal score, highest score first: each group's
+    threshold (the score of its first row in stable descending order, so
+    a group of 0.0 and -0.0 keeps the sign it meets first), and its
+    positive and negative counts."""
     scores = np.asarray(scores, dtype=np.float64)
     gold = np.asarray(gold)
     if len(scores) != len(gold):
         raise LengthMismatch(f"{len(scores)} scores vs {len(gold)} gold labels")
-    n_pos = int((gold == 1).sum())
-    n_neg = int((gold == 0).sum())
-    if n_pos == 0 or n_neg == 0:
-        raise SingleClass("ROC-AUC needs both classes in the gold labels")
-    order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(len(scores), dtype=np.float64)
-    sorted_scores = scores[order]
-    i = 0
-    while i < len(sorted_scores):
-        j = i
-        while j + 1 < len(sorted_scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0  # average 1-based rank
-        i = j + 1
-    pos_rank_sum = float(ranks[gold == 1].sum())
-    return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+    _, first, group = np.unique(-scores, return_index=True, return_inverse=True)
+    pos = np.bincount(group[gold == 1], minlength=first.size)
+    neg = np.bincount(group[gold == 0], minlength=first.size)
+    if not pos.any() or not neg.any():
+        raise SingleClass("ROC needs both classes in the gold labels")
+    return scores[first], pos, neg
+
+
+def roc_auc(scores: Sequence[float], gold: Sequence[int]) -> float:
+    """Probability that a random positive outscores a random negative,
+    ties counting half: (concordant + 0.5 * tied) / (P * N). Summed per
+    score group in O(n log n); equals trapezoidal ROC integration."""
+    _, pos, neg = _roc_groups(scores, gold)
+    pos_above = np.cumsum(pos) - pos
+    # twice the concordant-plus-half-tied count, exact in int64
+    twice = int((neg * (2 * pos_above + pos)).sum())
+    return twice / 2 / (int(pos.sum()) * int(neg.sum()))
 
 
 def roc_points(scores: Sequence[float], gold: Sequence[int]) -> list[tuple[float, float, float]]:
     """(fpr, tpr, threshold) points of the ROC curve, threshold descending."""
-    scores = np.asarray(scores, dtype=np.float64)
-    gold = np.asarray(gold)
-    n_pos = int((gold == 1).sum())
-    n_neg = int((gold == 0).sum())
-    if n_pos == 0 or n_neg == 0:
-        raise SingleClass("ROC points need both classes in the gold labels")
-    order = np.argsort(-scores, kind="mergesort")
-    points = [(0.0, 0.0, float("inf"))]
-    tp = fp = 0
-    i = 0
-    while i < len(order):
-        threshold = scores[order[i]]
-        while i < len(order) and scores[order[i]] == threshold:
-            if gold[order[i]] == 1:
-                tp += 1
-            else:
-                fp += 1
-            i += 1
-        points.append((fp / n_neg, tp / n_pos, float(threshold)))
-    return points
+    thresholds, pos, neg = _roc_groups(scores, gold)
+    fpr = np.cumsum(neg) / neg.sum()
+    tpr = np.cumsum(pos) / pos.sum()
+    return [(0.0, 0.0, float("inf"))] + list(zip(fpr.tolist(), tpr.tolist(),
+                                                 thresholds.tolist()))
 
 
 def top_terms(labeled_tokens: Iterable[tuple[Sequence[str], object]], cls,

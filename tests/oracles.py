@@ -7,6 +7,7 @@ the package internals.
 
 from __future__ import annotations
 
+import math
 import re
 from collections import Counter
 
@@ -167,3 +168,133 @@ def preprocess_reference(raw, config):
     tokens = " ".join(s.split()).split()
     kept = [t for t in tokens if t not in config.stopword_list]
     return tuple(lemma_reference(t, config) for t in kept)
+
+
+def build_tree_reference(indptr, indices, values, labels, max_depth, min_leaf, weights,
+                         feature_sampler=None, rng=None):
+    """The six tree arrays (feature, threshold, left, right, count_neg,
+    count_pos) of the Gini tree learner, searched column by column over a
+    whole-dataset CSC view with an n-row node mask, and split through a
+    dense copy of the chosen column."""
+    max_thresholds = 32
+    n = len(indptr) - 1
+    row_ids = np.repeat(np.arange(n), np.diff(indptr))
+    order = np.argsort(indices, kind="stable")
+    dim_end = int(indices.max()) + 1 if len(indices) else 0
+    col_ptr = np.zeros(dim_end + 1, dtype=np.int64)
+    np.cumsum(np.bincount(indices, minlength=dim_end), out=col_ptr[1:])
+    col_rows, col_vals = row_ids[order], values[order]
+    labels = np.asarray(labels).astype(np.int64)
+    w_pos_all = weights * labels
+
+    feat, thr, left, right, c_neg, c_pos = [], [], [], [], [], []
+
+    def alloc():
+        feat.append(-1)
+        thr.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        c_neg.append(0)
+        c_pos.append(0)
+        return len(feat) - 1
+
+    def best_split(rows, candidates, pos_w, neg_w):
+        tot_w = pos_w + neg_w
+        parent = tot_w - (pos_w * pos_w + neg_w * neg_w) / tot_w
+        in_node = np.zeros(n, dtype=bool)
+        in_node[rows] = True
+        best_gain = -math.inf
+        best = None
+        for j in candidates:
+            lo, hi = col_ptr[j], col_ptr[j + 1]
+            sel = in_node[col_rows[lo:hi]]
+            rj = col_rows[lo:hi][sel]
+            vj = col_vals[lo:hi][sel]
+            nz_pos = float(w_pos_all[rj].sum())
+            nz_tot = float(weights[rj].sum())
+            z_pos = pos_w - nz_pos
+            z_neg = neg_w - (nz_tot - nz_pos)
+            uniq = np.unique(vj)
+            if z_pos + z_neg > 0:
+                uniq = np.union1d(uniq, [0.0])
+            if uniq.size < 2:
+                continue
+            if uniq.size - 1 > max_thresholds:
+                pick_idx = np.linspace(0, uniq.size - 1, max_thresholds + 1).round().astype(np.int64)
+                uniq = uniq[np.unique(pick_idx)]
+            thresholds = (uniq[:-1] + uniq[1:]) / 2.0
+
+            order = np.argsort(vj, kind="stable")
+            sv = vj[order]
+            cum_pos = np.concatenate(([0.0], np.cumsum(w_pos_all[rj][order])))
+            cum_tot = np.concatenate(([0.0], np.cumsum(weights[rj][order])))
+            k = np.searchsorted(sv, thresholds, side="right")
+            l_pos = cum_pos[k]
+            l_tot = cum_tot[k]
+            zero_left = thresholds >= 0.0
+            l_pos = l_pos + z_pos * zero_left
+            l_tot = l_tot + (z_pos + z_neg) * zero_left
+            l_neg = l_tot - l_pos
+            r_pos = pos_w - l_pos
+            r_neg = neg_w - l_neg
+            r_tot = tot_w - l_tot
+
+            valid = (l_tot >= min_leaf) & (r_tot >= min_leaf)
+            if not valid.any():
+                continue
+            with np.errstate(divide="ignore", invalid="ignore"):
+                child = np.where(l_tot > 0, l_tot - (l_pos ** 2 + l_neg ** 2) / l_tot, 0.0) \
+                    + np.where(r_tot > 0, r_tot - (r_pos ** 2 + r_neg ** 2) / r_tot, 0.0)
+            gains = np.where(valid, (parent - child) / tot_w, -math.inf)
+            idx = int(np.argmax(gains))
+            if gains[idx] > best_gain:
+                best_gain = float(gains[idx])
+                best = (int(j), float(thresholds[idx]))
+        return best
+
+    def partition(rows, j, t):
+        lo, hi = col_ptr[j], col_ptr[j + 1]
+        x = np.zeros(n)
+        x[col_rows[lo:hi]] = col_vals[lo:hi]
+        goes_left = x[rows] <= t
+        return rows[goes_left], rows[~goes_left]
+
+    root = alloc()
+    all_rows = np.flatnonzero(weights > 0).astype(np.int64)
+    stack = [(root, all_rows, max_depth)]
+    while stack:
+        slot, rows, depth = stack.pop()
+        pos_w = float(w_pos_all[rows].sum())
+        tot_w = float(weights[rows].sum())
+        neg_w = tot_w - pos_w
+        c_neg[slot] = int(neg_w)
+        c_pos[slot] = int(pos_w)
+        if pos_w == 0 or neg_w == 0 or depth == 0 or tot_w < 2 * min_leaf:
+            continue
+        in_node = np.zeros(n, dtype=bool)
+        in_node[rows] = True
+        candidates = np.unique(indices[in_node[row_ids]])
+        if feature_sampler is not None:
+            candidates = np.intersect1d(feature_sampler(rng), candidates, assume_unique=True)
+        found = best_split(rows, candidates, pos_w, neg_w)
+        if found is None:
+            continue
+        j, t = found
+        left_rows, right_rows = partition(rows, j, t)
+        feat[slot] = j
+        thr[slot] = t
+        l = alloc()
+        r = alloc()
+        left[slot] = l
+        right[slot] = r
+        stack.append((r, right_rows, depth - 1))
+        stack.append((l, left_rows, depth - 1))
+
+    return {
+        "feature": np.asarray(feat, dtype=np.int64),
+        "threshold": np.asarray(thr, dtype=np.float64),
+        "left": np.asarray(left, dtype=np.int64),
+        "right": np.asarray(right, dtype=np.int64),
+        "count_neg": np.asarray(c_neg, dtype=np.int64),
+        "count_pos": np.asarray(c_pos, dtype=np.int64),
+    }

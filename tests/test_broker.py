@@ -126,6 +126,25 @@ class TestConsume:
         records = broker.consume("t", "g", timeout_ms=2000)
         assert [r.value for r in records] == [b"ping"]
 
+    def test_round_robin_order_across_partitions(self, broker):
+        # one record per partition per round, in partition order, each
+        # partition from its committed offset; max_records may end a round
+        broker.create_topic("t", partitions=3)
+        keys = {}
+        for i in range(100):
+            keys.setdefault(fnv1a_32(f"k{i}".encode()) % 3, f"k{i}".encode())
+        for p, backlog in ((0, 5), (1, 2), (2, 7)):
+            for i in range(backlog):
+                assert broker.produce("t", f"{p}:{i}".encode(), key=keys[p]) == (p, i)
+        broker.commit("g", "t", {0: 1, 2: 3})
+        records = broker.consume("t", "g", max_records=9)
+        expected = [(0, 1), (1, 0), (2, 3),
+                    (0, 2), (1, 1), (2, 4),
+                    (0, 3), (2, 5),
+                    (0, 4)]
+        assert [(r.partition, r.offset) for r in records] == expected
+        assert [r.value for r in records] == [f"{p}:{o}".encode() for p, o in expected]
+
     def test_two_groups_independent(self, broker):
         broker.create_topic("t")
         for i in range(4):
@@ -229,6 +248,23 @@ class TestDurability:
             records = b.consume("t", "g", max_records=100)
             assert [r.value for r in records] == [str(i).encode() for i in range(10)]
             assert b.end_offsets("t") == [10]
+
+    def test_corrupt_sealed_segment_raises_and_keeps_the_file(self, tmp_path):
+        # a bad frame in a segment before the last is not a torn tail:
+        # truncating there would delete acked records behind it
+        root = tmp_path / "log"
+        with Broker(root, segment_bytes=256) as b:
+            b.create_topic("t")
+            for i in range(40):
+                b.produce("t", f"payload-{i:04d}".encode())
+        segs = sorted((root / "topics" / "t" / "0").glob("*.log"))
+        assert len(segs) == 6 and segs[0].stat().st_size == 252  # 7 frames of 36 bytes
+        damaged = bytearray(segs[0].read_bytes())
+        damaged[120] ^= 0xFF  # inside the fourth frame, which starts at byte 108
+        segs[0].write_bytes(bytes(damaged))
+        with pytest.raises(CorruptPayload, match=r"00000000000000000000\.log.* byte 108 "):
+            Broker(root, segment_bytes=256)
+        assert segs[0].read_bytes() == bytes(damaged)
 
 
 class TestConcurrency:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ideation_stream.classifiers import (LabeledDataset, ModelKind,
                                          predict, predict_batch, train_dt,
@@ -7,14 +9,15 @@ from ideation_stream.classifiers import (LabeledDataset, ModelKind,
                                          train_mlp, train_nb, train_rf)
 from ideation_stream.classifiers.linear import LinearParams, logistic_loss_grad
 from ideation_stream.classifiers.mlp import init_params, loss_and_grads
+from ideation_stream.classifiers import tree
 from ideation_stream.classifiers.tree import score_batch as tree_score_batch
 from ideation_stream.errors import (DegenerateLabels, DimensionMismatch,
                                     NegativeFeature)
 from ideation_stream.features import SparseBatch
 
-from conftest import (densify_first_layer, make_data, random_sparse_dataset,
-                      rows_of, stack)
-from oracles import mlp_scores_per_row
+from conftest import (densify_first_layer, make_data, make_vec,
+                      random_sparse_dataset, rows_of, stack)
+from oracles import build_tree_reference, mlp_scores_per_row
 
 
 class TestNaiveBayes:
@@ -173,6 +176,40 @@ class TestDecisionTree:
     def test_max_depth_validation(self, xor_toy):
         with pytest.raises(ValueError):
             train_dt(xor_toy, max_depth=0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 70), dim=st.integers(1, 6),
+           density=st.sampled_from([0.05, 0.3, 0.7]), repeated=st.booleans(),
+           wide=st.booleans(), weighting=st.sampled_from(["ones", "bootstrap", "sparse"]),
+           max_depth=st.integers(1, 6), min_leaf=st.integers(1, 5), sampled=st.booleans())
+    def test_builder_equals_reference(self, seed, n, dim, density, repeated, wide,
+                                      weighting, max_depth, min_leaf, sampled):
+        rng = np.random.default_rng(seed)
+        x = np.zeros((n, dim + 1))  # the last column stays all zero
+        if repeated:
+            picks = rng.choice([-1.5, -0.5, 0.5, 1.0, 2.0], size=(n, dim))
+        else:
+            picks = np.round(rng.normal(0.0, 2.0, size=(n, dim)), 3)
+        x[:, :dim] = np.where(rng.random((n, dim)) < density, picks, 0.0)
+        if wide:  # distinct values in ~90% of column 0: past 33 of them for n near 40 and up
+            x[:, 0] = np.where(rng.random(n) < 0.9, rng.permutation(n) + 1.0, 0.0)
+        x[rng.random(n) < 0.15] = 0.0  # empty rows
+        rows = [make_vec(dim + 1, [(j, x[i, j]) for j in np.flatnonzero(x[i])]) for i in range(n)]
+        data = make_data(rows, rng.integers(0, 2, size=n))
+        weights = {"ones": np.ones(n, dtype=np.int64),
+                   "bootstrap": np.bincount(rng.integers(0, n, size=n), minlength=n),
+                   "sparse": rng.integers(0, 3, size=n)}[weighting].astype(np.int64)
+        m = int(rng.integers(1, dim + 2))
+        sampler = (lambda r: np.sort(r.choice(dim + 1, size=m, replace=False))) if sampled else None
+
+        got = tree._build_tree(tree._entries(data), data.labels, max_depth, min_leaf, weights,
+                               feature_sampler=sampler, rng=np.random.default_rng(seed))
+        want = build_tree_reference(data.batch.indptr, data.batch.indices, data.batch.values,
+                                    data.labels, max_depth, min_leaf, weights,
+                                    feature_sampler=sampler, rng=np.random.default_rng(seed))
+        for name, array in want.items():
+            assert getattr(got, name).dtype == array.dtype
+            assert getattr(got, name).tobytes() == array.tobytes(), name
 
 
 class TestRandomForest:
