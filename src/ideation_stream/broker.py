@@ -177,8 +177,8 @@ class _Partition:
             paths = [self.dir / f"{0:020d}.log"]
         for i, path in enumerate(paths):
             seg = _Segment(path, base_offset=int(path.stem))
+            self.segments.append(seg)  # registered first, so a failed open still closes it
             seg.open_and_scan(sealed=i < len(paths) - 1)
-            self.segments.append(seg)
 
     @property
     def end_offset(self) -> int:
@@ -234,8 +234,8 @@ class _Topic:
     def open(self) -> None:
         for i in range(self.config.partitions):
             part = _Partition(self.dir / str(i))
-            part.open()
             self.partitions.append(part)
+            part.open()
 
 
 class Broker:
@@ -254,7 +254,13 @@ class Broker:
         self._data_ready = threading.Condition(self._lock)
         (self.root / "topics").mkdir(parents=True, exist_ok=True)
         (self.root / "groups").mkdir(parents=True, exist_ok=True)
-        self._recover()
+        try:
+            self._recover()
+        except BaseException:  # close what was opened so far, without an fsync
+            for topic in self._topics.values():
+                for part in topic.partitions:
+                    part.close()
+            raise
 
     # -- lifecycle -------------------------------------------------------
 
@@ -269,8 +275,8 @@ class Broker:
             except (KeyError, ValueError) as exc:
                 raise CorruptPayload(f"{meta}: bad topic metadata ({exc})") from None
             topic = _Topic(config, topic_dir)
-            topic.open()
             self._topics[config.name] = topic
+            topic.open()
         for group_file in (self.root / "groups").glob("*.json"):
             self._groups[group_file.stem] = _load_json_object(group_file)
 

@@ -8,6 +8,16 @@ Ties between equal gains go to the lower feature index, then the lower
 threshold; a zero-gain split is still taken when the node is impure, which
 is what lets depth-2 trees carve XOR-shaped data.
 
+A node's split search is one vectorized pass over all its candidate
+columns, the exact greedy search over sorted column blocks of XGBoost
+(Chen & Guestrin, KDD 2016): the node's entries are sorted by (column,
+value), with a weight-0 entry at 0.0 standing for each column's implicit
+zeros; runs of one (column, value) are the unique values; one cumulative
+sum of the integer row weights gives every threshold's left side, found by
+one ``searchsorted``; and one ``argmax`` over the gains in (column,
+threshold) order picks the split. Integer weights keep every sum exact, so
+the trees equal those of a column-by-column search.
+
 Each node carries its rows and its own stored entries as (column, row,
 value) arrays sorted by column, then row; a split hands each child the
 entries of its rows. The sort is made once per ``train_dt`` / ``train_rf``
@@ -55,6 +65,14 @@ def _entries(data: LabeledDataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return b.indices[order], b.row_ids[order], b.values[order]
 
 
+def _keys(rank: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """(rank, value) pairs as complex numbers, which numpy sorts and searches
+    by real part, then imaginary part."""
+    keys = np.empty(rank.size, dtype=np.complex128)
+    keys.real, keys.imag = rank, values
+    return keys
+
+
 def _build_tree(entries: tuple[np.ndarray, np.ndarray, np.ndarray], labels: np.ndarray,
                 max_depth: int, min_leaf: int, weights: np.ndarray,
                 feature_sampler=None, rng=None) -> TreeParams:
@@ -64,56 +82,68 @@ def _build_tree(entries: tuple[np.ndarray, np.ndarray, np.ndarray], labels: np.n
 
     def best_split(cols: np.ndarray, ent_rows: np.ndarray, vals: np.ndarray,
                    candidates: np.ndarray, pos_w: float, neg_w: float):
+        if candidates.size == 0:
+            return None
         tot_w = pos_w + neg_w
         parent = tot_w - (pos_w * pos_w + neg_w * neg_w) / tot_w  # tot * gini
-        best_gain = -math.inf
-        best = None
-        starts = np.searchsorted(cols, candidates, side="left")
-        ends = np.searchsorted(cols, candidates, side="right")
-        for j, lo, hi in zip(candidates.tolist(), starts.tolist(), ends.tolist()):
-            rj = ent_rows[lo:hi]
-            vj = vals[lo:hi]
-            nz_pos = float(w_pos_all[rj].sum())
-            nz_tot = float(weights[rj].sum())
-            z_pos = pos_w - nz_pos
-            z_neg = neg_w - (nz_tot - nz_pos)
-            uniq = np.unique(vj)
-            if z_pos + z_neg > 0:
-                uniq = np.union1d(uniq, [0.0])
-            if uniq.size < 2:
-                continue
-            if uniq.size - 1 > _MAX_THRESHOLDS:
-                pick_idx = np.linspace(0, uniq.size - 1, _MAX_THRESHOLDS + 1).round().astype(np.int64)
-                uniq = uniq[np.unique(pick_idx)]
-            thresholds = (uniq[:-1] + uniq[1:]) / 2.0
+        # each entry's column as its rank among the candidates; other columns' entries go
+        rank = np.searchsorted(candidates, cols)
+        if feature_sampler is not None:
+            keep = candidates[np.minimum(rank, candidates.size - 1)] == cols
+            rank, ent_rows, vals = rank[keep], ent_rows[keep], vals[keep]
+        w_tot, w_pos = weights[ent_rows], w_pos_all[ent_rows]
+        nz_tot = np.bincount(rank, weights=w_tot, minlength=candidates.size)
+        nz_pos = np.bincount(rank, weights=w_pos, minlength=candidates.size)
+        z_pos = pos_w - nz_pos
+        z_neg = neg_w - (nz_tot - nz_pos)
+        # a weight-0 entry at 0.0 puts the implicit zeros' value among a column's values
+        z_cols = np.flatnonzero(z_pos + z_neg > 0)
+        zero = np.zeros(z_cols.size, dtype=w_tot.dtype)
+        keys = _keys(np.concatenate((rank, z_cols)), np.concatenate((vals, np.zeros(z_cols.size))))
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        cum_tot = np.concatenate(([0], np.cumsum(np.concatenate((w_tot, zero))[order])))
+        cum_pos = np.concatenate(([0], np.cumsum(np.concatenate((w_pos, zero))[order])))
 
-            order = np.argsort(vj, kind="stable")
-            sv = vj[order]
-            cum_pos = np.concatenate(([0.0], np.cumsum(w_pos_all[rj][order])))
-            cum_tot = np.concatenate(([0.0], np.cumsum(weights[rj][order])))
-            k = np.searchsorted(sv, thresholds, side="right")
-            l_pos = cum_pos[k]
-            l_tot = cum_tot[k]
-            zero_left = thresholds >= 0.0
-            l_pos = l_pos + z_pos * zero_left
-            l_tot = l_tot + (z_pos + z_neg) * zero_left
-            l_neg = l_tot - l_pos
-            r_pos = pos_w - l_pos
-            r_neg = neg_w - l_neg
-            r_tot = tot_w - l_tot
+        # groups are runs of one (column, value); at most 33 evenly spaced picks per column
+        first = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+        g_rank = keys.real[first].astype(np.int64)
+        col_first = np.flatnonzero(np.concatenate(([True], g_rank[1:] != g_rank[:-1])))
+        u = np.diff(np.append(col_first, first.size))  # groups per column
+        picked = np.repeat(u <= _MAX_THRESHOLDS + 1, u)
+        for size in np.unique(u[u > _MAX_THRESHOLDS + 1]).tolist():
+            pick = np.linspace(0, size - 1, _MAX_THRESHOLDS + 1).round().astype(np.int64)
+            picked[(col_first[u == size, None] + pick).ravel()] = True  # 33 distinct picks
+        picks = np.flatnonzero(picked)
+        same_col = g_rank[picks[1:]] == g_rank[picks[:-1]]
+        lo, hi = picks[:-1][same_col], picks[1:][same_col]
+        if lo.size == 0:
+            return None
+        t_rank = g_rank[lo]
+        g_val = keys.imag[first]
+        thresholds = (g_val[lo] + g_val[hi]) / 2.0
 
-            valid = (l_tot >= min_leaf) & (r_tot >= min_leaf)
-            if not valid.any():
-                continue
-            with np.errstate(divide="ignore", invalid="ignore"):
-                child = np.where(l_tot > 0, l_tot - (l_pos ** 2 + l_neg ** 2) / l_tot, 0.0) \
-                    + np.where(r_tot > 0, r_tot - (r_pos ** 2 + r_neg ** 2) / r_tot, 0.0)
-            gains = np.where(valid, (parent - child) / tot_w, -math.inf)
-            idx = int(np.argmax(gains))  # argmax takes the first max: lowest threshold
-            if gains[idx] > best_gain:
-                best_gain = float(gains[idx])
-                best = (j, float(thresholds[idx]))
-        return best
+        # left of a threshold: its column's entries at or below it, skipped values too
+        k = np.searchsorted(keys, _keys(t_rank, thresholds), side="right")
+        start = first[col_first][t_rank]
+        zero_left = thresholds >= 0.0
+        z_pos, z_neg = z_pos[t_rank], z_neg[t_rank]
+        l_pos = (cum_pos[k] - cum_pos[start]) + z_pos * zero_left
+        l_tot = (cum_tot[k] - cum_tot[start]) + (z_pos + z_neg) * zero_left
+        l_neg = l_tot - l_pos
+        r_pos = pos_w - l_pos
+        r_neg = neg_w - l_neg
+        r_tot = tot_w - l_tot
+
+        valid = (l_tot >= min_leaf) & (r_tot >= min_leaf)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            child = np.where(l_tot > 0, l_tot - (l_pos ** 2 + l_neg ** 2) / l_tot, 0.0) \
+                + np.where(r_tot > 0, r_tot - (r_pos ** 2 + r_neg ** 2) / r_tot, 0.0)
+        gains = np.where(valid, (parent - child) / tot_w, -math.inf)
+        idx = int(np.argmax(gains))  # the first max: lowest column, then lowest threshold
+        if gains[idx] == -math.inf:
+            return None
+        return int(candidates[t_rank[idx]]), float(thresholds[idx])
 
     # a node is (slot, its rows ascending, its entries as in ``entries``, depth left)
     kept = weights[entries[1]] > 0

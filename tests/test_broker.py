@@ -1,3 +1,4 @@
+import os
 import signal
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from ideation_stream.broker import Broker, TopicConfig
+from ideation_stream.cli import main
 from ideation_stream.errors import (CorruptPayload, OffsetOutOfRange, TopicExists,
                                     UnknownTopic)
 from ideation_stream.hashutil import fnv1a_32
@@ -265,6 +267,34 @@ class TestDurability:
         with pytest.raises(CorruptPayload, match=r"00000000000000000000\.log.* byte 108 "):
             Broker(root, segment_bytes=256)
         assert segs[0].read_bytes() == bytes(damaged)
+
+    @pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="counts /proc/self/fd")
+    @pytest.mark.parametrize("damage", ["topic.json", "sealed segment"])
+    def test_failed_open_closes_what_it_opened(self, tmp_path, damage):
+        # topic "a" opens whole before topic "b" fails: 3 partitions of 2
+        # segments each, plus what "b" opened before its bad file
+        root = tmp_path / "log"
+        with Broker(root, segment_bytes=256) as b:
+            for name in ("a", "b"):
+                b.create_topic(name, partitions=3)
+                for i in range(30):
+                    b.produce(name, f"payload-{i:04d}".encode())
+        if damage == "topic.json":
+            bad = root / "topics" / "b" / "topic.json"
+            bad.write_text("{trunc", "utf-8")
+        else:
+            bad = sorted((root / "topics" / "b" / "2").glob("*.log"))[0]
+            damaged = bytearray(bad.read_bytes())
+            damaged[20] ^= 0xFF
+            bad.write_bytes(bytes(damaged))
+        before = bad.read_bytes()
+        open_fds = len(os.listdir("/proc/self/fd"))
+        for _ in range(5):
+            with pytest.raises(CorruptPayload):
+                Broker(root, segment_bytes=256)
+            assert main(["broker", "offsets", "--broker-dir", str(root), "--topic", "a"]) == 51
+        assert len(os.listdir("/proc/self/fd")) == open_fds
+        assert bad.read_bytes() == before
 
 
 class TestConcurrency:

@@ -211,6 +211,51 @@ class TestDecisionTree:
             assert getattr(got, name).dtype == array.dtype
             assert getattr(got, name).tobytes() == array.tobytes(), name
 
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(40, 200), dim=st.integers(8, 40),
+           weighting=st.sampled_from(["ones", "bootstrap", "sparse"]),
+           max_depth=st.integers(1, 6), min_leaf=st.integers(1, 8), sampled=st.booleans())
+    def test_builder_equals_reference_wide(self, seed, n, dim, weighting, max_depth,
+                                           min_leaf, sampled):
+        rng = np.random.default_rng(seed)
+        signed = lambda k: (rng.permutation(k) - k // 2 + 0.25) * rng.choice([0.5, 1.0, 3.0])
+        x = np.where(rng.random((n, dim)) < rng.choice([0.1, 0.4, 0.8]),
+                     rng.choice(signed(7), size=(n, dim)), 0.0)
+        cols = rng.permutation(dim)
+        # columns 0-3 of the shuffle hold exactly 33 or 34 (column, value)
+        # groups at the root, counting the implicit zero and not; 4-5 hold
+        # distinct values in most rows, well past 33 of them
+        for j, (groups, zeros) in zip(cols, [(33, False), (33, True), (34, False), (34, True)]):
+            k = groups - zeros
+            held = rng.permutation(n)[:n - int(rng.integers(1, n - k + 1))] if zeros else np.arange(n)
+            x[:, j] = 0.0
+            x[held, j] = signed(k)[np.arange(held.size) % k]  # each of the k values at least once
+        for j in cols[4:6]:
+            x[:, j] = np.where(rng.random(n) < 0.9, signed(n), 0.0)
+        # the label follows a column past 33 groups; copies of columns tie across columns
+        driver = x[:, rng.choice(cols[2:6])]
+        labels = ((driver > np.median(driver)) ^ (rng.random(n) < 0.1)).astype(np.int64)
+        for _ in range(int(rng.integers(1, 4))):
+            x[:, rng.choice(cols[6:])] = x[:, rng.choice(dim)]
+        rows, columns = np.nonzero(x)
+        batch = SparseBatch(dim, np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n)))),
+                            columns.astype(np.int64), x[rows, columns])
+        data = LabeledDataset(batch, labels)
+        weights = {"ones": np.ones(n, dtype=np.int64),
+                   "bootstrap": np.bincount(rng.integers(0, n, size=n), minlength=n),
+                   "sparse": rng.integers(0, 3, size=n)}[weighting].astype(np.int64)
+        m = int(rng.integers(1, dim + 1))
+        sampler = (lambda r: np.sort(r.choice(dim, size=m, replace=False))) if sampled else None
+
+        got = tree._build_tree(tree._entries(data), data.labels, max_depth, min_leaf, weights,
+                               feature_sampler=sampler, rng=np.random.default_rng(seed))
+        want = build_tree_reference(batch.indptr, batch.indices, batch.values, data.labels,
+                                    max_depth, min_leaf, weights, feature_sampler=sampler,
+                                    rng=np.random.default_rng(seed))
+        for name, array in want.items():
+            assert getattr(got, name).dtype == array.dtype
+            assert getattr(got, name).tobytes() == array.tobytes(), name
+
 
 class TestRandomForest:
     def test_degenerate_forest_equals_tree(self, fixture_dataset):
