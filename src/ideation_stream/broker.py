@@ -237,6 +237,10 @@ class _Topic:
             self.partitions.append(part)
             part.open()
 
+    def close(self) -> None:
+        for part in self.partitions:
+            part.close()
+
 
 class Broker:
     """Thread-safe embedded broker over one root directory."""
@@ -258,8 +262,7 @@ class Broker:
             self._recover()
         except BaseException:  # close what was opened so far, without an fsync
             for topic in self._topics.values():
-                for part in topic.partitions:
-                    part.close()
+                topic.close()
             raise
 
     # -- lifecycle -------------------------------------------------------
@@ -311,7 +314,12 @@ class Broker:
                                       sort_keys=True), "utf-8")
             os.replace(tmp, meta)
             topic = _Topic(config, topic_dir)
-            topic.open()
+            try:
+                topic.open()
+            except BaseException:  # close what was opened; the topic was never created
+                topic.close()
+                meta.unlink()
+                raise
             self._topics[config.name] = topic
 
     def topics(self) -> list[str]:

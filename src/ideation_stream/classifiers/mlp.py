@@ -44,9 +44,11 @@ def init_params(dim: int, hidden_layers: Sequence[int], seed: int) -> MLPParams:
 
 def _first_layer(batch: SparseBatch, w0: np.ndarray, b0: np.ndarray) -> np.ndarray:
     z = np.tile(b0, (batch.n_rows, 1))
-    for i, (a, b) in enumerate(zip(batch.indptr[:-1].tolist(), batch.indptr[1:].tolist())):
+    gathered = w0[batch.indices]
+    indptr = batch.indptr.tolist()
+    for i, (a, b) in enumerate(zip(indptr[:-1], indptr[1:])):
         if b > a:
-            z[i] += batch.values[a:b] @ w0[batch.indices[a:b]]
+            z[i] += batch.values[a:b] @ gathered[a:b]
     return z
 
 
@@ -77,6 +79,13 @@ def loss_and_grads(params: MLPParams, rows: SparseBatch,
     """Mean cross-entropy over the batch plus gradients for every weight
     matrix and bias vector; the first layer's holds the rows
     ``np.unique(rows.indices)`` only, in that order (the rest are zero)."""
+    return _loss_and_grads(params, rows, y, *np.unique(rows.indices, return_inverse=True))
+
+
+def _loss_and_grads(params: MLPParams, rows: SparseBatch, y: np.ndarray, touched: np.ndarray,
+                    local: np.ndarray) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
+    """``loss_and_grads`` given ``touched, local = np.unique(rows.indices,
+    return_inverse=True)``."""
     b = rows.n_rows
     acts = forward(params, rows)
     probs = acts[-1]
@@ -96,11 +105,11 @@ def loss_and_grads(params: MLPParams, rows: SparseBatch,
         d_a = d_z @ params.weights[layer].T
         d_z = d_a * a_prev * (1.0 - a_prev)
 
-    touched, local = np.unique(rows.indices, return_inverse=True)
     dw0 = np.zeros((touched.size, params.weights[0].shape[1]))
-    for i, (lo, hi) in enumerate(zip(rows.indptr[:-1].tolist(), rows.indptr[1:].tolist())):
+    indptr = rows.indptr.tolist()
+    for i, (lo, hi) in enumerate(zip(indptr[:-1], indptr[1:])):
         if hi > lo:
-            dw0[local[lo:hi]] += np.outer(rows.values[lo:hi], d_z[i])
+            dw0[local[lo:hi]] += rows.values[lo:hi, None] * d_z[i]
     grads_w[0] = dw0
     grads_b[0] = d_z.sum(axis=0)
     return loss, grads_w, grads_b
@@ -125,9 +134,10 @@ def train_mlp(data: LabeledDataset, hidden_layers: Sequence[int] = (64,),
         for start in range(0, n, batch_size):
             batch_idx = perm[start:start + batch_size]
             rows = data.batch.take(batch_idx)
-            loss, grads_w, grads_b = loss_and_grads(params, rows, y[batch_idx])
+            touched, local = np.unique(rows.indices, return_inverse=True)
+            loss, grads_w, grads_b = _loss_and_grads(params, rows, y[batch_idx], touched, local)
             epoch_loss += loss * len(batch_idx)
-            params.weights[0][np.unique(rows.indices)] -= learning_rate * grads_w[0]
+            params.weights[0][touched] -= learning_rate * grads_w[0]
             for w, gw in zip(params.weights[1:], grads_w[1:]):
                 w -= learning_rate * gw
             for bvec, gb in zip(params.biases, grads_b):

@@ -3,16 +3,31 @@
 Folds are contiguous slices of a seeded shuffle with sizes differing by at
 most one. Per-run trainer seeds derive from (base seed, run index) so
 results do not depend on execution order.
+
+``cross_validate`` runs its folds at the same time: the caller and up to
+one forked child per CPU each train a share of them, and the children
+pickle their few-float results back over a pipe. Fold i trains on the
+same rows with the same seed either way, so the report, and every model
+trained after it, is the same on one CPU as on many. Spans and counters
+recorded inside a child stay in the child.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
+import os
+import pickle
+import signal
+import sys
+import traceback
+import warnings
 from dataclasses import dataclass, field
+from typing import BinaryIO, Callable
 
 import numpy as np
 
-from ..errors import TooFewRows
+from ..errors import FoldWorkerDied, TooFewRows
 from .base import LabeledDataset, ModelKind, predict_batch
 from .linear import train_linear_svc, train_lr
 from .mlp import train_mlp
@@ -91,24 +106,124 @@ def cross_validate(kind: ModelKind | str, params: dict, data: LabeledDataset,
                    k: int = 10, seed: int = 0, fold_seed: int | None = None) -> CVReport:
     """``fold_seed`` pins the shuffle independently of the trainer seeds,
     so a grid search can score every candidate on identical folds."""
+    from ..evaluation import confusion, metrics
+
     kind = ModelKind(kind)
     trainer = TRAINERS[kind]
     folds = fold_indices(len(data), k, seed if fold_seed is None else fold_seed)
-    report = CVReport(kind=kind, params=dict(params))
-    for i, fold in enumerate(folds):
+
+    def run_fold(i: int) -> FoldResult:
+        fold = folds[i]
         # ascending, the order the trainers' arithmetic was fixed in
         train_rows = np.flatnonzero(~np.isin(np.arange(len(data)), fold))
         model = trainer(data.subset(train_rows), seed=derive_seed(seed, i), **params)
         validation = data.subset(fold)
         preds = predict_batch(model, validation.batch)
-        from ..evaluation import confusion, metrics
         scored = metrics(confusion([p.label for p in preds],
                                    [int(g) for g in validation.labels]))
-        report.folds.append(FoldResult(fold=i, n_validate=len(fold),
-                                       accuracy=scored.accuracy,
-                                       precision=scored.precision,
-                                       recall=scored.recall, f1=scored.f1))
-    return report
+        return FoldResult(fold=i, n_validate=len(fold), accuracy=scored.accuracy,
+                          precision=scored.precision, recall=scored.recall, f1=scored.f1)
+
+    return CVReport(kind=kind, params=dict(params), folds=_run_folds(run_fold, k))
+
+
+def _run_folds(run_fold: Callable[[int], FoldResult], k: int) -> list[FoldResult]:
+    """``run_fold(i)`` for every i < k, in fold order.
+
+    With n = min(CPUs, k - 1) forked children, none on one CPU, child c
+    runs folds c, c + n + 1, ... while the caller runs 0, n + 1, ...; each
+    stops at its first failing fold. The lowest failing fold's exception is
+    raised, the one a serial run raises first, and no child outlives the
+    call."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    stride = min(cpus, k - 1) + 1 if cpus > 1 else 1
+    outcome: dict[int, FoldResult | Exception] = {}
+    lost: dict[int, int] = {}  # fold -> wait status of a child that sent no result
+    workers: list[tuple[int, BinaryIO, range]] = []
+    try:
+        for c in range(1, stride):
+            workers.append(_fork_worker(run_fold, range(c, k, stride)))
+        outcome.update(_run_in_order(run_fold, range(0, k, stride)))
+        while workers:
+            pid, reader, folds = workers[0]
+            data = reader.read()
+            reader.close()
+            status = os.waitpid(pid, 0)[1]
+            workers.pop(0)
+            try:
+                done, remote_tb = pickle.loads(data)
+            except Exception:  # noqa: BLE001 - the child ended before its result was whole
+                lost.update(dict.fromkeys(folds, status))
+                continue
+            for got in done.values():
+                if isinstance(got, Exception):
+                    got.__cause__ = Exception(f"in the fold's worker:\n{remote_tb}")
+            outcome.update(done)
+    finally:
+        for pid, reader, _ in workers:  # interrupted: stop and reap the rest
+            reader.close()
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+            with contextlib.suppress(ChildProcessError):
+                os.waitpid(pid, 0)
+    results = []
+    for i in range(k):  # a fold missing from both maps follows a failed one
+        if i in lost:
+            raise FoldWorkerDied(f"fold {i}: its worker ended without a result "
+                                 f"(wait status {lost[i]})")
+        if isinstance(outcome[i], Exception):
+            raise outcome[i]
+        results.append(outcome[i])
+    return results
+
+
+def _run_in_order(run_fold: Callable[[int], FoldResult],
+                  folds: range) -> dict[int, FoldResult | Exception]:
+    """Each fold's result, up to and including the first that raises."""
+    done: dict[int, FoldResult | Exception] = {}
+    for i in folds:
+        try:
+            done[i] = run_fold(i)
+        except Exception as exc:  # noqa: BLE001 - reported in fold order by the caller
+            done[i] = exc
+            break
+    return done
+
+
+def _fork_worker(run_fold: Callable[[int], FoldResult],
+                 folds: range) -> tuple[int, BinaryIO, range]:
+    """A child that runs ``folds`` and pickles its results and the text
+    of its traceback, if one fold raised, into a pipe."""
+    read_fd, write_fd = os.pipe()
+    try:
+        with warnings.catch_warnings():
+            # Python >= 3.12 warns when a process with threads forks; a
+            # warning made an error there would lose the child's pid
+            warnings.simplefilter("default", DeprecationWarning)
+            pid = os.fork()
+    except BaseException:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        code = 1
+        try:  # silent: no output, no atexit handler, never back into the caller
+            os.close(read_fd)
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, 1)
+            os.dup2(devnull, 2)
+            # a redirected sys.stdout or sys.stderr writes past fds 1 and 2
+            sys.stdout = sys.stderr = os.fdopen(devnull, "w")
+            done = _run_in_order(run_fold, folds)
+            failed = [got for got in done.values() if isinstance(got, Exception)]
+            remote_tb = "".join(traceback.format_exception(failed[0])) if failed else ""
+            with os.fdopen(write_fd, "wb") as out:
+                out.write(pickle.dumps((done, remote_tb)))
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    return pid, os.fdopen(read_fd, "rb"), folds
 
 
 def grid_search(kind: ModelKind | str, grid: dict[str, list], data: LabeledDataset,

@@ -37,6 +37,7 @@ EXIT_CODES: dict[type, int] = {
     errors.NegativeFeature: 30,
     errors.DegenerateLabels: 31,
     errors.TooFewRows: 32,
+    errors.FoldWorkerDied: 33,
     errors.LengthMismatch: 40,
     errors.EmptyMatrix: 41,
     errors.SingleClass: 42,

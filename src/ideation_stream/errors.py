@@ -56,6 +56,11 @@ class TooFewRows(IdeationStreamError):
     """Not enough rows for the requested fold count."""
 
 
+class FoldWorkerDied(IdeationStreamError):
+    """A cross-validation worker process ended without sending its folds'
+    results."""
+
+
 # -- evaluation ---------------------------------------------------------
 
 class LengthMismatch(IdeationStreamError):

@@ -147,13 +147,15 @@ def lemmatize_token(token: str, config: PreprocessConfig) -> str:
     return token
 
 
-def preprocess(raw: str, config: PreprocessConfig | None = None, source_id: str = "") -> TokenSeq:
-    """The lemma of every filtered token that is not a stopword, in order."""
+def preprocess(raw: str, config: PreprocessConfig | None = None, source_id: str = "", *,
+               filtered: str | None = None) -> TokenSeq:
+    """The lemma of every filtered token that is not a stopword, in order.
+    ``filtered`` is ``filter_text(raw, config)``, when the caller has it."""
     if config is None:
         config = PreprocessConfig.load_default()
     cache = config._lemma_cache
     lemmas = []
-    for token in filter_text(raw, config).split():
+    for token in (filter_text(raw, config) if filtered is None else filtered).split():
         lemma = cache.get(token)
         if lemma is None:
             if len(cache) >= LEMMA_CACHE_MAX:
@@ -165,11 +167,13 @@ def preprocess(raw: str, config: PreprocessConfig | None = None, source_id: str 
     return TokenSeq(tokens=tuple(lemmas), source_id=source_id)
 
 
-def looks_english(text: str, config: PreprocessConfig | None = None) -> bool:
+def looks_english(text: str, config: PreprocessConfig | None = None, *,
+                  filtered: str | None = None) -> bool:
     """Crude language gate: at least half the filtered whitespace tokens
-    appear in the stopword/common-word inventory. Empty input fails."""
+    appear in the stopword/common-word inventory. Empty input fails.
+    ``filtered`` is ``filter_text(text, config)``, when the caller has it."""
     if config is None:
         config = PreprocessConfig.load_default()
-    tokens = filter_text(text, config).split()
+    tokens = (filter_text(text, config) if filtered is None else filtered).split()
     hits = sum(1 for t in tokens if t in config.stopword_list or t in _COMMON_WORDS)
     return bool(tokens) and hits * 2 >= len(tokens)

@@ -28,7 +28,7 @@ from .classifiers.base import predict, predict_batch  # noqa: F401
 from .corpus import INT_TO_LABEL
 from .errors import UnknownTopic
 from .hashutil import sha256_file, sha256_hex
-from .preprocess import PreprocessConfig, looks_english, preprocess
+from .preprocess import PreprocessConfig, filter_text, looks_english, preprocess
 
 DEFAULT_INPUT_TOPIC = "Source-tweets"
 DEFAULT_OUTPUT_TOPIC = "Predicted-tweets"
@@ -137,11 +137,14 @@ def replay_produce(source, broker: Broker, topic: str, rate: float = 0.0,
 
 class StreamFilter:
     """Drop rules, checked in order: retweet prefix, duplicate within the
-    LRU window, keyword mismatch, language heuristic."""
+    LRU window, keyword mismatch, language heuristic. With the language
+    rule on, ``filtered`` holds the ``filter_text`` of the last post kept,
+    for ``preprocess`` to reuse; otherwise it stays None."""
 
     def __init__(self, config: StreamConfig, preprocess_config: PreprocessConfig | None = None):
         self.config = config
         self.preprocess_config = preprocess_config or PreprocessConfig.load_default()
+        self.filtered: str | None = None
         self._window: OrderedDict[str, None] = OrderedDict()
         self._keywords = tuple(k.lower() for k in config.keyword_filter)
 
@@ -161,7 +164,8 @@ class StreamFilter:
             if not any(k in lowered for k in self._keywords):
                 return False, "no_keyword"
         if self.config.language_filter == "english-heuristic":
-            if not looks_english(text, self.preprocess_config):
+            self.filtered = filter_text(text, self.preprocess_config)
+            if not looks_english(text, self.preprocess_config, filtered=self.filtered):
                 return False, "language"
         return True, None
 
@@ -218,8 +222,9 @@ def run_stream(broker: Broker, config: StreamConfig, *,
                 if not keep:
                     stats.dropped[reason] += 1
                     continue
-            try:
-                tokens = preprocess(text, pconfig).tokens
+            try:  # the plain call unless the language rule filtered this text already
+                tokens = (preprocess(text, pconfig) if filt.filtered is None
+                          else preprocess(text, pconfig, filtered=filt.filtered)).tokens
             except Exception as exc:  # noqa: BLE001 - per-record dead letter
                 tokens = exc
             kept.append((rec, text, tokens))

@@ -296,6 +296,34 @@ class TestDurability:
         assert len(os.listdir("/proc/self/fd")) == open_fds
         assert bad.read_bytes() == before
 
+    @pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="counts /proc/self/fd")
+    def test_failed_create_topic_closes_and_unwrites(self, tmp_path):
+        # a topic directory that lost its topic.json, with a bad frame in
+        # partition 2's sealed segment: recreating it must fail clean
+        root = tmp_path / "log"
+        with Broker(root, segment_bytes=256) as b:
+            b.create_topic("t", partitions=3)
+            for i in range(30):
+                b.produce("t", f"payload-{i:04d}".encode())
+        meta = root / "topics" / "t" / "topic.json"
+        meta.unlink()
+        bad = sorted((root / "topics" / "t" / "2").glob("*.log"))[0]
+        damaged = bytearray(bad.read_bytes())
+        damaged[20] ^= 0xFF
+        bad.write_bytes(bytes(damaged))
+        open_fds = len(os.listdir("/proc/self/fd"))
+        for _ in range(5):
+            with Broker(root, segment_bytes=256) as b:
+                with pytest.raises(CorruptPayload):
+                    b.create_topic("t", partitions=3)
+                assert b.topics() == []
+            assert not meta.exists()
+            assert main(["broker", "create-topic", "--broker-dir", str(root), "--topic", "t",
+                         "--partitions", "3"]) == 51
+        assert len(os.listdir("/proc/self/fd")) == open_fds
+        assert not meta.exists()
+        assert bad.read_bytes() == bytes(damaged)
+
 
 class TestConcurrency:
     def test_gapless_ordering_under_concurrent_producers(self, tmp_path):

@@ -1,10 +1,17 @@
+import atexit
+import os
+import signal
+import threading
+import time
+import warnings
+
 import numpy as np
 import pytest
 
 from ideation_stream.classifiers import (ModelKind, cross_validate,
-                                         grid_search)
-from ideation_stream.classifiers.selection import fold_indices
-from ideation_stream.errors import TooFewRows
+                                         grid_search, selection)
+from ideation_stream.classifiers.selection import derive_seed, fold_indices
+from ideation_stream.errors import DegenerateLabels, FoldWorkerDied, TooFewRows
 
 from conftest import random_sparse_dataset
 
@@ -98,3 +105,130 @@ class TestGridSearch:
         best, reports = grid_search(ModelKind.NB, {"alpha": [1.0, 1.0]}, data, k=4)
         assert reports[0].mean_accuracy == reports[1].mean_accuracy
         assert best == reports[0].params
+
+
+def _fold_of(seed, k=5):
+    """Which fold a trainer call belongs to, from the seed it was given."""
+    return {derive_seed(3, i): i for i in range(k)}[seed]
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Pretend the process may run on ``n`` CPUs."""
+    def pin(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+    return pin
+
+
+@pytest.fixture
+def no_child_left():
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.usefixtures("no_child_left")
+class TestForkedFolds:
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_one_cpu_and_three_give_the_same_report(self, kind, cpus):
+        data = random_sparse_dataset(np.random.default_rng(7), n=40, dim=6)
+        cpus(1)
+        serial = cross_validate(kind, {}, data, k=5, seed=3)
+        cpus(3)  # the caller runs folds 0 and 4, three children one each
+        assert cross_validate(kind, {}, data, k=5, seed=3) == serial
+
+    @pytest.mark.parametrize("failing, first", [((1, 2), 1), ((2, 4), 2), ((0, 3), 0)])
+    def test_lowest_failing_fold_raises_with_its_type(self, monkeypatch, cpus,
+                                                      failing, first):
+        errors = {failing[0]: DegenerateLabels, failing[1]: TooFewRows}
+        real = selection.TRAINERS[ModelKind.NB]
+
+        def trainer(data, seed, **params):
+            fold = _fold_of(seed)
+            if fold in errors:
+                raise errors[fold](f"fold {fold}")
+            return real(data, seed=seed, **params)
+
+        monkeypatch.setitem(selection.TRAINERS, ModelKind.NB, trainer)
+        data = random_sparse_dataset(np.random.default_rng(8), n=30, dim=4)
+        cpus(3)
+        with pytest.raises(errors[first], match=f"^fold {first}$"):
+            cross_validate(ModelKind.NB, {}, data, k=5, seed=3)
+
+    def test_a_killed_child_raises_the_typed_error(self, monkeypatch, cpus):
+        caller = os.getpid()
+        real = selection.TRAINERS[ModelKind.NB]
+
+        def trainer(data, seed, **params):
+            if _fold_of(seed) == 2 and os.getpid() != caller:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(data, seed=seed, **params)
+
+        monkeypatch.setitem(selection.TRAINERS, ModelKind.NB, trainer)
+        data = random_sparse_dataset(np.random.default_rng(9), n=30, dim=4)
+        cpus(3)
+        with pytest.raises(FoldWorkerDied, match=r"fold 2: .*wait status 9\)"):
+            cross_validate(ModelKind.NB, {}, data, k=5, seed=3)
+
+    def test_an_interrupted_caller_kills_its_children(self, monkeypatch, cpus):
+        caller = os.getpid()
+
+        def trainer(data, seed, **params):
+            if os.getpid() == caller:
+                raise KeyboardInterrupt
+            time.sleep(60)
+
+        monkeypatch.setitem(selection.TRAINERS, ModelKind.NB, trainer)
+        data = random_sparse_dataset(np.random.default_rng(10), n=30, dim=4)
+        cpus(3)
+        started = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            cross_validate(ModelKind.NB, {}, data, k=5, seed=3)
+        assert time.monotonic() - started < 30
+
+    def test_children_write_nothing(self, monkeypatch, cpus, capfd):
+        caller = os.getpid()
+        real = selection.TRAINERS[ModelKind.NB]
+
+        def trainer(data, seed, **params):
+            if os.getpid() != caller:
+                print("from a child")
+                os.write(2, b"from a child\n")
+                atexit.register(os.write, 1, b"atexit in a child\n")
+            return real(data, seed=seed, **params)
+
+        monkeypatch.setitem(selection.TRAINERS, ModelKind.NB, trainer)
+        data = random_sparse_dataset(np.random.default_rng(11), n=30, dim=4)
+        cpus(3)
+        cross_validate(ModelKind.NB, {}, data, k=5, seed=3)
+        assert capfd.readouterr() == ("", "")
+
+    def test_a_non_main_thread_gets_the_same_report(self, cpus):
+        data = random_sparse_dataset(np.random.default_rng(12), n=40, dim=6)
+        cpus(3)
+        here = cross_validate(ModelKind.LR, {}, data, k=5, seed=3)
+        there = []
+        thread = threading.Thread(
+            target=lambda: there.append(cross_validate(ModelKind.LR, {}, data, k=5, seed=3)))
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive() and there == [here]
+
+    def test_a_fork_warning_made_an_error_loses_no_child(self, monkeypatch, cpus):
+        # Python >= 3.12 warns in the parent after forking with threads alive;
+        # the suite turns warnings into errors
+        real_fork = os.fork
+
+        def fork():
+            pid = real_fork()
+            if pid:
+                warnings.warn("forking with threads alive", DeprecationWarning)
+            return pid
+
+        monkeypatch.setattr(os, "fork", fork)
+        data = random_sparse_dataset(np.random.default_rng(13), n=30, dim=4)
+        cpus(1)
+        serial = cross_validate(ModelKind.NB, {}, data, k=5, seed=3)
+        cpus(3)
+        with warnings.catch_warnings(record=True):
+            assert cross_validate(ModelKind.NB, {}, data, k=5, seed=3) == serial

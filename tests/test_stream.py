@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ideation_stream import preprocess as preprocess_mod
 from ideation_stream import store, stream
 from ideation_stream.broker import Broker
 from ideation_stream.classifiers import LabeledDataset, predict, train_mlp, train_nb
@@ -165,6 +166,35 @@ class TestRunStream:
             offline = predict(model, pipeline.transform(preprocess(text).tokens))
             assert event.label == offline.label
             assert event.score == offline.score  # bit-identical
+
+    def test_language_rule_filters_each_kept_post_once(self, broker, model_path, tmp_path,
+                                                       monkeypatch):
+        feed = tmp_path / "feed.txt"
+        lines = ["I want to DIE now, it's over", "zzkj qwpv xxyy zzttr", "RT i want to die",
+                 "my life is hopeless and i cry", "qqq www eee rrr ttt"]
+        feed.write_text("\n".join(lines) + "\n", "utf-8")
+        replay_produce(feed, broker, "Source-tweets")
+        calls = []
+        real_filter_text = preprocess_mod.filter_text
+
+        def counted(raw, config):
+            calls.append(raw)
+            return real_filter_text(raw, config)
+
+        monkeypatch.setattr(preprocess_mod, "filter_text", counted)
+        monkeypatch.setattr(stream, "filter_text", counted, raising=False)
+        config = _config(model_path, filters_enabled=True,
+                         language_filter="english-heuristic")
+        stats = run_stream(broker, config, stop_when_idle=True)
+        assert (stats.events, dict(stats.dropped)) == (2, {"language": 2, "retweet": 1})
+        assert calls == [lines[0], lines[1], lines[3], lines[4]]
+
+        pipeline, model = store.load(model_path)
+        records = broker.consume("Predicted-tweets", "checker", max_records=100)
+        for rec, text in zip(records, [lines[0], lines[3]], strict=True):
+            event = PredictionEvent.from_json(rec.value.decode())
+            offline = predict(model, pipeline.transform(preprocess(text).tokens))
+            assert (event.label, event.score) == (offline.label, offline.score)
 
     def test_mlp_events_match_offline_predictions_bitwise(self, broker, tmp_path):
         # the paper's real-time model: an MLP scoring micro-batches of many rows
