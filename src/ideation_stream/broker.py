@@ -18,7 +18,9 @@ writes through an unbuffered fd and fsyncs every 256 records per
 partition and on close, ``none`` never fsyncs explicitly. Reads go through
 ``os.pread`` on separate descriptors, so consumers see acked records
 immediately and never block producers except for the per-partition append
-lock held during segment rotation.
+lock held during segment rotation. Consume and the reopen scan read frames
+in runs, one ``pread`` of at most 64 KiB per run (a bigger frame gets one
+read of its own size), and decode them from that buffer.
 
 On reopen, segments are scanned and a torn tail (short frame or CRC
 mismatch) of a partition's last segment is truncated away: at-least-once
@@ -29,6 +31,7 @@ rather than drop acked records behind it.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import struct
@@ -43,7 +46,10 @@ from .hashutil import fnv1a_32
 
 DEFAULT_SEGMENT_BYTES = 16 * 1024 * 1024
 FSYNC_INTERVAL = 256  # records per partition between fsyncs in ``batch`` mode
+READ_WINDOW = 64 * 1024  # bytes per pread of a run of frames
 _HEADER = struct.Struct("<II")  # frame_len, crc32
+_BODY = struct.Struct("<qi")  # timestamp ms, key length (-1: no key)
+_U32 = struct.Struct("<I")  # value length
 
 
 @dataclass(frozen=True)
@@ -74,14 +80,9 @@ class TopicConfig:
 
 
 def _encode_frame(key: bytes | None, value: bytes, timestamp_ms: int) -> bytes:
-    body = struct.pack("<q", timestamp_ms)
-    if key is None:
-        body += struct.pack("<i", -1)
-    else:
-        body += struct.pack("<i", len(key)) + key
-    body += struct.pack("<I", len(value)) + value
-    crc = zlib.crc32(body) & 0xFFFFFFFF
-    return _HEADER.pack(len(body) + 4, crc) + body
+    body = b"".join((_BODY.pack(timestamp_ms, -1 if key is None else len(key)), key or b"",
+                     _U32.pack(len(value)), value))
+    return _HEADER.pack(len(body) + 4, zlib.crc32(body)) + body
 
 
 def _load_json_object(path: Path) -> dict:
@@ -95,17 +96,38 @@ def _load_json_object(path: Path) -> dict:
 
 
 def _decode_body(body: bytes) -> tuple[bytes | None, bytes, int]:
-    (timestamp_ms,) = struct.unpack_from("<q", body, 0)
-    (key_len,) = struct.unpack_from("<i", body, 8)
+    timestamp_ms, key_len = _BODY.unpack_from(body)
     pos = 12
     key = None
     if key_len >= 0:
         key = body[pos:pos + key_len]
         pos += key_len
-    (val_len,) = struct.unpack_from("<I", body, pos)
+    (val_len,) = _U32.unpack_from(body, pos)
     pos += 4
-    value = body[pos:pos + val_len]
-    return key, value, timestamp_ms
+    return key, body[pos:pos + val_len], timestamp_ms
+
+
+def _walk(fd: int, pos: int, end: int):
+    """(position, crc, body) of each whole frame in bytes [pos, end) of
+    ``fd``, in order, from one ``pread`` per run of frames. Stops at the
+    first frame that is short or runs past ``end``."""
+    size = READ_WINDOW
+    while pos < end:
+        buf = os.pread(fd, min(size, end - pos), pos)
+        off = 0
+        while off + _HEADER.size <= len(buf):
+            frame_len, crc = _HEADER.unpack_from(buf, off)
+            stop = off + 4 + frame_len
+            if frame_len < 4 or stop > len(buf):
+                break
+            yield pos + off, crc, buf[off + _HEADER.size:stop]
+            off = stop
+        if off:
+            pos, size = pos + off, READ_WINDOW
+        elif len(buf) >= _HEADER.size and size < 4 + frame_len <= end - pos:
+            size = 4 + frame_len  # a frame bigger than the window gets a read of its size
+        else:
+            return
 
 
 class _Segment:
@@ -123,19 +145,11 @@ class _Segment:
         self.fd = os.open(self.path, os.O_RDWR | os.O_CREAT, 0o644)
         file_size = os.fstat(self.fd).st_size
         pos = 0
-        while pos + _HEADER.size <= file_size:
-            header = os.pread(self.fd, _HEADER.size, pos)
-            if len(header) < _HEADER.size:
+        for start, crc, body in _walk(self.fd, 0, file_size):
+            if zlib.crc32(body) != crc:
                 break
-            frame_len, crc = _HEADER.unpack(header)
-            body_len = frame_len - 4
-            if body_len < 0 or pos + _HEADER.size + body_len > file_size:
-                break
-            body = os.pread(self.fd, body_len, pos + _HEADER.size)
-            if zlib.crc32(body) & 0xFFFFFFFF != crc:
-                break
-            self.positions.append(pos)
-            pos += _HEADER.size + body_len
+            self.positions.append(start)
+            pos = start + _HEADER.size + len(body)
         if pos < file_size:
             if sealed:
                 self.close()
@@ -150,12 +164,6 @@ class _Segment:
         self.size += len(frame)
         self.positions.append(pos)
         return self.base_offset + len(self.positions) - 1
-
-    def read(self, local_index: int) -> bytes:
-        pos = self.positions[local_index]
-        header = os.pread(self.fd, _HEADER.size, pos)
-        frame_len, _ = _HEADER.unpack(header)
-        return os.pread(self.fd, frame_len - 4, pos + _HEADER.size)
 
     def close(self) -> None:
         if self.fd >= 0:
@@ -206,13 +214,25 @@ class _Partition:
                     self.unsynced = 0
             return offset
 
-    def read(self, offset: int) -> bytes:
-        # segments are sorted by base offset; binary search would be
-        # overkill for the handful of segments a partition grows here
-        for seg in reversed(self.segments):
-            if offset >= seg.base_offset:
-                return seg.read(offset - seg.base_offset)
-        raise OffsetOutOfRange(f"offset {offset} below log start")
+    def read_run(self, start: int, count: int) -> list[tuple[bytes | None, bytes, int]]:
+        """(key, value, timestamp_ms) of the ``count`` acked records from
+        offset ``start``, one frame walk per segment they span."""
+        if start < self.segments[0].base_offset:
+            raise OffsetOutOfRange(f"offset {start} below log start")
+        out: list[tuple[bytes | None, bytes, int]] = []
+        for seg in self.segments:
+            i = start + len(out) - seg.base_offset
+            if i >= len(seg.positions):
+                continue
+            n = min(count - len(out), len(seg.positions) - i)
+            # the next frame's position bounds the run; past the last one,
+            # the size does, and it may already cover frames appended since
+            end = seg.positions[i + n] if i + n < len(seg.positions) else seg.size
+            frames = itertools.islice(_walk(seg.fd, seg.positions[i], end), n)
+            out.extend(_decode_body(body) for _, _, body in frames)
+            if len(out) == count:
+                break
+        return out
 
     def flush(self) -> None:
         with self.lock:
@@ -229,7 +249,7 @@ class _Topic:
         self.config = config
         self.dir = directory
         self.partitions: list[_Partition] = []
-        self.rr_counter = 0
+        self.round_robin = itertools.count()
 
     def open(self) -> None:
         for i in range(self.config.partitions):
@@ -343,10 +363,8 @@ class Broker:
         """Append one record; returns (partition, offset) after the
         durability mode has acknowledged the write."""
         t = self._topic(topic)
-        if key is None:
-            with self._lock:
-                partition = t.rr_counter % t.config.partitions
-                t.rr_counter += 1
+        if key is None:  # next() on an itertools.count is atomic
+            partition = next(t.round_robin) % t.config.partitions
         else:
             partition = fnv1a_32(key) % t.config.partitions
 
@@ -360,29 +378,35 @@ class Broker:
 
     # -- consuming -------------------------------------------------------
 
-    def _read_record(self, topic: str, partition: int, offset: int) -> Record:
-        body = self._topic(topic).partitions[partition].read(offset)
-        key, value, timestamp_ms = _decode_body(body)
-        return Record(topic=topic, partition=partition, offset=offset,
-                      key=key, value=value, timestamp_ms=timestamp_ms)
-
     def _collect(self, topic: str, starts: dict[int, int], max_records: int) -> list[Record]:
-        """Round-robin across partitions, offset order within each."""
+        """Round-robin across partitions, one record per partition with a
+        backlog per round, in partition order; offset order within each."""
         t = self._topic(topic)
-        cursors = dict(starts)
-        out: list[Record] = []
-        progress = True
-        while len(out) < max_records and progress:
-            progress = False
-            for p in range(t.config.partitions):
-                if len(out) >= max_records:
-                    break
-                cursor = cursors.get(p, 0)
-                if cursor < t.partitions[p].end_offset:
-                    out.append(self._read_record(topic, p, cursor))
-                    cursors[p] = cursor + 1
-                    progress = True
-        return out
+        backlog = [max(part.end_offset - starts.get(p, 0), 0)
+                   for p, part in enumerate(t.partitions)]
+        take = [0] * len(backlog)
+        left = max_records
+        while left > 0:  # as many whole rounds as every partition left in them can fill
+            active = [p for p, n in enumerate(backlog) if take[p] < n]
+            if not active:
+                break
+            rounds = min(left // len(active), min(backlog[p] - take[p] for p in active))
+            if not rounds:  # a last, partial round
+                active = active[:left]
+                rounds = 1
+            for p in active:
+                take[p] += rounds
+            left -= rounds * len(active)
+        runs = []
+        for p, n in enumerate(take):
+            start = starts.get(p, 0)
+            runs.append([Record(topic, p, start + i, key, value, timestamp_ms)
+                         for i, (key, value, timestamp_ms)
+                         in enumerate(t.partitions[p].read_run(start, n) if n else ())])
+        if len(runs) == 1:
+            return runs[0]
+        return [rec for round_ in itertools.zip_longest(*runs) for rec in round_
+                if rec is not None]
 
     def consume(self, topic: str, group: str, max_records: int = 1024,
                 timeout_ms: float = 0.0) -> list[Record]:

@@ -90,6 +90,6 @@ def predict_batch(model: ModelArtifact, batch: SparseBatch) -> list[Prediction]:
     kind_module = {ModelKind.NB: naive_bayes, ModelKind.LR: linear, ModelKind.SVC: linear,
                    ModelKind.DT: tree, ModelKind.RF: tree, ModelKind.MLP: mlp}[model.kind]
     threshold = 0.0 if model.kind is ModelKind.SVC else 0.5
-    # Python int and float: events are written with json.dumps
+    # Python int and float: `PredictionEvent.to_json` writes them as JSON
     return [Prediction(label=int(score >= threshold), score=score)
             for score in kind_module.score_batch(model.params, batch).tolist()]

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import statistics
 import threading
 import time
@@ -32,6 +33,11 @@ from .preprocess import PreprocessConfig, filter_text, looks_english, preprocess
 
 DEFAULT_INPUT_TOPIC = "Source-tweets"
 DEFAULT_OUTPUT_TOPIC = "Predicted-tweets"
+# json.dumps(..., sort_keys=True) of a prediction event with a finite score
+_EVENT_JSON = ('{"kind": "prediction", "label": %d, "label_name": %s, "model_digest": %s, '
+               '"processed_at_ms": %d, "score": %s, "source_offset": %d, '
+               '"source_partition": %d, "text_sha256": %s}')
+_json_str = json.encoder.encode_basestring_ascii
 
 
 @dataclass
@@ -72,7 +78,12 @@ class PredictionEvent:
     processed_at_ms: int
 
     def to_json(self) -> str:
-        return json.dumps({"kind": "prediction", **vars(self)}, sort_keys=True)
+        if not (isinstance(self.score, float) and math.isfinite(self.score)):
+            return json.dumps({"kind": "prediction", **vars(self)}, sort_keys=True)
+        return _EVENT_JSON % (self.label, _json_str(self.label_name),
+                              _json_str(self.model_digest), self.processed_at_ms,
+                              float.__repr__(self.score), self.source_offset,
+                              self.source_partition, _json_str(self.text_sha256))
 
     @classmethod
     def from_json(cls, line: str) -> "PredictionEvent | None":
@@ -137,13 +148,15 @@ def replay_produce(source, broker: Broker, topic: str, rate: float = 0.0,
 
 class StreamFilter:
     """Drop rules, checked in order: retweet prefix, duplicate within the
-    LRU window, keyword mismatch, language heuristic. With the language
-    rule on, ``filtered`` holds the ``filter_text`` of the last post kept,
-    for ``preprocess`` to reuse; otherwise it stays None."""
+    LRU window, keyword mismatch, language heuristic. ``digest`` holds the
+    SHA-256 of the last post that got past the retweet rule. With the
+    language rule on, ``filtered`` holds the ``filter_text`` of the last
+    post kept, for ``preprocess`` to reuse; otherwise it stays None."""
 
     def __init__(self, config: StreamConfig, preprocess_config: PreprocessConfig | None = None):
         self.config = config
         self.preprocess_config = preprocess_config or PreprocessConfig.load_default()
+        self.digest = ""
         self.filtered: str | None = None
         self._window: OrderedDict[str, None] = OrderedDict()
         self._keywords = tuple(k.lower() for k in config.keyword_filter)
@@ -151,7 +164,7 @@ class StreamFilter:
     def evaluate(self, text: str) -> tuple[bool, str | None]:
         if text.startswith("RT "):
             return False, "retweet"
-        digest = sha256_hex(text)
+        digest = self.digest = sha256_hex(text)
         if self.config.dedupe_window > 0:
             if digest in self._window:
                 self._window.move_to_end(digest)
@@ -212,7 +225,7 @@ def run_stream(broker: Broker, config: StreamConfig, *,
         stats.batches += 1
         t_start = time.perf_counter()
         next_offsets: dict[int, int] = {}
-        kept: list[tuple] = []  # (record, text, tokens or what preprocess raised)
+        kept: list[tuple] = []  # (record, text digest, tokens or what preprocess raised)
         for rec in batch:
             next_offsets[rec.partition] = max(next_offsets.get(rec.partition, 0),
                                               rec.offset + 1)
@@ -222,18 +235,21 @@ def run_stream(broker: Broker, config: StreamConfig, *,
                 if not keep:
                     stats.dropped[reason] += 1
                     continue
+                digest = filt.digest
+            else:
+                digest = sha256_hex(text)
             try:  # the plain call unless the language rule filtered this text already
                 tokens = (preprocess(text, pconfig) if filt.filtered is None
                           else preprocess(text, pconfig, filtered=filt.filtered)).tokens
             except Exception as exc:  # noqa: BLE001 - per-record dead letter
                 tokens = exc
-            kept.append((rec, text, tokens))
+            kept.append((rec, digest, tokens))
         docs = [tokens for _, _, tokens in kept if not isinstance(tokens, Exception)]
         try:
             preds = iter(predict_batch(model, pipeline.transform_batch(docs)))
         except Exception as exc:  # noqa: BLE001 - every record of the call dead-letters
             preds = itertools.repeat(exc)
-        for rec, text, tokens in kept:
+        for rec, digest, tokens in kept:
             pred = tokens if isinstance(tokens, Exception) else next(preds)
             if isinstance(pred, Exception):
                 dead = json.dumps({"kind": "dead_letter",
@@ -247,7 +263,7 @@ def run_stream(broker: Broker, config: StreamConfig, *,
             event = PredictionEvent(
                 source_partition=rec.partition,
                 source_offset=rec.offset,
-                text_sha256=sha256_hex(text),
+                text_sha256=digest,
                 label=pred.label,
                 label_name=INT_TO_LABEL[pred.label],
                 score=pred.score,
@@ -300,7 +316,9 @@ def aggregate(broker: Broker, output_topic: str = DEFAULT_OUTPUT_TOPIC,
             batch = broker.consume(output_topic, group, max_records=4096)
             if not batch:
                 break
+            next_offsets: dict[int, int] = {}
             for rec in batch:
+                next_offsets[rec.partition] = rec.offset + 1  # offset order per partition
                 try:
                     event = PredictionEvent.from_json(rec.value.decode("utf-8"))
                 except (json.JSONDecodeError, KeyError, UnicodeDecodeError):
@@ -311,9 +329,7 @@ def aggregate(broker: Broker, output_topic: str = DEFAULT_OUTPUT_TOPIC,
                         recent.append(event.label)
                         if len(recent) > window:
                             counts[recent.popleft()] -= 1
-            broker.commit(group, output_topic,
-                          {p: max(r.offset for r in batch if r.partition == p) + 1
-                           for p in {r.partition for r in batch}})
+            broker.commit(group, output_topic, next_offsets)
             if feed:
                 snapshot = _report_from(*counts)
                 feed.write(json.dumps(snapshot.to_dict(), sort_keys=True) + "\n")

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import math
 import re
+import struct
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 
@@ -298,3 +300,42 @@ def build_tree_reference(indptr, indices, values, labels, max_depth, min_leaf, w
         "count_neg": np.asarray(c_neg, dtype=np.int64),
         "count_pos": np.asarray(c_pos, dtype=np.int64),
     }
+
+
+def collect_reference(topic_dir, partitions, starts, max_records):
+    """The broker's consume order read straight from the segment files:
+    one record at a time, round-robin across partitions in partition
+    order, each from its start offset, until ``max_records`` or every
+    backlog is empty. Each frame is read with a header read and a body
+    read. Returns (partition, offset, key, value, timestamp_ms) tuples."""
+    logs = []
+    for p in range(partitions):
+        records = []
+        for path in sorted(Path(topic_dir, str(p)).glob("*.log")):
+            assert int(path.stem) == len(records), "segments must be contiguous"
+            with open(path, "rb") as fh:
+                while True:
+                    header = fh.read(8)
+                    if len(header) < 8:
+                        break
+                    frame_len, _crc = struct.unpack("<II", header)
+                    body = fh.read(frame_len - 4)
+                    timestamp_ms, key_len = struct.unpack("<qi", body[:12])
+                    key = body[12:12 + key_len] if key_len >= 0 else None
+                    rest = body[12 + max(key_len, 0):]
+                    (val_len,) = struct.unpack("<I", rest[:4])
+                    records.append((key, rest[4:4 + val_len], timestamp_ms))
+        logs.append(records)
+    cursors = [starts.get(p, 0) for p in range(partitions)]
+    out = []
+    progress = True
+    while len(out) < max_records and progress:
+        progress = False
+        for p in range(partitions):
+            if len(out) >= max_records:
+                break
+            if cursors[p] < len(logs[p]):
+                out.append((p, cursors[p], *logs[p][cursors[p]]))
+                cursors[p] += 1
+                progress = True
+    return out

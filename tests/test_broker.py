@@ -2,20 +2,23 @@ import os
 import signal
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ideation_stream.broker import Broker, TopicConfig
+from ideation_stream.broker import READ_WINDOW, Broker, TopicConfig
 from ideation_stream.cli import main
 from ideation_stream.errors import (CorruptPayload, OffsetOutOfRange, TopicExists,
                                     UnknownTopic)
 from ideation_stream.hashutil import fnv1a_32
 
-from oracles import fnv1a_32_reference
+from oracles import collect_reference, fnv1a_32_reference
 
 
 @pytest.fixture
@@ -325,6 +328,131 @@ class TestDurability:
         assert bad.read_bytes() == bytes(damaged)
 
 
+def _value(i: int, size: int) -> bytes:
+    return (f"<{i}>".encode() * (size // 3 + 1))[:size]
+
+
+def _collected(broker: Broker, starts: dict[int, int], max_records: int) -> list[tuple]:
+    return [(r.partition, r.offset, r.key, r.value, r.timestamp_ms)
+            for r in broker._collect("t", starts, max_records)]
+
+
+class TestWindowedReads:
+    """Consume and the reopen scan read runs of frames through windows of
+    ``READ_WINDOW`` bytes; they must see what reading one frame at a time
+    sees."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(partitions=st.integers(1, 4), segment_bytes=st.sampled_from([64, 300, 2048]),
+           records=st.lists(st.tuples(st.sampled_from([None, None, b"a", b"key-2", b""]),
+                                      st.integers(0, 300) | st.integers(0, 300)
+                                      | st.sampled_from([READ_WINDOW - 30, READ_WINDOW + 1,
+                                                         2 * READ_WINDOW + 7])),
+                            max_size=30),
+           data=st.data())
+    def test_collect_matches_the_one_record_reader(self, partitions, segment_bytes, records,
+                                                   data):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp) / "log"
+            with Broker(root, durability="none", segment_bytes=segment_bytes) as b:
+                b.create_topic("t", partitions=partitions)
+                for i, (key, size) in enumerate(records):
+                    b.produce("t", _value(i, size), key=key, timestamp_ms=1_700_000_000_000 + i)
+                ends = b.end_offsets("t")
+                # a start may sit past the end, as a commit that a torn tail outlived does
+                starts = {p: data.draw(st.integers(0, end + 1)) for p, end in enumerate(ends)}
+                backlog = sum(max(end - starts[p], 0) for p, end in enumerate(ends))
+                max_records = data.draw(st.integers(1, max(backlog, 1)))
+                expected = collect_reference(root / "topics" / "t", partitions, starts,
+                                             max_records)
+                assert len(expected) == min(backlog, max_records)
+                assert _collected(b, starts, max_records) == expected
+            with Broker(root, segment_bytes=segment_bytes) as b:  # positions from the scan
+                assert _collected(b, starts, max_records) == expected
+
+    @pytest.mark.parametrize("partitions", [1, 3])
+    def test_runs_of_small_frames_span_many_windows(self, tmp_path, partitions):
+        root = tmp_path / "log"
+        with Broker(root, durability="none") as b:
+            b.create_topic("t", partitions=partitions)
+            for i in range(3000):
+                b.produce("t", _value(i, 100 + i % 90), timestamp_ms=i)
+            for starts, max_records in (({0: 0}, 3000), ({0: 17, 2: 400}, 2500),
+                                        ({1: 999}, 1)):
+                expected = collect_reference(root / "topics" / "t", partitions, starts,
+                                             max_records)
+                assert _collected(b, starts, max_records) == expected
+
+    @pytest.mark.parametrize("past_window", [-1, 0, 1])
+    def test_frames_ending_at_a_window_boundary(self, tmp_path, past_window):
+        # value sizes such that the second frame ends next to the first window's end
+        root = tmp_path / "log"
+        sizes = [READ_WINDOW + past_window - 24 - 100, 76] + [50] * 10
+        with Broker(root, durability="none") as b:
+            b.create_topic("t")
+            for i, size in enumerate(sizes):
+                b.produce("t", _value(i, size), timestamp_ms=i)
+            expected = collect_reference(root / "topics" / "t", 1, {0: 0}, len(sizes))
+            assert [v for _, _, _, v, _ in expected] == [_value(i, n) for i, n in enumerate(sizes)]
+            assert _collected(b, {0: 0}, len(sizes)) == expected
+            assert _collected(b, {0: 1}, 2) == expected[1:3]
+        with Broker(root) as b:
+            assert _collected(b, {0: 0}, len(sizes)) == expected
+
+    def test_frame_written_but_not_yet_indexed_stays_unread(self, tmp_path):
+        # the state a consumer can catch a producer in: the frame is written
+        # and counted in the segment size, its position not yet appended
+        with Broker(tmp_path / "log", durability="none") as b:
+            b.create_topic("t")
+            for i in range(3):
+                b.produce("t", _value(i, 20), timestamp_ms=i)
+            b._topics["t"].partitions[0].segments[-1].positions.pop()
+            assert _collected(b, {0: 0}, 10) == [(0, i, None, _value(i, 20), i) for i in range(2)]
+            assert _collected(b, {0: 1}, 10) == [(0, 1, None, _value(1, 20), 1)]
+
+    FRAME = 1124  # 8 header + 16 body fields + an 1,100-byte value
+    IN_WINDOW = 58  # whole frames in the first window; the 59th crosses its end
+
+    @pytest.mark.parametrize("tail", ["short frame", "bad crc"])
+    def test_torn_tail_across_a_window_boundary_is_truncated(self, tmp_path, tail):
+        root = tmp_path / "log"
+        with Broker(root) as b:
+            b.create_topic("t")
+            for i in range(self.IN_WINDOW):
+                b.produce("t", _value(i, 1100))
+        seg = next((root / "topics" / "t" / "0").glob("*.log"))
+        kept = seg.read_bytes()
+        assert len(kept) == self.IN_WINDOW * self.FRAME < READ_WINDOW
+        frame = kept[:self.FRAME]
+        torn = frame[:700] if tail == "short frame" else frame[:4] + b"\0\0\0\0" + frame[8:]
+        seg.write_bytes(kept + torn)
+        assert seg.stat().st_size > READ_WINDOW
+        with Broker(root) as b:
+            assert b.end_offsets("t") == [self.IN_WINDOW]
+            assert seg.read_bytes() == kept
+            b.produce("t", b"after")
+            records = b.consume("t", "g", max_records=100)
+        assert [r.value for r in records] == [_value(i, 1100) for i in range(self.IN_WINDOW)] \
+            + [b"after"]
+
+    def test_bad_frame_in_a_later_window_of_a_sealed_segment(self, tmp_path):
+        root = tmp_path / "log"
+        with Broker(root, segment_bytes=100_000) as b:
+            b.create_topic("t")
+            for i in range(100):
+                b.produce("t", _value(i, 1100))
+        segs = sorted((root / "topics" / "t" / "0").glob("*.log"))
+        assert len(segs) == 2 and segs[0].stat().st_size == 88 * self.FRAME
+        at = 70 * self.FRAME  # the 71st frame, in the second window
+        assert at > READ_WINDOW
+        damaged = bytearray(segs[0].read_bytes())
+        damaged[at + 30] ^= 0xFF
+        segs[0].write_bytes(bytes(damaged))
+        with pytest.raises(CorruptPayload, match=rf"00000000000000000000\.log.* byte {at} "):
+            Broker(root, segment_bytes=100_000)
+        assert segs[0].read_bytes() == bytes(damaged)
+
+
 class TestConcurrency:
     def test_gapless_ordering_under_concurrent_producers(self, tmp_path):
         n_producers, per_producer = 8, 1000
@@ -365,6 +493,58 @@ class TestConcurrency:
                 assert offsets == list(range(len(offsets)))
             assert Counter(r.value for r in consumed) == Counter(
                 f"{w}:{i}".encode() for w in range(n_producers) for i in range(per_producer))
+
+
+    def test_consumer_during_concurrent_producers(self, tmp_path):
+        # the consumer reads positions and sizes the producers are growing,
+        # without their lock; unkeyed records round-robin on a shared counter
+        n_producers, per_producer, max_records = 4, 600, 7
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with Broker(tmp_path / "log", durability="none", segment_bytes=2048) as b:
+                b.create_topic("t", partitions=3)
+                done = threading.Event()
+                batches: list[list] = []
+
+                def produce(worker):
+                    for i in range(per_producer):
+                        b.produce("t", f"{worker}:{i}".encode() * (1 + i % 5))
+
+                def consume():
+                    while True:
+                        last = done.is_set()
+                        batch = b.consume("t", "g", max_records=max_records)
+                        if batch:
+                            batches.append(batch)
+                            b.commit("g", "t", {r.partition: r.offset + 1 for r in batch})
+                        elif last:
+                            return
+
+                consumer = threading.Thread(target=consume)
+                consumer.start()
+                producers = [threading.Thread(target=produce, args=(w,))
+                             for w in range(n_producers)]
+                for t in producers:
+                    t.start()
+                for t in producers:
+                    t.join(timeout=60)
+                done.set()
+                consumer.join(timeout=60)
+                assert not consumer.is_alive() and not any(t.is_alive() for t in producers)
+                total = n_producers * per_producer
+                assert b.end_offsets("t") == [total // 3] * 3
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(len(batch) <= max_records for batch in batches)
+        seen: dict[int, list[int]] = {}
+        for batch in batches:
+            for r in batch:
+                seen.setdefault(r.partition, []).append(r.offset)
+        assert seen == {p: list(range(total // 3)) for p in range(3)}
+        assert Counter(r.value for batch in batches for r in batch) == Counter(
+            f"{w}:{i}".encode() * (1 + i % 5) for w in range(n_producers)
+            for i in range(per_producer))
 
 
 @pytest.mark.parametrize("run", range(3))

@@ -196,6 +196,30 @@ class TestRunStream:
             offline = predict(model, pipeline.transform(preprocess(text).tokens))
             assert (event.label, event.score) == (offline.label, offline.score)
 
+    @pytest.mark.parametrize("filters_enabled", [True, False])
+    def test_each_kept_post_hashed_once(self, broker, model_path, tmp_path, monkeypatch,
+                                        filters_enabled):
+        feed = tmp_path / "feed.txt"
+        lines = ["i want to die", "RT i want to die", "i want to die", "kill myself tonight"]
+        feed.write_text("\n".join(lines) + "\n", "utf-8")
+        replay_produce(feed, broker, "Source-tweets")
+        calls = []
+        real_sha256_hex = stream.sha256_hex
+
+        def counted(text):
+            calls.append(text)
+            return real_sha256_hex(text)
+
+        monkeypatch.setattr(stream, "sha256_hex", counted)
+        config = _config(model_path, filters_enabled=filters_enabled, dedupe_window=16)
+        stats = run_stream(broker, config, stop_when_idle=True)
+        kept = [lines[0], lines[3]] if filters_enabled else lines
+        assert stats.events == len(kept)
+        assert calls == ([lines[0], lines[2], lines[3]] if filters_enabled else lines)
+        records = broker.consume("Predicted-tweets", "checker", max_records=100)
+        assert [PredictionEvent.from_json(r.value.decode()).text_sha256 for r in records] \
+            == [real_sha256_hex(text) for text in kept]
+
     def test_mlp_events_match_offline_predictions_bitwise(self, broker, tmp_path):
         # the paper's real-time model: an MLP scoring micro-batches of many rows
         pconfig = PreprocessConfig.load_default()
@@ -370,6 +394,36 @@ class TestPredictionEvent:
             '"processed_at_ms": 0, "score": 0.30000000000000004, '
             '"source_offset": 1099511627776, "source_partition": 0, "text_sha256": '
             '"efefefefefefefefefefefefefefefefefefefefefefefefefefefefefefefef"}')
+
+    @settings(max_examples=300, deadline=None)
+    @given(score=st.floats(), digest=st.text(), processed_at_ms=st.integers(0, 2 ** 63),
+           source_offset=st.integers(0, 2 ** 63), source_partition=st.integers(0, 1023),
+           label=st.integers(0, 1))
+    @example(score=0.0, digest="d", processed_at_ms=0, source_offset=0, source_partition=0,
+             label=0)
+    @example(score=-0.0, digest="d", processed_at_ms=0, source_offset=0, source_partition=0,
+             label=0)
+    @example(score=5e-324, digest="d", processed_at_ms=0, source_offset=0,
+             source_partition=0, label=0)
+    @example(score=1e300, digest="d", processed_at_ms=0, source_offset=0, source_partition=0,
+             label=1)
+    @example(score=1 / 3, digest='"\\\u00e9\n\ud800', processed_at_ms=1, source_offset=2,
+             source_partition=3, label=1)
+    @example(score=1, digest="d", processed_at_ms=0, source_offset=0, source_partition=0,
+             label=1)
+    @example(score=float("nan"), digest="d", processed_at_ms=0, source_offset=0,
+             source_partition=0, label=1)
+    @example(score=float("inf"), digest="d", processed_at_ms=0, source_offset=0,
+             source_partition=0, label=1)
+    @example(score=float("-inf"), digest="d", processed_at_ms=0, source_offset=0,
+             source_partition=0, label=0)
+    def test_json_bytes_equal_json_dumps(self, score, digest, processed_at_ms, source_offset,
+                                         source_partition, label):
+        event = PredictionEvent(source_partition, source_offset, digest, label,
+                                "suicide" if label else "non-suicide", score, digest[::-1],
+                                processed_at_ms)
+        assert event.to_json() == json.dumps({"kind": "prediction", **vars(event)},
+                                             sort_keys=True)
 
     def test_round_trip_and_missing_field(self):
         assert PredictionEvent.from_json(self.EVENT.to_json()) == self.EVENT
