@@ -40,6 +40,7 @@ import time
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import CorruptPayload, OffsetOutOfRange, TopicExists, UnknownTopic
 from .hashutil import fnv1a_32
@@ -52,8 +53,7 @@ _BODY = struct.Struct("<qi")  # timestamp ms, key length (-1: no key)
 _U32 = struct.Struct("<I")  # value length
 
 
-@dataclass(frozen=True)
-class Record:
+class Record(NamedTuple):
     topic: str
     partition: int
     offset: int

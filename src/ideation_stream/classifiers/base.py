@@ -2,8 +2,8 @@
 
 Feature rows are one CSR ``SparseBatch``, which trainers and scorers read
 directly. Weight vectors are dense.
-Every kind scores a whole batch through its ``score_batch``. The positive
-class is 1 (= suicide).
+Every kind scores a whole batch through its module's ``score_batch``, the
+SVC through ``linear.margin_batch``. The positive class is 1 (= suicide).
 """
 
 from __future__ import annotations
@@ -87,9 +87,10 @@ def predict_batch(model: ModelArtifact, batch: SparseBatch) -> list[Prediction]:
 
     if batch.dim != model.dim:
         raise DimensionMismatch(f"batch dim {batch.dim} != model dim {model.dim}")
-    kind_module = {ModelKind.NB: naive_bayes, ModelKind.LR: linear, ModelKind.SVC: linear,
-                   ModelKind.DT: tree, ModelKind.RF: tree, ModelKind.MLP: mlp}[model.kind]
+    scorer = {ModelKind.NB: naive_bayes.score_batch, ModelKind.LR: linear.score_batch,
+              ModelKind.SVC: linear.margin_batch, ModelKind.DT: tree.score_batch,
+              ModelKind.RF: tree.score_batch, ModelKind.MLP: mlp.score_batch}[model.kind]
     threshold = 0.0 if model.kind is ModelKind.SVC else 0.5
     # Python int and float: `PredictionEvent.to_json` writes them as JSON
     return [Prediction(label=int(score >= threshold), score=score)
-            for score in kind_module.score_batch(model.params, batch).tolist()]
+            for score in scorer(model.params, batch).tolist()]

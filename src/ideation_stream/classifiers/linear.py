@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..errors import InvalidHyperparameter
 from ..features import SparseBatch
 from .base import LabeledDataset, ModelArtifact, ModelKind
 
@@ -21,7 +22,6 @@ from .base import LabeledDataset, ModelArtifact, ModelKind
 class LinearParams:
     weights: np.ndarray
     bias: float
-    probabilistic: bool
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -70,7 +70,7 @@ def train_lr(data: LabeledDataset, l2: float = 0.0, max_iter: int = 200,
     meta = {"l2": l2, "max_iter": max_iter, "tol": tol, "seed": seed,
             "iterations": iterations, "converged": converged,
             "final_loss": loss, "final_grad_norm": float(np.linalg.norm(grad))}
-    params = LinearParams(weights=wb[:-1].copy(), bias=float(wb[-1]), probabilistic=True)
+    params = LinearParams(weights=wb[:-1].copy(), bias=float(wb[-1]))
     return ModelArtifact(kind=ModelKind.LR, dim=data.dim, params=params, training_meta=meta)
 
 
@@ -84,7 +84,7 @@ def svc_objective(w: np.ndarray, b: float, data: LabeledDataset, lam: float) -> 
 def train_linear_svc(data: LabeledDataset, c: float = 1.0, max_iter: int = 1000,
                      tol: float = 1e-4, seed: int = 0) -> ModelArtifact:
     if c <= 0:
-        raise ValueError(f"penalty c must be > 0, got {c}")
+        raise InvalidHyperparameter(f"penalty c must be > 0, got {c}")
     n = len(data)
     lam = 1.0 / (c * n)
     radius = 1.0 / np.sqrt(lam)
@@ -125,11 +125,15 @@ def train_linear_svc(data: LabeledDataset, c: float = 1.0, max_iter: int = 1000,
     meta = {"c": c, "max_iter": max_iter, "tol": tol, "seed": seed,
             "iterations": iterations, "objective_trace": objective_trace,
             "final_objective": svc_objective(avg_w, avg_b, data, lam)}
-    params = LinearParams(weights=avg_w, bias=float(avg_b), probabilistic=False)
+    params = LinearParams(weights=avg_w, bias=float(avg_b))
     return ModelArtifact(kind=ModelKind.SVC, dim=data.dim, params=params, training_meta=meta)
 
 
+def margin_batch(params: LinearParams, batch: SparseBatch) -> np.ndarray:
+    """The signed margin per row: the SVC's score."""
+    return batch.matvec(params.weights) + params.bias
+
+
 def score_batch(params: LinearParams, batch: SparseBatch) -> np.ndarray:
-    """P(positive) per row for LR, the signed margin for the SVC."""
-    z = batch.matvec(params.weights) + params.bias
-    return _sigmoid(z) if params.probabilistic else z
+    """P(positive) per row: LR's score."""
+    return _sigmoid(margin_batch(params, batch))

@@ -16,6 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ..errors import InvalidHyperparameter
 from ..features import SparseBatch
 from .base import LabeledDataset, ModelArtifact, ModelKind
 from .linear import _sigmoid
@@ -29,9 +30,9 @@ class MLPParams:
 
 def init_params(dim: int, hidden_layers: Sequence[int], seed: int) -> MLPParams:
     if not hidden_layers:
-        raise ValueError("at least one hidden layer is required")
+        raise InvalidHyperparameter("at least one hidden layer is required")
     if any(h < 1 for h in hidden_layers):
-        raise ValueError(f"hidden widths must be >= 1, got {list(hidden_layers)}")
+        raise InvalidHyperparameter(f"hidden widths must be >= 1, got {list(hidden_layers)}")
     rng = np.random.default_rng(seed)
     sizes = [dim, *hidden_layers, 2]
     weights, biases = [], []
@@ -121,6 +122,8 @@ def train_mlp(data: LabeledDataset, hidden_layers: Sequence[int] = (64,),
     # lr default sized for length-normalized TF-IDF rows (values well
     # below 1); sigmoid hidden layers need the larger step to escape the
     # near-linear regime in a few dozen updates
+    if batch_size < 1:
+        raise InvalidHyperparameter(f"batch_size must be >= 1, got {batch_size}")
     params = init_params(data.dim, hidden_layers, seed)
     rng = np.random.default_rng(seed + 1)
     n = len(data)

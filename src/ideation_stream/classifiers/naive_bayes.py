@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import DegenerateLabels, NegativeFeature
+from ..errors import DegenerateLabels, InvalidHyperparameter, NegativeFeature
 from ..features import SparseBatch
 from .base import LabeledDataset, ModelArtifact, ModelKind
 
@@ -24,7 +24,7 @@ class NBParams:
 
 def train_nb(data: LabeledDataset, alpha: float = 1.0, seed: int = 0) -> ModelArtifact:
     if alpha < 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
+        raise InvalidHyperparameter(f"alpha must be >= 0, got {alpha}")
     indices, values, row_ids = data.batch.indices, data.batch.values, data.batch.row_ids
     if values.size and values.min() < 0:
         raise NegativeFeature("multinomial NB requires nonnegative features")

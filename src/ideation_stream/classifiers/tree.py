@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..errors import InvalidHyperparameter
 from ..features import SparseBatch
 from .base import LabeledDataset, ModelArtifact, ModelKind
 
@@ -184,14 +185,12 @@ def _build_tree(entries: tuple[np.ndarray, np.ndarray, np.ndarray], labels: np.n
 
 
 def train_dt(data: LabeledDataset, max_depth: int = 16, min_leaf: int = 1,
-             impurity: str = "gini", seed: int = 0) -> ModelArtifact:
+             seed: int = 0) -> ModelArtifact:
     if max_depth < 1:
-        raise ValueError(f"max_depth must be >= 1, got {max_depth}")
-    if impurity != "gini":
-        raise ValueError(f"only gini impurity is implemented, got {impurity!r}")
+        raise InvalidHyperparameter(f"max_depth must be >= 1, got {max_depth}")
     weights = np.ones(len(data), dtype=np.int64)
     tree = _build_tree(_entries(data), data.labels, max_depth, min_leaf, weights)
-    meta = {"max_depth": max_depth, "min_leaf": min_leaf, "impurity": impurity,
+    meta = {"max_depth": max_depth, "min_leaf": min_leaf, "impurity": "gini",
             "seed": seed, "n_nodes": tree.n_nodes}
     return ModelArtifact(kind=ModelKind.DT, dim=data.dim, params=tree, training_meta=meta)
 
@@ -200,9 +199,9 @@ def train_rf(data: LabeledDataset, num_trees: int = 100, feature_fraction: float
              seed: int = 0, max_depth: int = 16, min_leaf: int = 1,
              bootstrap: bool = True) -> ModelArtifact:
     if num_trees < 1:
-        raise ValueError(f"num_trees must be >= 1, got {num_trees}")
+        raise InvalidHyperparameter(f"num_trees must be >= 1, got {num_trees}")
     if not 0.0 < feature_fraction <= 1.0:
-        raise ValueError(f"feature_fraction must be in (0,1], got {feature_fraction}")
+        raise InvalidHyperparameter(f"feature_fraction must be in (0,1], got {feature_fraction}")
     n = len(data)
     m = math.ceil(feature_fraction * data.dim)
     children = np.random.SeedSequence(seed).spawn(num_trees)

@@ -2,9 +2,12 @@
 
 Subcommands cover both phases: ``train`` / ``evaluate`` / ``top-terms``
 for the batch phase, ``replay`` / ``serve`` / ``report`` for the streaming
-phase, plus ``inspect`` and the ``broker`` utilities. Every command writes
-a JSON run manifest beside its primary output and supports ``--json`` for
-machine-readable results on stdout.
+phase, plus ``inspect`` and the ``broker`` utilities. Every command but
+``inspect`` supports ``--json`` for machine-readable results on stdout
+(``inspect`` always prints the header as JSON), and every command but
+``inspect``, ``broker create-topic`` and ``broker offsets`` writes a JSON
+run manifest beside its primary output, or in the working directory when
+it has none.
 
 Errors exit with stable codes (see EXIT_CODES); argparse usage errors exit
 with 2. Set SOURCE_DATE_EPOCH to pin the timestamp embedded in saved
@@ -38,6 +41,7 @@ EXIT_CODES: dict[type, int] = {
     errors.DegenerateLabels: 31,
     errors.TooFewRows: 32,
     errors.FoldWorkerDied: 33,
+    errors.InvalidHyperparameter: 34,
     errors.LengthMismatch: 40,
     errors.EmptyMatrix: 41,
     errors.SingleClass: 42,

@@ -61,6 +61,10 @@ class FoldWorkerDied(IdeationStreamError):
     results."""
 
 
+class InvalidHyperparameter(IdeationStreamError, ValueError):
+    """A trainer argument is outside the range the trainer accepts."""
+
+
 # -- evaluation ---------------------------------------------------------
 
 class LengthMismatch(IdeationStreamError):

@@ -45,17 +45,7 @@ COMBO_ORDERS = {
 }
 
 
-@dataclass(frozen=True)
-class NGramSpec:
-    orders: tuple[int, ...] = (1,)
-    joiner: str = " "
-
-    def __post_init__(self) -> None:
-        if not self.orders:
-            raise ValueError("orders must be non-empty")
-        if any(n not in (1, 2) for n in self.orders):
-            raise ValueError(f"orders must be a subset of {{1, 2}}, got {self.orders}")
-        object.__setattr__(self, "orders", tuple(sorted(set(self.orders))))
+GRAM_JOINER = " "  # between the tokens of a bigram
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,14 +104,14 @@ class SparseBatch:
                            minlength=self.dim)
 
 
-def ngrams(tokens: Sequence[str], spec: NGramSpec) -> list[str]:
-    """All windows of each order, order-of-n then position order."""
+def ngrams(tokens: Sequence[str], orders: Sequence[int]) -> list[str]:
+    """All windows of each order in ``orders``, order-of-n then position order."""
     out: list[str] = []
-    for n in spec.orders:
+    for n in orders:
         if n == 1:
             out.extend(tokens)
         else:
-            out.extend(spec.joiner.join(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
+            out.extend(GRAM_JOINER.join(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
     return out
 
 
@@ -163,22 +153,17 @@ def hashing_tf(grams: Sequence[str], num_buckets: int = DEFAULT_NUM_BUCKETS,
 
 
 @dataclass
-class IdfModel:
-    idf: np.ndarray
-
-
-@dataclass
 class FeaturePipeline:
-    """Fitted vectorization route: n-gram spec, hashing buckets or a
-    vocabulary, the IDF weights, and the TF-normalization flag."""
+    """Fitted vectorization route: the combo, which fixes the n-gram orders
+    (``COMBO_ORDERS``) and the route, hashing buckets or a vocabulary, the
+    IDF weight per column, and the TF-normalization flag."""
 
     combo: FeatureCombo
-    ngram: NGramSpec
     normalize_tf: bool = True
     min_tf: int = DEFAULT_MIN_TF
     num_buckets: int | None = None
     vocab: Vocabulary | None = None
-    idf: IdfModel | None = None
+    idf: np.ndarray | None = None
     _bucket_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
@@ -197,7 +182,8 @@ class FeaturePipeline:
 
     def _grams(self, token_docs: Sequence[Sequence[str]]) -> tuple[list[str], np.ndarray]:
         """The grams of all documents in order, and each document's gram count."""
-        per_doc = [ngrams(tokens, self.ngram) for tokens in token_docs]
+        orders = COMBO_ORDERS[self.combo]
+        per_doc = [ngrams(tokens, orders) for tokens in token_docs]
         lengths = np.array([len(doc_grams) for doc_grams in per_doc], dtype=np.int64)
         return [gram for doc_grams in per_doc for gram in doc_grams], lengths
 
@@ -213,7 +199,7 @@ class FeaturePipeline:
         dim = self.dim
         rows, cols = np.divmod(keys, dim)
         scale = 1.0 / np.maximum(lengths, 1) if self.normalize_tf else np.ones(lengths.size)
-        values = counts * scale[rows] * self.idf.idf[cols]
+        values = counts * scale[rows] * self.idf[cols]
         keep = values != 0.0
         indptr = np.searchsorted(rows[keep], np.arange(lengths.size + 1))  # rows ascend
         return SparseBatch(dim, indptr, cols[keep], values[keep])
@@ -223,8 +209,8 @@ class FeaturePipeline:
         if self.idf is None:
             raise NotFitted("transform called before fit")
         dim = self.dim
-        if self.idf.idf.size != dim:
-            raise DimensionMismatch(f"pipeline dim {dim} != idf dim {self.idf.idf.size}")
+        if self.idf.size != dim:
+            raise DimensionMismatch(f"pipeline dim {dim} != idf dim {self.idf.size}")
         grams, lengths = self._grams(token_docs)
         if self.hashing:
             cols = hashing_tf(grams, dim, _cache=self._bucket_cache)
@@ -251,8 +237,7 @@ def fit_pipeline(token_docs: Sequence[Sequence[str]], combo: FeatureCombo | str,
     if vocab_cap is not None and vocab_cap < 1:
         raise ValueError(f"vocab_cap must be >= 1, got {vocab_cap}")
     combo, n_docs = FeatureCombo(combo), len(token_docs)
-    pipe = FeaturePipeline(combo=combo, ngram=NGramSpec(orders=COMBO_ORDERS[combo]),
-                           normalize_tf=normalize_tf, min_tf=min_tf)
+    pipe = FeaturePipeline(combo=combo, normalize_tf=normalize_tf, min_tf=min_tf)
     grams, lengths = pipe._grams(token_docs)
     if pipe.hashing:
         pipe.num_buckets = dim = num_buckets
@@ -277,5 +262,5 @@ def fit_pipeline(token_docs: Sequence[Sequence[str]], combo: FeatureCombo | str,
     df = np.bincount(keys % dim, minlength=dim)
     if not pipe.hashing:
         pipe.vocab = Vocabulary(term_to_index, df, n_docs)
-    pipe.idf = IdfModel(idf=np.log((n_docs + 1.0) / (df + 1.0)))
+    pipe.idf = np.log((n_docs + 1.0) / (df + 1.0))
     return pipe, pipe._assemble(keys, counts, lengths)

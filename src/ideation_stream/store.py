@@ -13,8 +13,9 @@ in-memory artifact twice yields identical bytes. Arrays are stored
 little-endian. Version is checked before the checksum so a tampered
 version byte reports VersionMismatch, not CorruptPayload. A CRC-valid
 file whose arrays do not fit the header ``dim``, whose tree is not a
-forward tree, or whose hashing bucket count is not a power of two >= 2,
-is CorruptPayload too.
+forward tree, whose hashing bucket count is not a power of two >= 2, or
+whose n-gram orders or joiner are not the ones its combo implies, is
+CorruptPayload too.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from __future__ import annotations
 import json
 import math
 import zlib
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from .classifiers.mlp import MLPParams
 from .classifiers.naive_bayes import NBParams
 from .classifiers.tree import ForestParams, TreeParams
 from .errors import CorruptPayload, IoFailure, NotFitted, VersionMismatch
-from .features import (FeatureCombo, FeaturePipeline, IdfModel, NGramSpec,
+from .features import (COMBO_ORDERS, GRAM_JOINER, FeatureCombo, FeaturePipeline,
                        Vocabulary, check_num_buckets)
 from .hashutil import sha256_hex
 
@@ -43,31 +43,25 @@ _TREE_FIELDS = ("feature", "threshold", "left", "right", "count_neg", "count_pos
 _ITEM_BYTES = {"bytes": 1, "<f8": 8, "<i8": 8}
 
 
-@dataclass
-class _Section:
-    name: str
-    array: np.ndarray | bytes
-
-
-def _sections_for_model(model: ModelArtifact) -> list[_Section]:
+def _sections_for_model(model: ModelArtifact) -> list[tuple[str, np.ndarray]]:
     p = model.params
     if model.kind is ModelKind.NB:
-        return [_Section("nb.log_prior", p.log_prior), _Section("nb.log_lik", p.log_lik)]
+        return [("nb.log_prior", p.log_prior), ("nb.log_lik", p.log_lik)]
     if model.kind in (ModelKind.LR, ModelKind.SVC):
-        return [_Section("linear.weights", p.weights),
-                _Section("linear.bias", np.array([p.bias], dtype=np.float64))]
+        return [("linear.weights", p.weights),
+                ("linear.bias", np.array([p.bias], dtype=np.float64))]
     if model.kind is ModelKind.DT:
-        return [_Section(f"tree.0.{f}", getattr(p, f)) for f in _TREE_FIELDS]
+        return [(f"tree.0.{f}", getattr(p, f)) for f in _TREE_FIELDS]
     if model.kind is ModelKind.RF:
         out = []
         for t, tree in enumerate(p.trees):
-            out.extend(_Section(f"tree.{t}.{f}", getattr(tree, f)) for f in _TREE_FIELDS)
+            out.extend((f"tree.{t}.{f}", getattr(tree, f)) for f in _TREE_FIELDS)
         return out
     if model.kind is ModelKind.MLP:
         out = []
         for i, (w, b) in enumerate(zip(p.weights, p.biases)):
-            out.append(_Section(f"mlp.w{i}", w))
-            out.append(_Section(f"mlp.b{i}", b))
+            out.append((f"mlp.w{i}", w))
+            out.append((f"mlp.b{i}", b))
         return out
     raise ValueError(f"unknown model kind {model.kind!r}")
 
@@ -75,8 +69,8 @@ def _sections_for_model(model: ModelArtifact) -> list[_Section]:
 def _pipeline_header(pipe: FeaturePipeline) -> dict:
     return {
         "combo": pipe.combo.value,
-        "ngram_orders": list(pipe.ngram.orders),
-        "joiner": pipe.ngram.joiner,
+        "ngram_orders": list(COMBO_ORDERS[pipe.combo]),
+        "joiner": GRAM_JOINER,
         "normalize_tf": pipe.normalize_tf,
         "min_tf": pipe.min_tf,
         "num_buckets": pipe.num_buckets,
@@ -84,12 +78,11 @@ def _pipeline_header(pipe: FeaturePipeline) -> dict:
     }
 
 
-def _pipeline_sections(pipe: FeaturePipeline) -> list[_Section]:
-    sections = [_Section("idf", pipe.idf.idf)]
+def _pipeline_sections(pipe: FeaturePipeline) -> list[tuple[str, np.ndarray | bytes]]:
+    sections = [("idf", pipe.idf)]
     if pipe.vocab is not None:
         terms = "\n".join(pipe.vocab.terms_by_index()).encode("utf-8")
-        sections.append(_Section("vocab.terms", terms))
-        sections.append(_Section("vocab.doc_freq", pipe.vocab.doc_freq))
+        sections += [("vocab.terms", terms), ("vocab.doc_freq", pipe.vocab.doc_freq)]
     return sections
 
 
@@ -114,15 +107,15 @@ def save(pipeline: FeaturePipeline, model: ModelArtifact, path, *,
     sections = _pipeline_sections(pipeline) + _sections_for_model(model)
     table = []
     payloads = []
-    for sec in sections:
-        if isinstance(sec.array, bytes):
-            data = sec.array
-            table.append({"name": sec.name, "dtype": "bytes", "shape": [len(data)]})
+    for name, array in sections:
+        if isinstance(array, bytes):
+            data = array
+            table.append({"name": name, "dtype": "bytes", "shape": [len(data)]})
         else:
-            arr = np.ascontiguousarray(sec.array)
+            arr = np.ascontiguousarray(array)
             kind = {"f": "<f8", "i": "<i8"}[arr.dtype.kind]
             data = arr.astype(kind).tobytes()
-            table.append({"name": sec.name, "dtype": kind, "shape": list(arr.shape)})
+            table.append({"name": name, "dtype": kind, "shape": list(arr.shape)})
         payloads.append(data)
 
     header = {
@@ -201,11 +194,13 @@ def _rebuild(header: dict, arrays: dict) -> tuple[FeaturePipeline, ModelArtifact
     ph = header["pipeline"]
     pipe = FeaturePipeline(
         combo=FeatureCombo(ph["combo"]),
-        ngram=NGramSpec(orders=tuple(ph["ngram_orders"]), joiner=ph["joiner"]),
         normalize_tf=ph["normalize_tf"],
         min_tf=ph["min_tf"],
         num_buckets=ph["num_buckets"],
     )
+    orders, joiner = ph["ngram_orders"], ph["joiner"]
+    _require(orders == list(COMBO_ORDERS[pipe.combo]) and joiner == GRAM_JOINER,
+             f"n-gram orders {orders!r} or joiner {joiner!r} contradict {pipe.combo.value}")
     if pipe.hashing:
         check_num_buckets(pipe.num_buckets)
     if "vocab.terms" in arrays:
@@ -214,9 +209,9 @@ def _rebuild(header: dict, arrays: dict) -> tuple[FeaturePipeline, ModelArtifact
         pipe.vocab = Vocabulary(term_to_index={t: j for j, t in enumerate(terms)},
                                 doc_freq=df, num_docs=ph["vocab_num_docs"])
         _require(pipe.vocab.dim == len(terms), "vocabulary terms are not distinct")
-    pipe.idf = IdfModel(idf=arrays["idf"])
+    pipe.idf = arrays["idf"]
     dim = header["dim"]
-    _require(np.shape(pipe.idf.idf) == (dim,) and pipe.dim == dim,
+    _require(np.shape(pipe.idf) == (dim,) and pipe.dim == dim,
              "idf or vocabulary does not fit the header dim")
 
     kind = ModelKind(header["model_kind"])
@@ -240,8 +235,7 @@ def _params_from_arrays(kind: ModelKind, arrays: dict, dim: int):
         weights, bias = arrays["linear.weights"], arrays["linear.bias"]
         _require(np.shape(weights) == (dim,) and np.shape(bias) == (1,),
                  "linear sections do not fit the header dim")
-        return LinearParams(weights=weights, bias=float(bias[0]),
-                            probabilistic=kind is ModelKind.LR)
+        return LinearParams(weights=weights, bias=float(bias[0]))
     if kind is ModelKind.DT:
         return _tree_from_arrays(arrays, 0, dim)
     if kind is ModelKind.RF:

@@ -195,16 +195,16 @@ class StreamStats:
 
 def run_stream(broker: Broker, config: StreamConfig, *,
                stop_event: threading.Event | None = None,
-               stop_when_idle: bool = False,
-               preprocess_config: PreprocessConfig | None = None) -> StreamStats:
+               stop_when_idle: bool = False) -> StreamStats:
     """Micro-batch loop; runs until the stop event fires, or until the
-    first empty poll when ``stop_when_idle`` is set."""
+    first empty poll when ``stop_when_idle`` is set. Posts are preprocessed
+    with the default tables; a model saved with other tables is warned of."""
     for topic in (config.input_topic, config.output_topic):
         if topic not in broker.topics():
             raise UnknownTopic(f"topic {topic!r} does not exist")
     pipeline, model = store.load(config.model_path)
     model_digest = sha256_file(config.model_path)
-    pconfig = preprocess_config or PreprocessConfig.load_default()
+    pconfig = PreprocessConfig.load_default()
     stored_digest = store.inspect_header(config.model_path).get("preprocess_config_digest")
     if stored_digest and stored_digest != pconfig.digest():
         import warnings

@@ -98,7 +98,7 @@ class TestLogisticRegression:
     def test_zero_weights_score_is_half(self, vec):
         from ideation_stream.classifiers.base import ModelArtifact
         model = ModelArtifact(kind=ModelKind.LR, dim=2,
-                              params=LinearParams(np.zeros(2), 0.0, True))
+                              params=LinearParams(np.zeros(2), 0.0))
         assert predict(model, vec(2, [(0, 5)])).score == 0.5
 
     def test_feature_scaling_preserves_label_ordering(self, separable_toy):

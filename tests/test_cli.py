@@ -108,7 +108,7 @@ class TestTrain:
         for model, hyper, expected in (
                 ("lr", ["l2=0", "max-iter=5"], {"l2": 0, "max_iter": 5}),
                 ("mlp", ["hidden_layers=[4]"], {"hidden_layers": [4]}),
-                ("dt", ["max_depth=3", "impurity=gini"], {"max_depth": 3, "impurity": "gini"})):
+                ("dt", ["max_depth=3"], {"max_depth": 3})):
             argv = ["train", "--data", str(data_csv), "--model", model, "--combo",
                     "uni-cv-idf", "--min-tf", "0", "--folds", "0", "--json",
                     "--out", str(tmp_path / f"{model}.isp")]
@@ -116,6 +116,27 @@ class TestTrain:
                 argv += ["--hyper", pair]
             assert main(argv) == 0
             assert json.loads(capsys.readouterr().out)["params"] == expected
+
+
+class TestOutOfRangeHyperparameters:
+    @pytest.mark.parametrize("model,extra", [
+        ("dt", ["--hyper", "max_depth=0"]),
+        ("svc", ["--hyper", "c=0"]),
+        ("nb", ["--hyper", "alpha=-1"]),
+        ("mlp", ["--hyper", "hidden_layers=[]"]),
+        ("rf", ["--hyper", "feature_fraction=2.0"]),
+        ("mlp", ["--hyper", "batch_size=0"]),
+        ("dt", ["--grid", '{"max_depth": [0]}', "--folds", "3"]),  # raised in fold workers
+    ], ids=["dt-max-depth", "svc-c", "nb-alpha", "mlp-no-hidden-layer", "rf-feature-fraction",
+            "mlp-batch-size", "grid-in-cv"])
+    def test_exits_34_without_traceback(self, tmp_path, data_csv, capsys, model, extra):
+        out = tmp_path / "m.isp"
+        rc = main(["train", "--data", str(data_csv), "--model", model, "--combo",
+                   "uni-cv-idf", "--min-tf", "0", "--folds", "0", "--out", str(out), *extra])
+        assert rc == 34  # InvalidHyperparameter
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not out.exists()
 
 
 class TestEvaluate:
@@ -253,6 +274,7 @@ class TestUsageErrors:
         ["report", "--broker-dir", "b", "--group", "../x"],
         [*DT_NO_CV, "--hyper", "foo"],
         [*DT_NO_CV, "--hyper", "bogus=1"],
+        [*DT_NO_CV, "--hyper", "impurity=gini"],  # the tree always splits on Gini
         [*DT_NO_CV, "--hyper", "max_depth=["],
         [*DT_NO_CV, "--hyper", "max_depth=abc"],
         ["train", "--data", "d.csv", "--train-frac", "1.5"],
@@ -275,7 +297,7 @@ class TestUsageErrors:
         ["top-terms", "--data", "d.csv", "--class", "suicide", "--k", "-1"],
         ["serve", "--broker-dir", "b", "--model", "m.isp", "--dedupe-window", "-1"],
     ], ids=["topic-name", "partitions", "buckets", "trigger-ms", "same-topics",
-            "serve-group", "report-group", "hyper-no-equals", "hyper-unknown-key",
+            "serve-group", "report-group", "hyper-no-equals", "hyper-unknown-key", "hyper-impurity",
             "hyper-bad-json", "hyper-wrong-type", "train-frac-above-1", "train-frac-0",
             "grid-bad-json", "grid-unknown-key", "grid-not-a-list", "grid-empty-list",
             "grid-empty", "grid-not-an-object", "grid-wrong-type", "batch-max",

@@ -7,17 +7,16 @@ from hypothesis import strategies as st
 
 from ideation_stream.errors import (DimensionMismatch, EmptyVocabulary,
                                     NotFitted)
-from ideation_stream.features import (FeatureCombo, FeaturePipeline,
-                                      IdfModel, NGramSpec, SparseBatch,
-                                      fit_pipeline, hashing_tf, ngrams)
+from ideation_stream.features import (COMBO_ORDERS, FeatureCombo, FeaturePipeline,
+                                      SparseBatch, fit_pipeline, hashing_tf, ngrams)
 from ideation_stream.hashutil import fnv1a_32
 
 from conftest import dense, entries, make_vec, same, stack
 from oracles import dense_cv_tfidf, dense_hashing_tfidf, fnv1a_32_reference
 
-UNI = NGramSpec((1,))
-BI = NGramSpec((2,))
-UNIBI = NGramSpec((1, 2))
+UNI = (1,)
+BI = (2,)
+UNIBI = (1, 2)
 
 
 def counting(docs, combo=FeatureCombo.UNI_CV_IDF, idf=None, **kwargs):
@@ -25,7 +24,7 @@ def counting(docs, combo=FeatureCombo.UNI_CV_IDF, idf=None, **kwargs):
     whose IDF is ``idf`` (all ones by default): its rows are raw gram
     counts times ``idf``."""
     pipe, _ = fit_pipeline(docs, combo, min_tf=0, normalize_tf=False, **kwargs)
-    pipe.idf = IdfModel(np.ones(pipe.dim) if idf is None else np.asarray(idf, dtype=float))
+    pipe.idf = np.ones(pipe.dim) if idf is None else np.asarray(idf, dtype=float)
     return pipe
 
 
@@ -93,12 +92,6 @@ class TestNgrams:
 
     def test_combined_order(self):
         assert ngrams(["a", "b"], UNIBI) == ["a", "b", "a b"]
-
-    def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            NGramSpec(())
-        with pytest.raises(ValueError):
-            NGramSpec((3,))
 
 
 def fit_vocab(docs, **kwargs):
@@ -230,16 +223,16 @@ class TestIdf:
 
     def test_ubiquitous_term_zero(self):
         pipe, _ = fit_pipeline([["a"], ["a", "a"]], FeatureCombo.UNI_CV_IDF, min_tf=0)
-        assert pipe.idf.idf[0] == 0.0
+        assert pipe.idf[0] == 0.0
 
     def test_half_presence(self):
         pipe, _ = fit_pipeline([["a"], []], FeatureCombo.UNI_CV_IDF, min_tf=0)
-        assert pipe.idf.idf[0] == pytest.approx(math.log(3 / 2), abs=1e-12)
+        assert pipe.idf[0] == pytest.approx(math.log(3 / 2), abs=1e-12)
 
     def test_unseen_column(self):
         pipe, _ = fit_pipeline([["a"], ["a"]], FeatureCombo.UNI_TFIDF, num_buckets=2)
         unseen = 1 - fnv1a_32("a") % 2
-        assert pipe.idf.idf[unseen] == pytest.approx(math.log(3), abs=1e-12)
+        assert pipe.idf[unseen] == pytest.approx(math.log(3), abs=1e-12)
 
     def test_apply_scalar_product(self):
         pipe = counting([["a"]], idf=[0.5])
@@ -277,7 +270,7 @@ class TestPipeline:
 
     def test_unibi_combo_covers_both_orders(self):
         pipe, _ = fit_pipeline(DOCS, FeatureCombo.UNI_BI_CV_IDF, min_tf=0)
-        assert pipe.ngram.orders == (1, 2)
+        assert COMBO_ORDERS[pipe.combo] == (1, 2)
         terms = set(pipe.vocab.term_to_index)
         assert "want" in terms and "to die" in terms
 
@@ -285,7 +278,7 @@ class TestPipeline:
         pipe, _ = fit_pipeline(DOCS, FeatureCombo.UNI_CV_IDF, min_tf=0, normalize_tf=False)
         doc = DOCS[0]
         counts = counting(DOCS).transform_batch([doc])
-        values = counts.values * pipe.idf.idf[counts.indices]
+        values = counts.values * pipe.idf[counts.indices]
         manual = SparseBatch(pipe.dim, [0, np.count_nonzero(values)],
                              counts.indices[values != 0], values[values != 0])
         assert same(pipe.transform(doc), manual)
@@ -308,7 +301,7 @@ class TestPipeline:
         assert set(np.asarray(v1.indices)) <= set(range(dim_before))
 
     def test_not_fitted(self):
-        pipe = FeaturePipeline(combo=FeatureCombo.UNI_CV_IDF, ngram=UNI)
+        pipe = FeaturePipeline(combo=FeatureCombo.UNI_CV_IDF)
         with pytest.raises(NotFitted):
             pipe.transform(["x"])
 
@@ -346,9 +339,9 @@ class TestPipeline:
         docs = [[f"g{i}_{j}" for j in range(1000)] for i in range(70)]
         pipe, _ = fit_pipeline(docs[:2], FeatureCombo.UNI_TFIDF, num_buckets=1 << 10)
         for doc in docs:
-            grams = ngrams(doc, pipe.ngram)
+            grams = ngrams(doc, UNI)
             cols, counts = np.unique(hashing_tf(grams, 1 << 10), return_counts=True)
-            values = counts * (1.0 / len(grams)) * pipe.idf.idf[cols]
+            values = counts * (1.0 / len(grams)) * pipe.idf[cols]
             uncached = SparseBatch(pipe.dim, [0, np.count_nonzero(values)],
                                    cols[values != 0], values[values != 0])
             assert same(pipe.transform(doc), uncached)
@@ -413,13 +406,14 @@ class TestFitBatch:
             got, want = getattr(batch, name), getattr(again, name)
             assert got.dtype == want.dtype and np.array_equal(got, want)
         if pipe.hashing:
-            doc_cols = [set(hashing_tf(ngrams(doc, pipe.ngram), 16).tolist()) for doc in docs]
+            doc_cols = [set(hashing_tf(ngrams(doc, COMBO_ORDERS[combo]), 16).tolist())
+                        for doc in docs]
         else:
             assert vocab_cap is None or pipe.vocab.dim <= vocab_cap
             lookup = pipe.vocab.term_to_index
-            doc_cols = [{lookup[g] for g in ngrams(doc, pipe.ngram) if g in lookup}
+            doc_cols = [{lookup[g] for g in ngrams(doc, COMBO_ORDERS[combo]) if g in lookup}
                         for doc in docs]
         df = np.array([sum(j in cols for cols in doc_cols) for j in range(pipe.dim)])
         if not pipe.hashing:
             assert pipe.vocab.doc_freq.tolist() == df.tolist()
-        assert np.array_equal(pipe.idf.idf, np.log((len(docs) + 1.0) / (df + 1.0)))
+        assert np.array_equal(pipe.idf, np.log((len(docs) + 1.0) / (df + 1.0)))

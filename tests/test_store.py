@@ -8,12 +8,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ideation_stream import store
-from ideation_stream.classifiers import (predict, train_dt, train_linear_svc,
-                                         train_lr, train_mlp, train_nb,
-                                         train_rf)
+from ideation_stream.classifiers import (LabeledDataset, predict, train_dt,
+                                         train_linear_svc, train_lr, train_mlp,
+                                         train_nb, train_rf)
+from ideation_stream.cli import main
 from ideation_stream.errors import (CorruptPayload, IdeationStreamError, IoFailure,
                                     VersionMismatch)
-from ideation_stream.features import FeatureCombo, IdfModel, SparseBatch, fit_pipeline
+from ideation_stream.features import FeatureCombo, SparseBatch, fit_pipeline
 
 from conftest import random_sparse_dataset, rows_of, same
 
@@ -189,7 +190,7 @@ class TestRejection:
             store.load(path)
 
     def test_idf_that_does_not_fit_header(self, pipeline, fixture_dataset, tmp_path):
-        short = dataclasses.replace(pipeline, idf=IdfModel(pipeline.idf.idf[:-1]))
+        short = dataclasses.replace(pipeline, idf=pipeline.idf[:-1])
         store.save(short, train_nb(_dataset_for(pipeline, fixture_dataset)), tmp_path / "i.isp")
         with pytest.raises(CorruptPayload):
             store.load(tmp_path / "i.isp")
@@ -198,11 +199,40 @@ class TestRejection:
         # arrays sized 48 fit the header dim; 48 buckets cannot hash a gram
         docs = [["want", "die"], ["sunny", "day"], ["die", "alone"], ["fun", "day"]]
         pipe, _ = fit_pipeline(docs, FeatureCombo.UNI_TFIDF, num_buckets=64, min_tf=0)
-        pipe = dataclasses.replace(pipe, num_buckets=48, idf=IdfModel(pipe.idf.idf[:48]))
+        pipe = dataclasses.replace(pipe, num_buckets=48, idf=pipe.idf[:48])
         data = random_sparse_dataset(np.random.default_rng(1), 20, 48)
         store.save(pipe, train_nb(data), tmp_path / "h.isp")
         with pytest.raises(CorruptPayload):
             store.load(tmp_path / "h.isp")
+
+    @pytest.mark.parametrize("key,value", [
+        ("ngram_orders", [1]), ("ngram_orders", [2, 1]), ("ngram_orders", [1, 2, 3]),
+        ("joiner", "_"), ("joiner", ""),
+    ])
+    def test_ngram_header_contradicting_combo(self, tmp_path, key, value):
+        docs = [["want", "to", "die"], ["sunny", "day"], ["want", "to", "die"], ["fun", "day"]]
+        pipe, batch = fit_pipeline(docs, FeatureCombo.UNI_BI_CV_IDF, min_tf=0)
+        path = tmp_path / "g.isp"
+        store.save(pipe, train_nb(LabeledDataset(batch, [1, 0, 1, 0])), path)
+        assert store.inspect_header(path)["pipeline"]["ngram_orders"] == [1, 2]
+        store.load(path)
+        _rewrite_header(path, lambda header: header["pipeline"].update({key: value}))
+        with pytest.raises(CorruptPayload, match="contradict uni-bi-cv-idf"):
+            store.load(path)
+
+    def test_evaluate_exits_51_on_contradicting_ngram_header(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # evaluate's manifest lands in the cwd
+        rows = [f"i want to die {w},suicide\nsunny day with friends {w},non-suicide"
+                for w in ("apple", "river", "candle", "violin", "marble", "tiger", "cloud",
+                          "pepper", "garden", "rocket", "silver", "window")]
+        (tmp_path / "d.csv").write_text("text,class\n" + "\n".join(rows) + "\n", "utf-8")
+        model = tmp_path / "m.isp"
+        assert main(["train", "--data", "d.csv", "--model", "nb", "--combo", "uni-bi-cv-idf",
+                     "--min-tf", "0", "--folds", "0", "--out", str(model)]) == 0
+        evaluate = ["evaluate", "--model", str(model), "--data", "d.csv"]
+        assert main(evaluate) == 0
+        _rewrite_header(model, lambda header: header["pipeline"].update(joiner="_"))
+        assert main(evaluate) == 51  # CorruptPayload
 
     @pytest.mark.parametrize("kind", sorted(TRAIN_CALLS))
     @settings(max_examples=25, deadline=None,

@@ -1,5 +1,6 @@
 import json
 import tempfile
+import warnings
 from collections import deque
 
 import pytest
@@ -362,6 +363,27 @@ class TestRunStream:
         stats = run_stream(broker, _config(model_path), stop_when_idle=True)
         assert stats.consumed == 0 and stats.events == 0
         assert broker.end_offsets("Predicted-tweets") == [0]
+
+    def test_warns_when_stored_preprocess_digest_differs(self, broker, model_path, tmp_path):
+        pipeline, model = store.load(model_path)
+        other = tmp_path / "other-tables.isp"
+        store.save(pipeline, model, other, preprocess_config_digest="ab" * 32)
+        (tmp_path / "feed.txt").write_text("i want to die\n", "utf-8")
+        replay_produce(tmp_path / "feed.txt", broker, "Source-tweets")
+        with pytest.warns(UserWarning, match="preprocess config differs"):
+            stats = run_stream(broker, _config(other), stop_when_idle=True)
+        assert stats.events == 1
+
+    def test_no_warning_when_stored_preprocess_digest_matches(self, broker, model_path,
+                                                             tmp_path):
+        assert store.inspect_header(model_path)["preprocess_config_digest"] == \
+            PreprocessConfig.load_default().digest()
+        (tmp_path / "feed.txt").write_text("i want to die\n", "utf-8")
+        replay_produce(tmp_path / "feed.txt", broker, "Source-tweets")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stats = run_stream(broker, _config(model_path), stop_when_idle=True)
+        assert stats.events == 1
 
     def test_filters_drop_and_count(self, broker, model_path, tmp_path):
         feed = tmp_path / "feed.txt"
