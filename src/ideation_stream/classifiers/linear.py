@@ -48,6 +48,8 @@ def logistic_loss_grad(wb: np.ndarray, data: LabeledDataset, l2: float) -> tuple
 
 def train_lr(data: LabeledDataset, l2: float = 0.0, max_iter: int = 200,
              tol: float = 1e-6, seed: int = 0) -> ModelArtifact:
+    if l2 < 0:
+        raise InvalidHyperparameter(f"l2 must be >= 0, got {l2}")
     wb = np.zeros(data.dim + 1, dtype=np.float64)
     loss, grad = logistic_loss_grad(wb, data, l2)
     step = 1.0

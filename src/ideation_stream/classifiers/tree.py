@@ -184,10 +184,15 @@ def _build_tree(entries: tuple[np.ndarray, np.ndarray, np.ndarray], labels: np.n
     return TreeParams(*(np.asarray(column, dtype=d) for column, d in zip(zip(*nodes), dtypes)))
 
 
+def _check_tree_shape(max_depth: int, min_leaf: int) -> None:
+    for name, value in (("max_depth", max_depth), ("min_leaf", min_leaf)):
+        if value < 1:
+            raise InvalidHyperparameter(f"{name} must be >= 1, got {value}")
+
+
 def train_dt(data: LabeledDataset, max_depth: int = 16, min_leaf: int = 1,
              seed: int = 0) -> ModelArtifact:
-    if max_depth < 1:
-        raise InvalidHyperparameter(f"max_depth must be >= 1, got {max_depth}")
+    _check_tree_shape(max_depth, min_leaf)
     weights = np.ones(len(data), dtype=np.int64)
     tree = _build_tree(_entries(data), data.labels, max_depth, min_leaf, weights)
     meta = {"max_depth": max_depth, "min_leaf": min_leaf, "impurity": "gini",
@@ -202,6 +207,7 @@ def train_rf(data: LabeledDataset, num_trees: int = 100, feature_fraction: float
         raise InvalidHyperparameter(f"num_trees must be >= 1, got {num_trees}")
     if not 0.0 < feature_fraction <= 1.0:
         raise InvalidHyperparameter(f"feature_fraction must be in (0,1], got {feature_fraction}")
+    _check_tree_shape(max_depth, min_leaf)
     n = len(data)
     m = math.ceil(feature_fraction * data.dim)
     children = np.random.SeedSequence(seed).spawn(num_trees)

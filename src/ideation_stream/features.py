@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain, repeat
 from typing import Sequence
 
 import numpy as np
@@ -108,10 +109,10 @@ def ngrams(tokens: Sequence[str], orders: Sequence[int]) -> list[str]:
     """All windows of each order in ``orders``, order-of-n then position order."""
     out: list[str] = []
     for n in orders:
-        if n == 1:
-            out.extend(tokens)
-        else:
-            out.extend(GRAM_JOINER.join(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
+        grams = tokens
+        for k in range(1, n):  # windows of k + 1 tokens from windows of k
+            grams = [f"{gram}{GRAM_JOINER}{token}" for gram, token in zip(grams, tokens[k:])]
+        out.extend(grams)
     return out
 
 
@@ -184,8 +185,8 @@ class FeaturePipeline:
         """The grams of all documents in order, and each document's gram count."""
         orders = COMBO_ORDERS[self.combo]
         per_doc = [ngrams(tokens, orders) for tokens in token_docs]
-        lengths = np.array([len(doc_grams) for doc_grams in per_doc], dtype=np.int64)
-        return [gram for doc_grams in per_doc for gram in doc_grams], lengths
+        lengths = np.fromiter(map(len, per_doc), np.int64, len(per_doc))
+        return list(chain.from_iterable(per_doc)), lengths
 
     @staticmethod
     def _counts(cols: np.ndarray, lengths: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -215,8 +216,8 @@ class FeaturePipeline:
         if self.hashing:
             cols = hashing_tf(grams, dim, _cache=self._bucket_cache)
         else:
-            lookup = self.vocab.term_to_index
-            cols = np.array([lookup.get(g, -1) for g in grams], dtype=np.int64)
+            cols = np.fromiter(map(self.vocab.term_to_index.get, grams, repeat(-1)),
+                               np.int64, len(grams))
         return self._assemble(*self._counts(cols, lengths, dim), lengths)
 
     def transform(self, tokens: Sequence[str]) -> SparseBatch:

@@ -2,12 +2,14 @@
 per token that drops stopwords and lemmatizes (exceptions, then suffix rules).
 
 The filter case-folds, expands contractions, strips URLs and deletes every
-non-alphanumeric codepoint by the rule ``_keep`` (through the ASCII table
-``_ASCII_RULE`` built from it when the text is ASCII). Each config caches
-token -> lemma or stopword, cleared at ``LEMMA_CACHE_MAX`` entries; an entry
-depends only on the token and the tables, so the cache never changes a
-result. Shipped tables live in ``data/``; others come in through the
-``PreprocessConfig`` constructor.
+non-alphanumeric codepoint by the rule ``_keep``: through byte tables built
+from it when the text is ASCII, else through a per-config memo of codepoint
+-> ``_keep``, cleared at ``KEEP_MEMO_MAX`` entries. The contraction and URL
+passes run only when the text holds a character every contraction key
+contains, or a URL prefix. Each config caches token -> lemma or stopword,
+cleared at ``LEMMA_CACHE_MAX`` entries; an entry depends only on the token
+and the tables, so neither cache ever changes a result. Shipped tables live
+in ``data/``; others come in through the ``PreprocessConfig`` constructor.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from importlib import resources
 
 _URL_RE = re.compile(r"(?:https?://|www\.)\S*")
 LEMMA_CACHE_MAX = 1 << 16  # tokens a config's lemma cache holds before it is cleared
+KEEP_MEMO_MAX = 1 << 16  # codepoints a config's keep memo holds before it is cleared
 _STOPWORD = object()  # cached in place of a lemma; no lemma is this object
 
 # Common-word supplement for the language heuristic only; the heuristic
@@ -29,6 +32,29 @@ _COMMON_WORDS = frozenset("""
     family help hope sad happy good bad right wrong thing things way today
     tomorrow never always really one two man woman kid work school home year
 """.split())
+
+
+def _keep(ch: str) -> str:
+    # drop punctuation/symbols; codepoints that stay uppercase through
+    # casefold (math alphabets etc.) count as symbols, not letters
+    if ch.isalnum() and not ch.isupper():
+        return ch
+    return " " if ch.isspace() else ""
+
+
+# bytes.translate arguments: ASCII bytes _keep deletes, and the byte each other one becomes
+_ASCII_DELETE = bytes(i for i in range(128) if not _keep(chr(i)))
+_ASCII_TABLE = bytes(ord(_keep(chr(i)) or chr(i)) if i < 128 else i for i in range(256))
+
+
+class _KeepMemo(dict):
+    """codepoint -> ``_keep(chr(codepoint))``, filled by ``str.translate``."""
+
+    def __missing__(self, codepoint: int) -> str:
+        if len(self) >= KEEP_MEMO_MAX:
+            self.clear()
+        kept = self[codepoint] = _keep(chr(codepoint))
+        return kept
 
 
 @dataclass(frozen=True)
@@ -45,7 +71,9 @@ class PreprocessConfig:
     suffix_rules: list[tuple[str, str, int]]
     # built on first use; init=False, so dataclasses.replace never shares them
     _contraction_re: re.Pattern | None = field(default=None, init=False, repr=False, compare=False)
+    _contraction_mark: str = field(default="", init=False, repr=False, compare=False)
     _lemma_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _keep_memo: dict = field(default_factory=_KeepMemo, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for key in self.contraction_table:
@@ -53,7 +81,12 @@ class PreprocessConfig:
                 raise ValueError(f"contraction key not lowercase: {key!r}")
 
     def contraction_pattern(self) -> re.Pattern:
+        """The pattern matching any contraction key; builds it and
+        ``_contraction_mark``, a character every key holds ("" if none)."""
         if self._contraction_re is None:
+            keys = self.contraction_table
+            shared = set.intersection(*map(set, keys)) if keys else set()
+            self._contraction_mark = min(shared, default="")
             # one branch per first character, so a word boundary tries one branch,
             # and longest-first inside it, so shouldn't've wins over shouldn't
             branches: dict[str, list[str]] = {}
@@ -116,25 +149,25 @@ def _parse_suffix_rules(text: str) -> list[tuple[str, str, int]]:
     return [(suffix, repl, int(min_stem)) for suffix, repl, min_stem in rows]
 
 
-def _keep(ch: str) -> str:
-    # drop punctuation/symbols; codepoints that stay uppercase through
-    # casefold (math alphabets etc.) count as symbols, not letters
-    if ch.isalnum() and not ch.isupper():
-        return ch
-    return " " if ch.isspace() else ""
-
-
-_ASCII_RULE = str.maketrans({chr(i): _keep(chr(i)) for i in range(128)})
-
-
 def filter_text(raw: str, config: PreprocessConfig) -> str:
     """Case-fold, expand contractions, strip URLs, delete punctuation and
     symbols (#/@ too), collapse whitespace. May return an empty string."""
+    return " ".join(_filtered_words(raw, config))
+
+
+def _filtered_words(raw: str, config: PreprocessConfig) -> list[str]:
+    """``filter_text(raw, config).split()``, without the join."""
     s = raw.casefold()
-    s = config.contraction_pattern().sub(lambda m: config.contraction_table[m.group(0)], s)
-    s = _URL_RE.sub(" ", s)
-    s = s.translate(_ASCII_RULE) if s.isascii() else "".join(map(_keep, s))
-    return " ".join(s.split())
+    pattern = config.contraction_pattern()
+    if config._contraction_mark in s:  # no key matches without it; "" is in every text
+        s = pattern.sub(lambda m: config.contraction_table[m.group(0)], s)
+    if "http" in s or "www." in s:  # the prefixes _URL_RE starts with
+        s = _URL_RE.sub(" ", s)
+    if s.isascii():
+        s = s.encode("ascii").translate(_ASCII_TABLE, _ASCII_DELETE).decode("ascii")
+    else:
+        s = s.translate(config._keep_memo)
+    return s.split()
 
 
 def lemmatize_token(token: str, config: PreprocessConfig) -> str:
@@ -155,7 +188,7 @@ def preprocess(raw: str, config: PreprocessConfig | None = None, source_id: str 
         config = PreprocessConfig.load_default()
     cache = config._lemma_cache
     lemmas = []
-    for token in (filter_text(raw, config) if filtered is None else filtered).split():
+    for token in (_filtered_words(raw, config) if filtered is None else filtered.split()):
         lemma = cache.get(token)
         if lemma is None:
             if len(cache) >= LEMMA_CACHE_MAX:

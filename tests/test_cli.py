@@ -127,8 +127,13 @@ class TestOutOfRangeHyperparameters:
         ("rf", ["--hyper", "feature_fraction=2.0"]),
         ("mlp", ["--hyper", "batch_size=0"]),
         ("dt", ["--grid", '{"max_depth": [0]}', "--folds", "3"]),  # raised in fold workers
+        ("lr", ["--hyper", "l2=-1"]),
+        ("rf", ["--hyper", "max_depth=0"]),
+        ("dt", ["--hyper", "min_leaf=0"]),
+        ("rf", ["--hyper", "min_leaf=-1"]),
     ], ids=["dt-max-depth", "svc-c", "nb-alpha", "mlp-no-hidden-layer", "rf-feature-fraction",
-            "mlp-batch-size", "grid-in-cv"])
+            "mlp-batch-size", "grid-in-cv", "lr-l2", "rf-max-depth", "dt-min-leaf",
+            "rf-min-leaf"])
     def test_exits_34_without_traceback(self, tmp_path, data_csv, capsys, model, extra):
         out = tmp_path / "m.isp"
         rc = main(["train", "--data", str(data_csv), "--model", model, "--combo",

@@ -12,11 +12,12 @@ from ideation_stream.features import (COMBO_ORDERS, FeatureCombo, FeaturePipelin
 from ideation_stream.hashutil import fnv1a_32
 
 from conftest import dense, entries, make_vec, same, stack
-from oracles import dense_cv_tfidf, dense_hashing_tfidf, fnv1a_32_reference
+from oracles import dense_cv_tfidf, dense_hashing_tfidf, fnv1a_32_reference, ngrams_reference
 
 UNI = (1,)
 BI = (2,)
 UNIBI = (1, 2)
+TOKENS = ["a", "b", "a", "ß", "naïve", "日本", "😢", "want", "to"]
 
 
 def counting(docs, combo=FeatureCombo.UNI_CV_IDF, idf=None, **kwargs):
@@ -92,6 +93,13 @@ class TestNgrams:
 
     def test_combined_order(self):
         assert ngrams(["a", "b"], UNIBI) == ["a", "b", "a b"]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.sampled_from(TOKENS), max_size=8),
+           st.sampled_from([UNI, BI, UNIBI, (3,), (1, 2, 3)]))
+    def test_matches_reference(self, tokens, orders):
+        assert ngrams(tokens, orders) == ngrams_reference(tokens, orders)
+        assert ngrams(tuple(tokens), orders) == ngrams_reference(tokens, orders)
 
 
 def fit_vocab(docs, **kwargs):
@@ -348,9 +356,6 @@ class TestPipeline:
             assert len(pipe._bucket_cache) <= 1 << 16
 
 
-TOKENS = ["a", "b", "a", "ß", "naïve", "日本", "😢", "want", "to"]
-
-
 class TestTransformBatch:
     """Row i of ``transform_batch(docs)`` is ``transform(docs[i])`` bit for
     bit and matches the dense oracles; docs may be empty, all out of
@@ -358,12 +363,15 @@ class TestTransformBatch:
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.lists(st.sampled_from(TOKENS), max_size=8), min_size=1, max_size=7),
+           st.sampled_from([FeatureCombo.UNI_CV_IDF, FeatureCombo.BI_CV_IDF,
+                            FeatureCombo.UNI_BI_CV_IDF]),
            st.booleans())
-    def test_rows_match_one_doc_and_cv_oracle(self, docs, normalize):
-        # min_tf=1 leaves every gram seen once out of the vocabulary
-        docs = docs + [["a", "a", "b", "a", "b"]]  # keeps the vocabulary non-empty
-        pipe, _ = fit_pipeline(docs, FeatureCombo.UNI_BI_CV_IDF, min_tf=1, normalize_tf=normalize)
-        expected, terms = dense_cv_tfidf(docs, (1, 2), 1, normalize)
+    def test_rows_match_one_doc_and_cv_oracle(self, docs, combo, normalize):
+        # min_tf=1 leaves every gram seen once out of the vocabulary; the
+        # last doc repeats the bigram "a b" and keeps the vocabulary non-empty
+        docs = docs + [[], ["want"], ["a", "a", "b", "a", "b"]]
+        pipe, _ = fit_pipeline(docs, combo, min_tf=1, normalize_tf=normalize)
+        expected, terms = dense_cv_tfidf(docs, COMBO_ORDERS[combo], 1, normalize)
         self._check(pipe, docs, expected)
         assert pipe.vocab.terms_by_index() == terms
 

@@ -143,9 +143,10 @@ class TestFullPipeline:
         assert all(out.tokens)
 
 
-# words the two configs below treat differently, mixed into arbitrary text
+# words the configs below treat differently, mixed into arbitrary text
 _WORDS = ("i", "to", "feel", "feeling", "sad", "crying", "died", "classes", "willing",
-          "can't", "shouldn't've", "#help", "@sam", "https://t.co/x", "café", "𝐀")
+          "can't", "shouldn't've", "i'm", "gonna", "#help", "@sam", "https://t.co/x",
+          "WWW.x.io", "http", "café", "𝐀")
 _TEXTS = st.one_of(st.text(),
                    st.lists(st.one_of(st.sampled_from(_WORDS), st.text(max_size=6)),
                             max_size=12).map(" ".join))
@@ -159,11 +160,18 @@ def custom(cfg):
                                lemma_exceptions={"i": "me", "to": "toward", "died": "dead"})
 
 
+@pytest.fixture(scope="module")
+def unshared(cfg):
+    """Contraction keys with no character in common, so filter_text never
+    skips the contraction pass."""
+    return dataclasses.replace(cfg, contraction_table={"gonna": "going to", "i'm": "i am"})
+
+
 class TestOneLoop:
-    # preprocess against the four separate stages of oracles.py; both
+    # preprocess against the four separate stages of oracles.py; the
     # configs live for the module, so their caches are warm, and each
     # text alternates between them, so an entry cached under one config
-    # would show up in the other's tokens
+    # would show up in another's tokens
     @settings(max_examples=300, deadline=None)
     @given(_TEXTS)
     @example("a\x1cb\x1dc\x1ed\x1ff")
@@ -171,9 +179,24 @@ class TestOneLoop:
     @example("\x00\x07\x7f ctrl")
     @example("Café NAÏVE über #mood @sam can't stop feeling 😢")
     @example("𝐀𝐁𝐂 abc ⅫⅯ ǅ ß ﬃ İ")
-    def test_matches_four_stage_oracle(self, cfg, custom, raw):
-        for config in (cfg, custom, cfg, custom):
+    @example("I'M GONNA see HTTP://T.CO/X and WWW.EXAMPLE.COM, can't wait")
+    @example("http and https: are words here, httpfoo www too")
+    @example("plain ascii first, then naïve café über 😢 and ascii again")
+    def test_matches_four_stage_oracle(self, cfg, custom, unshared, raw):
+        for config in (cfg, custom, unshared, cfg, custom, unshared):
             assert preprocess(raw, config).tokens == preprocess_reference(raw, config)
+
+    @pytest.mark.parametrize("table,mark", [
+        (None, "'"),  # the shipped table: every key holds an apostrophe
+        ({"gonna": "going to", "wanna": "want to"}, "a"),
+        ({"gonna": "going to", "i'm": "i am"}, ""),
+        ({}, ""),
+    ])
+    def test_contraction_mark_comes_from_the_table(self, cfg, table, mark):
+        config = dataclasses.replace(cfg, contraction_table=(
+            dict(cfg.contraction_table) if table is None else table))
+        config.contraction_pattern()
+        assert config._contraction_mark == mark
 
     def test_configs_keep_their_own_cache(self, cfg, custom):
         text = "i want to feel sad classes"
@@ -193,13 +216,23 @@ class TestOneLoop:
             assert preprocess(text, bounded).tokens == preprocess_reference(text, cfg)
             assert len(bounded._lemma_cache) <= 4
 
+    def test_keep_memo_bound(self, cfg, monkeypatch):
+        texts = ["Café NAÏVE über", "日本語 😢 ß", "𝐀𝐁𝐂 ⅫⅯ ǅ ﬃ", "naïve 日本 can't"] * 3
+        monkeypatch.setattr(preprocess_mod, "KEEP_MEMO_MAX", 4)
+        bounded = dataclasses.replace(cfg)
+        for text in texts:
+            assert preprocess(text, bounded).tokens == preprocess_reference(text, cfg)
+            assert 0 < len(bounded._keep_memo) <= 4
+
     def test_shared_cache_under_threads(self, cfg, monkeypatch):
-        # the serve loop and a checker thread may share one config; with a
-        # tiny bound the cache is cleared while other threads read it
+        # the serve loop and a checker thread may share one config; with
+        # tiny bounds the caches are cleared while other threads read them
         texts = ["i want to die", "crying classes feeling sad today", "the quick brown foxes",
-                 "didn't sleep, can't eat #tired", "dying studies houses wanted"]
+                 "didn't sleep, can't eat #tired", "dying studies houses wanted",
+                 "naïve café über 😢 日本"]
         expected = [preprocess_reference(t, cfg) for t in texts]
         monkeypatch.setattr(preprocess_mod, "LEMMA_CACHE_MAX", 3)
+        monkeypatch.setattr(preprocess_mod, "KEEP_MEMO_MAX", 3)
         shared = dataclasses.replace(cfg)
         wrong = []
 
