@@ -26,7 +26,8 @@ On reopen, segments are scanned and a torn tail (short frame or CRC
 mismatch) of a partition's last segment is truncated away: at-least-once
 delivery for acked records, never a gap mid-partition. An earlier, sealed
 segment must scan clean; a bad frame there raises ``CorruptPayload``
-rather than drop acked records behind it.
+rather than drop acked records behind it. So does a group file that is
+not a map of ``<topic>/<partition>`` keys to non-negative int offsets.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from __future__ import annotations
 import itertools
 import json
 import os
+import re
 import struct
 import threading
 import time
@@ -42,7 +44,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
-from .errors import CorruptPayload, OffsetOutOfRange, TopicExists, UnknownTopic
+from .errors import CorruptPayload, IoFailure, OffsetOutOfRange, TopicExists, UnknownTopic
 from .hashutil import fnv1a_32
 
 DEFAULT_SEGMENT_BYTES = 16 * 1024 * 1024
@@ -51,6 +53,7 @@ READ_WINDOW = 64 * 1024  # bytes per pread of a run of frames
 _HEADER = struct.Struct("<II")  # frame_len, crc32
 _BODY = struct.Struct("<qi")  # timestamp ms, key length (-1: no key)
 _U32 = struct.Struct("<I")  # value length
+_GROUP_KEY = re.compile(r"[^/]+/(?:0|[1-9][0-9]*)")  # <topic>/<partition> in a group file
 
 
 class Record(NamedTuple):
@@ -276,8 +279,11 @@ class Broker:
         self._groups: dict[str, dict[str, int]] = {}
         self._lock = threading.RLock()
         self._data_ready = threading.Condition(self._lock)
-        (self.root / "topics").mkdir(parents=True, exist_ok=True)
-        (self.root / "groups").mkdir(parents=True, exist_ok=True)
+        try:
+            (self.root / "topics").mkdir(parents=True, exist_ok=True)
+            (self.root / "groups").mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise IoFailure(f"cannot open broker directory {self.root}: {exc}") from exc
         try:
             self._recover()
         except BaseException:  # close what was opened so far, without an fsync
@@ -301,7 +307,12 @@ class Broker:
             self._topics[config.name] = topic
             topic.open()
         for group_file in (self.root / "groups").glob("*.json"):
-            self._groups[group_file.stem] = _load_json_object(group_file)
+            state = _load_json_object(group_file)
+            for key, offset in state.items():
+                if not (_GROUP_KEY.fullmatch(key) and type(offset) is int and offset >= 0):
+                    raise CorruptPayload(f"{group_file}: bad committed offset "
+                                         f"{key!r}: {offset!r}")
+            self._groups[group_file.stem] = state
 
     def close(self) -> None:
         with self._lock:
@@ -328,11 +339,7 @@ class Broker:
             topic_dir = self.root / "topics" / config.name
             topic_dir.mkdir(parents=True, exist_ok=True)
             meta = topic_dir / "topic.json"
-            tmp = meta.with_suffix(".tmp")
-            tmp.write_text(json.dumps({"name": config.name,
-                                       "partitions": config.partitions},
-                                      sort_keys=True), "utf-8")
-            os.replace(tmp, meta)
+            self._replace_json(meta, {"name": config.name, "partitions": config.partitions})
             topic = _Topic(config, topic_dir)
             try:
                 topic.open()
@@ -451,13 +458,14 @@ class Broker:
             state = self._groups.setdefault(group, {})
             for p, offset in offsets.items():
                 state[f"{topic}/{p}"] = offset
-            self._write_group(group, state)
+            self._replace_json(self.root / "groups" / f"{group}.json", state)
 
-    def _write_group(self, group: str, state: dict[str, int]) -> None:
-        path = self.root / "groups" / f"{group}.json"
+    def _replace_json(self, path: Path, obj: dict) -> None:
+        """Atomically replace ``path`` with ``obj`` as sorted-key JSON, by a
+        temporary file fsynced first unless durability is ``none``."""
         tmp = path.with_suffix(".tmp")
         with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(state, fh, sort_keys=True)
+            json.dump(obj, fh, sort_keys=True)
             fh.flush()
             if self.durability != "none":
                 os.fsync(fh.fileno())

@@ -9,7 +9,9 @@ phase, plus ``inspect`` and the ``broker`` utilities. Every command but
 run manifest beside its primary output, or in the working directory when
 it has none.
 
-Errors exit with stable codes (see EXIT_CODES); argparse usage errors exit
+Each command returns what it reports; ``main`` times it, writes its
+manifest and prints the result. A library error exits with its class's
+``exit_code`` (see ``ideation_stream.errors``); argparse usage errors exit
 with 2. Set SOURCE_DATE_EPOCH to pin the timestamp embedded in saved
 models, which makes re-runs byte-identical.
 """
@@ -23,39 +25,28 @@ import os
 import sys
 import time
 from pathlib import Path
+from typing import NamedTuple
 
 from . import errors
 from .broker import _check_name
 from .corpus import SplitSpec
 from .hashutil import sha256_file
 
-EXIT_CODES: dict[type, int] = {
-    errors.MissingColumn: 10,
-    errors.EmptyCorpus: 11,
-    errors.UnknownLabel: 12,
-    errors.DegenerateSplit: 13,
-    errors.EmptyVocabulary: 20,
-    errors.NotFitted: 21,
-    errors.DimensionMismatch: 22,
-    errors.NegativeFeature: 30,
-    errors.DegenerateLabels: 31,
-    errors.TooFewRows: 32,
-    errors.FoldWorkerDied: 33,
-    errors.InvalidHyperparameter: 34,
-    errors.LengthMismatch: 40,
-    errors.EmptyMatrix: 41,
-    errors.SingleClass: 42,
-    errors.UnknownClass: 43,
-    errors.VersionMismatch: 50,
-    errors.CorruptPayload: 51,
-    errors.IoFailure: 52,
-    errors.TopicExists: 60,
-    errors.UnknownTopic: 61,
-    errors.OffsetOutOfRange: 62,
-}
-
 COMBO_CHOICES = ["uni-tfidf", "uni-cv-idf", "bi-cv-idf", "uni-bi-cv-idf"]
 MODEL_CHOICES = ["nb", "lr", "svc", "dt", "rf", "mlp"]
+
+
+class Manifest(NamedTuple):
+    """A command's run manifest, written to ``<primary or command>.manifest.json``:
+    the argv, seed, input digests, outputs and timing, plus ``extra``."""
+    primary: str | None
+    inputs: list[str]
+    outputs: list[str]
+    extra: dict | None = None
+
+
+# what a command reports: its --json payload, its human text, its manifest if it writes one
+Outcome = tuple[dict, str, Manifest | None]
 
 
 def _now() -> float:
@@ -63,30 +54,28 @@ def _now() -> float:
     return float(epoch) if epoch else time.time()
 
 
-def _write_manifest(primary_output: str | None, command: str, args: argparse.Namespace,
-                    inputs: list[str], outputs: list[str], started: float,
-                    extra: dict | None = None) -> str:
-    path = Path(f"{primary_output or command}.manifest.json")
-    manifest = {
-        "command": command,
-        "argv": {k: v for k, v in vars(args).items() if k != "func"},
-        "seeds": {"seed": getattr(args, "seed", None)},
-        "input_digests": {p: sha256_file(p) for p in inputs if p and Path(p).is_file()},
-        "outputs": outputs,
-        "started_at": started,
-        "duration_s": time.time() - started,
-    }
-    if extra:
-        manifest.update(extra)
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True, default=str), "utf-8")
+def _write(path, text: str) -> str:
+    """Write ``text`` to ``path``; an OS error is ``IoFailure``."""
+    try:
+        Path(path).write_text(text, "utf-8")
+    except OSError as exc:
+        raise errors.IoFailure(f"cannot write {path}: {exc}") from exc
     return str(path)
 
 
-def _emit(args: argparse.Namespace, payload: dict, human: str) -> None:
-    if getattr(args, "json", False):
-        print(json.dumps(payload, sort_keys=True, default=str))
-    else:
-        print(human)
+def _write_manifest(args: argparse.Namespace, spec: Manifest, started: float) -> str:
+    manifest = {
+        "command": args.command,
+        "argv": {k: v for k, v in vars(args).items() if k != "func"},
+        "seeds": {"seed": getattr(args, "seed", None)},
+        "input_digests": {p: sha256_file(p) for p in spec.inputs if p and Path(p).is_file()},
+        "outputs": spec.outputs,
+        "started_at": started,
+        "duration_s": time.time() - started,
+        **(spec.extra or {}),
+    }
+    return _write(f"{spec.primary or args.command}.manifest.json",
+                  json.dumps(manifest, indent=2, sort_keys=True, default=str))
 
 
 def _load_labeled(path: str, text_col: str, label_col: str):
@@ -149,7 +138,7 @@ def _check_hyper(parser: argparse.ArgumentParser, args: argparse.Namespace) -> N
                          f"{json.dumps(default)}")
 
 
-def cmd_train(args: argparse.Namespace) -> int:
+def cmd_train(args: argparse.Namespace) -> Outcome:
     from . import store
     from .classifiers import DEFAULT_GRIDS, TRAINERS, ModelKind, cross_validate, grid_search
     from .corpus import split
@@ -157,7 +146,6 @@ def cmd_train(args: argparse.Namespace) -> int:
     from .features import fit_pipeline
     from .preprocess import PreprocessConfig
 
-    started = time.time()
     corpus, load_report, clean_report = _load_labeled(args.data, args.text_col, args.label_col)
     train_corpus, test_corpus = split(corpus, SplitSpec(train_fraction=args.train_frac,
                                                         seed=args.seed))
@@ -188,41 +176,32 @@ def cmd_train(args: argparse.Namespace) -> int:
                         preprocess_config_digest=pconfig.digest())
     outputs = [args.out]
     if args.metrics_out:
-        Path(args.metrics_out).write_text(
-            "model,combo,accuracy,precision,recall,f1,auc\n"
-            f"{kind.value},{pipeline.combo.value},{report.csv_row()}\n", "utf-8")
-        outputs.append(args.metrics_out)
+        outputs.append(_write(args.metrics_out,
+                              "model,combo,accuracy,precision,recall,f1,auc\n"
+                              f"{kind.value},{pipeline.combo.value},{report.csv_row()}\n"))
     if args.cv_out and cv_reports:
         lines = ["model,params,mean_accuracy,std_accuracy"]
         for rep in cv_reports:
             lines.append(f"{rep.kind.value},\"{json.dumps(rep.params)}\","
                          f"{rep.mean_accuracy:.6f},{rep.std_accuracy:.6f}")
-        Path(args.cv_out).write_text("\n".join(lines) + "\n", "utf-8")
-        outputs.append(args.cv_out)
+        outputs.append(_write(args.cv_out, "\n".join(lines) + "\n"))
 
-    manifest = _write_manifest(args.out, "train", args, [args.data], outputs, started,
-                               extra={"model_digest": digest,
-                                      "rows_loaded": load_report.rows_read,
-                                      "duplicates_removed": clean_report.duplicates_removed,
-                                      "train_rows": len(train_data),
-                                      "test_rows": len(test_data),
-                                      "params": params})
     payload = {"model": args.out, "digest": digest, "params": params,
-               "metrics": report.to_dict(), "manifest": manifest,
-               "cv": [r.to_dict() for r in cv_reports]}
-    _emit(args, payload,
-          f"saved {args.out} (digest {digest[:12]}…)\n"
-          f"test metrics: acc={report.accuracy:.4f} p={report.precision:.4f} "
-          f"r={report.recall:.4f} f1={report.f1:.4f} auc={report.auc:.4f}")
-    return 0
+               "metrics": report.to_dict(), "cv": [r.to_dict() for r in cv_reports]}
+    human = (f"saved {args.out} (digest {digest[:12]}…)\n"
+             f"test metrics: acc={report.accuracy:.4f} p={report.precision:.4f} "
+             f"r={report.recall:.4f} f1={report.f1:.4f} auc={report.auc:.4f}")
+    return payload, human, Manifest(args.out, [args.data], outputs, extra={
+        "model_digest": digest, "rows_loaded": load_report.rows_read,
+        "duplicates_removed": clean_report.duplicates_removed,
+        "train_rows": len(train_data), "test_rows": len(test_data), "params": params})
 
 
-def cmd_evaluate(args: argparse.Namespace) -> int:
+def cmd_evaluate(args: argparse.Namespace) -> Outcome:
     from . import store
     from .evaluation import Averaging, evaluate_model, roc_points
     from .preprocess import PreprocessConfig
 
-    started = time.time()
     pipeline, model = store.load(args.model)
     corpus, _, _ = _load_labeled(args.data, args.text_col, args.label_col)
     pconfig = PreprocessConfig.load_default()
@@ -231,47 +210,32 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     report, cm = evaluate_model(model, data, averaging=Averaging(args.averaging))
 
     outputs = []
-    header = "accuracy,precision,recall,f1,auc"
-    row = report.csv_row()
+    table = f"accuracy,precision,recall,f1,auc\n{report.csv_row()}"
     if args.out:
-        Path(args.out).write_text(f"{header}\n{row}\n", "utf-8")
-        outputs.append(args.out)
+        outputs.append(_write(args.out, table + "\n"))
     if args.roc_out:
         pts = roc_points(report.scores, [int(g) for g in data.labels])
         lines = ["fpr,tpr,threshold"] + [f"{f:.6f},{t:.6f},{thr}" for f, t, thr in pts]
-        Path(args.roc_out).write_text("\n".join(lines) + "\n", "utf-8")
-        outputs.append(args.roc_out)
+        outputs.append(_write(args.roc_out, "\n".join(lines) + "\n"))
 
-    manifest = _write_manifest(args.out or None, "evaluate", args,
-                               [args.model, args.data], outputs, started)
     payload = {"metrics": report.to_dict(),
-               "confusion": {"tp": cm.tp, "fp": cm.fp, "fn": cm.fn, "tn": cm.tn},
-               "manifest": manifest}
-    _emit(args, payload, f"{header}\n{row}")
-    return 0
+               "confusion": {"tp": cm.tp, "fp": cm.fp, "fn": cm.fn, "tn": cm.tn}}
+    return payload, table, Manifest(args.out, [args.model, args.data], outputs)
 
 
-def cmd_top_terms(args: argparse.Namespace) -> int:
+def cmd_top_terms(args: argparse.Namespace) -> Outcome:
     from .corpus import load_csv
     from .evaluation import top_terms
     from .preprocess import PreprocessConfig, preprocess
 
-    started = time.time()
     corpus = load_csv(args.data, text_column=args.text_col, label_column=args.label_col)
     pconfig = PreprocessConfig.load_default()
     labeled = ((preprocess(d.text, pconfig).tokens, d.label) for d in corpus.documents)
     ranked = top_terms(labeled, args.cls, args.k)
 
-    lines = ["term,frequency"] + [f"{term},{freq}" for term, freq in ranked]
-    body = "\n".join(lines) + "\n"
-    outputs = []
-    if args.out:
-        Path(args.out).write_text(body, "utf-8")
-        outputs.append(args.out)
-    manifest = _write_manifest(args.out or None, "top-terms", args, [args.data],
-                               outputs, started)
-    _emit(args, {"terms": ranked, "manifest": manifest}, body.rstrip("\n"))
-    return 0
+    body = "\n".join(["term,frequency"] + [f"{term},{freq}" for term, freq in ranked])
+    outputs = [_write(args.out, body + "\n")] if args.out else []
+    return {"terms": ranked}, body, Manifest(args.out, [args.data], outputs)
 
 
 def _open_broker(args: argparse.Namespace):
@@ -280,32 +244,26 @@ def _open_broker(args: argparse.Namespace):
     return Broker(args.broker_dir, durability=args.durability)
 
 
-def cmd_replay(args: argparse.Namespace) -> int:
+def cmd_replay(args: argparse.Namespace) -> Outcome:
     from .stream import replay_produce
 
-    started = time.time()
     with _open_broker(args) as broker:
         if args.create_topics and args.topic not in broker.topics():
             broker.create_topic(args.topic, partitions=args.partitions)
         source = sys.stdin if args.file == "-" else args.file
         stats = replay_produce(source, broker, args.topic, rate=args.rate, loop=args.loop)
-    manifest = _write_manifest(None, "replay", args,
-                               [args.file] if args.file != "-" else [], [], started,
-                               extra={"produced": stats.produced,
-                                      "malformed": stats.malformed})
-    _emit(args, {"produced": stats.produced, "malformed": stats.malformed,
-                 "manifest": manifest},
-          f"produced {stats.produced} records ({stats.malformed} malformed lines skipped)")
-    return 0
+    payload = {"produced": stats.produced, "malformed": stats.malformed}
+    return (payload,
+            f"produced {stats.produced} records ({stats.malformed} malformed lines skipped)",
+            Manifest(None, [args.file] if args.file != "-" else [], [], extra=payload))
 
 
-def cmd_serve(args: argparse.Namespace) -> int:
+def cmd_serve(args: argparse.Namespace) -> Outcome:
     import signal
     import threading
 
     from .stream import StreamConfig, run_stream
 
-    started = time.time()
     config = StreamConfig(
         model_path=args.model,
         input_topic=args.input_topic,
@@ -333,59 +291,48 @@ def cmd_serve(args: argparse.Namespace) -> int:
                     broker.create_topic(topic)
         stats = run_stream(broker, config, stop_event=stop,
                            stop_when_idle=args.stop_when_idle)
-    manifest = _write_manifest(None, "serve", args, [args.model], [], started,
-                               extra={"consumed": stats.consumed, "events": stats.events,
-                                      "dead_letters": stats.dead_letters,
-                                      "dropped": dict(stats.dropped),
-                                      "p50_latency_ms": stats.p50_latency_ms})
-    _emit(args, {"consumed": stats.consumed, "events": stats.events,
-                 "dead_letters": stats.dead_letters, "dropped": dict(stats.dropped),
-                 "p50_latency_ms": stats.p50_latency_ms, "manifest": manifest},
-          f"consumed {stats.consumed}, emitted {stats.events} events "
-          f"({stats.dead_letters} dead letters, dropped {dict(stats.dropped)}), "
-          f"p50 latency {stats.p50_latency_ms} ms")
-    return 0
+    payload = {"consumed": stats.consumed, "events": stats.events,
+               "dead_letters": stats.dead_letters, "dropped": dict(stats.dropped),
+               "p50_latency_ms": stats.p50_latency_ms}
+    return (payload,
+            f"consumed {stats.consumed}, emitted {stats.events} events "
+            f"({stats.dead_letters} dead letters, dropped {dict(stats.dropped)}), "
+            f"p50 latency {stats.p50_latency_ms} ms",
+            Manifest(None, [args.model], [], extra=payload))
 
 
-def cmd_report(args: argparse.Namespace) -> int:
+def cmd_report(args: argparse.Namespace) -> Outcome:
     from .stream import aggregate
 
-    started = time.time()
     with _open_broker(args) as broker:
         report = aggregate(broker, output_topic=args.output_topic, group=args.group,
                            window=args.window, jsonl_out=args.jsonl_out, csv_out=args.csv_out)
-    outputs = [p for p in (args.jsonl_out, args.csv_out) if p]
-    manifest = _write_manifest(args.csv_out or None, "report", args, [], outputs, started)
     pct_s = "NA" if report.pct_suicide is None else f"{report.pct_suicide:.2f}%"
     pct_n = "NA" if report.pct_non_suicide is None else f"{report.pct_non_suicide:.2f}%"
-    _emit(args, {**report.to_dict(), "manifest": manifest},
-          f"{report.total} events: {report.suicide} suicide ({pct_s}), "
-          f"{report.non_suicide} non-suicide ({pct_n})")
-    return 0
+    return (report.to_dict(),
+            f"{report.total} events: {report.suicide} suicide ({pct_s}), "
+            f"{report.non_suicide} non-suicide ({pct_n})",
+            Manifest(args.csv_out, [], [p for p in (args.jsonl_out, args.csv_out) if p]))
 
 
-def cmd_inspect(args: argparse.Namespace) -> int:
+def cmd_inspect(args: argparse.Namespace) -> Outcome:
     from . import store
 
     header = store.inspect_header(args.model)
-    print(json.dumps(header, indent=2, sort_keys=True))
-    return 0
+    return header, json.dumps(header, indent=2, sort_keys=True), None
 
 
-def cmd_broker_create_topic(args: argparse.Namespace) -> int:
+def cmd_broker_create_topic(args: argparse.Namespace) -> Outcome:
     with _open_broker(args) as broker:
         broker.create_topic(args.topic, partitions=args.partitions)
-    _emit(args, {"topic": args.topic, "partitions": args.partitions},
-          f"created topic {args.topic!r} with {args.partitions} partition(s)")
-    return 0
+    return ({"topic": args.topic, "partitions": args.partitions},
+            f"created topic {args.topic!r} with {args.partitions} partition(s)", None)
 
 
-def cmd_broker_offsets(args: argparse.Namespace) -> int:
+def cmd_broker_offsets(args: argparse.Namespace) -> Outcome:
     with _open_broker(args) as broker:
         ends = broker.end_offsets(args.topic)
-    _emit(args, {"topic": args.topic, "end_offsets": ends},
-          f"{args.topic}: end offsets {ends}")
-    return 0
+    return {"topic": args.topic, "end_offsets": ends}, f"{args.topic}: end offsets {ends}", None
 
 
 def _checked(check, convert=str):
@@ -420,22 +367,27 @@ TOPIC = _checked(lambda name: _check_name("topic", name))
 GROUP = _checked(lambda name: _check_name("group", name))
 
 
-def _add_broker_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--broker-dir", required=True, help="broker root directory")
-    parser.add_argument("--durability", default="batch",
-                        choices=["fsync", "batch", "none"])
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="ideation-stream",
                                      description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
+    # flags several commands share, declared once as parent parsers
+    as_json = argparse.ArgumentParser(add_help=False)
+    as_json.add_argument("--json", action="store_true")
+    corpus = argparse.ArgumentParser(add_help=False)
+    corpus.add_argument("--data", required=True)
+    corpus.add_argument("--text-col", default="text")
+    corpus.add_argument("--label-col", default="class")
+    averaging = argparse.ArgumentParser(add_help=False)
+    averaging.add_argument("--averaging", default="weighted", choices=["weighted", "positive"])
+    broker_dir = argparse.ArgumentParser(add_help=False)
+    broker_dir.add_argument("--broker-dir", required=True, help="broker root directory")
+    broker_dir.add_argument("--durability", default="batch",
+                            choices=["fsync", "batch", "none"])
 
-    p = sub.add_parser("train", help="ingest, fit features, train, evaluate, save")
-    p.add_argument("--data", required=True)
-    p.add_argument("--text-col", default="text")
-    p.add_argument("--label-col", default="class")
+    p = sub.add_parser("train", help="ingest, fit features, train, evaluate, save",
+                       parents=[corpus, averaging, as_json])
     p.add_argument("--combo", default="uni-bi-cv-idf", choices=COMBO_CHOICES)
     p.add_argument("--model", default="mlp", choices=MODEL_CHOICES)
     p.add_argument("--out", default="model.isp")
@@ -452,46 +404,36 @@ def build_parser() -> argparse.ArgumentParser:
                    help="key=value hyperparameter, repeatable")
     p.add_argument("--folds", type=_checked(_non_negative, int), default=10,
                    help="cross-validation folds (0 skips CV)")
-    p.add_argument("--averaging", default="weighted", choices=["weighted", "positive"])
     p.add_argument("--metrics-out", default=None)
     p.add_argument("--cv-out", default=None)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("evaluate", help="score a saved model on a labeled CSV")
+    p = sub.add_parser("evaluate", help="score a saved model on a labeled CSV",
+                       parents=[corpus, averaging, as_json])
     p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--text-col", default="text")
-    p.add_argument("--label-col", default="class")
-    p.add_argument("--averaging", default="weighted", choices=["weighted", "positive"])
     p.add_argument("--out", default=None, help="metrics CSV path")
     p.add_argument("--roc-out", default=None, help="ROC curve points CSV")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("top-terms", help="per-class term frequency ranking")
-    p.add_argument("--data", required=True)
-    p.add_argument("--text-col", default="text")
-    p.add_argument("--label-col", default="class")
+    p = sub.add_parser("top-terms", help="per-class term frequency ranking",
+                       parents=[corpus, as_json])
     p.add_argument("--class", dest="cls", required=True)
     p.add_argument("--k", type=_checked(_positive, int), default=50)
     p.add_argument("--out", default=None)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_top_terms)
 
-    p = sub.add_parser("replay", help="produce a file (or '-' for stdin) onto a topic")
-    _add_broker_arg(p)
+    p = sub.add_parser("replay", help="produce a file (or '-' for stdin) onto a topic",
+                       parents=[broker_dir, as_json])
     p.add_argument("--file", required=True)
     p.add_argument("--topic", type=TOPIC, default="Source-tweets")
     p.add_argument("--rate", type=float, default=0.0, help="records/sec, 0 = unpaced")
     p.add_argument("--loop", action="store_true")
     p.add_argument("--create-topics", action="store_true")
     p.add_argument("--partitions", type=_checked(_positive, int), default=1)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_replay)
 
-    p = sub.add_parser("serve", help="run the micro-batch prediction loop")
-    _add_broker_arg(p)
+    p = sub.add_parser("serve", help="run the micro-batch prediction loop",
+                       parents=[broker_dir, as_json])
     p.add_argument("--model", required=True)
     p.add_argument("--input-topic", type=TOPIC, default="Source-tweets")
     p.add_argument("--output-topic", type=TOPIC, default="Predicted-tweets")
@@ -506,11 +448,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", type=GROUP, default="stream-engine")
     p.add_argument("--stop-when-idle", action="store_true")
     p.add_argument("--create-topics", action="store_true")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_serve)
 
-    p = sub.add_parser("report", help="aggregate prediction events from the output topic")
-    _add_broker_arg(p)
+    p = sub.add_parser("report", help="aggregate prediction events from the output topic",
+                       parents=[broker_dir, as_json])
     p.add_argument("--output-topic", type=TOPIC, default="Predicted-tweets")
     p.add_argument("--group", type=GROUP, default="aggregate")
     p.add_argument("--window", default="all", help="'all' or a sliding window size",
@@ -518,7 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
                                  lambda t: None if t == "all" else int(t)))
     p.add_argument("--jsonl-out", default=None)
     p.add_argument("--csv-out", default=None)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("inspect", help="dump a stored model's JSON header")
@@ -528,34 +468,39 @@ def build_parser() -> argparse.ArgumentParser:
     broker = sub.add_parser("broker", help="broker utilities")
     bsub = broker.add_subparsers(dest="broker_command", required=True)
 
-    p = bsub.add_parser("create-topic")
-    _add_broker_arg(p)
+    p = bsub.add_parser("create-topic", parents=[broker_dir, as_json])
     p.add_argument("--topic", type=TOPIC, required=True)
     p.add_argument("--partitions", type=_checked(_positive, int), default=1)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_broker_create_topic)
 
-    p = bsub.add_parser("offsets")
-    _add_broker_arg(p)
+    p = bsub.add_parser("offsets", parents=[broker_dir, as_json])
     p.add_argument("--topic", type=TOPIC, required=True)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_broker_offsets)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command: time it, write its manifest (if it has one) before
+    its payload gains the manifest's path, print the ``--json`` line or the
+    human text, and map a library error to its exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "serve" and args.input_topic == args.output_topic:
         parser.error("serve: --input-topic and --output-topic must differ")
     if args.command == "train":
         _check_hyper(parser, args)
+    started = time.time()
     try:
-        return args.func(args)
+        payload, human, manifest = args.func(args)
+        if manifest is not None:
+            payload["manifest"] = _write_manifest(args, manifest, started)
     except errors.IdeationStreamError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CODES.get(type(exc), 1)
+        return exc.exit_code
+    print(json.dumps(payload, sort_keys=True, default=str) if getattr(args, "json", False)
+          else human)
+    return 0
 
 
 if __name__ == "__main__":

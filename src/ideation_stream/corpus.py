@@ -14,7 +14,7 @@ import random
 import re
 from dataclasses import dataclass
 
-from .errors import DegenerateSplit, EmptyCorpus, MissingColumn, UnknownLabel
+from .errors import DegenerateSplit, EmptyCorpus, IoFailure, MissingColumn, UnknownLabel
 
 SUICIDE = "suicide"
 NON_SUICIDE = "non-suicide"
@@ -75,6 +75,14 @@ def _parse_label(raw: str, row_num: int) -> str:
     raise UnknownLabel(f"row {row_num}: unknown label {raw!r} (expected 'suicide' or 'non-suicide')")
 
 
+def open_text(path, mode: str = "r", **kwargs):
+    """``open`` in UTF-8 text mode; an OS error opening ``path`` is ``IoFailure``."""
+    try:
+        return open(path, mode, encoding="utf-8", **kwargs)
+    except OSError as exc:
+        raise IoFailure(f"cannot open {path}: {exc}") from exc
+
+
 def load_csv(path, text_column: str, label_column: str | None = None) -> Corpus:
     """Load one Document per usable CSV row.
 
@@ -82,7 +90,7 @@ def load_csv(path, text_column: str, label_column: str | None = None) -> Corpus:
     too short to contain the named columns are skipped as malformed. Any
     label string other than the two known classes is a hard error.
     """
-    with open(path, "r", encoding="utf-8", errors="replace", newline="") as fh:
+    with open_text(path, errors="replace", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -86,18 +86,11 @@ def _pipeline_sections(pipe: FeaturePipeline) -> list[tuple[str, np.ndarray | by
     return sections
 
 
-def _json_safe(obj):
-    if isinstance(obj, dict):
-        return {k: _json_safe(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_safe(v) for v in obj]
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
+def _numpy_json(obj):
+    """``json.dumps`` ``default``: numpy scalars and arrays as Python values."""
+    if isinstance(obj, (np.generic, np.ndarray)):
         return obj.tolist()
-    return obj
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def save(pipeline: FeaturePipeline, model: ModelArtifact, path, *,
@@ -123,12 +116,13 @@ def save(pipeline: FeaturePipeline, model: ModelArtifact, path, *,
         "model_kind": model.kind.value,
         "dim": model.dim,
         "pipeline": _pipeline_header(pipeline),
-        "training_meta": _json_safe(model.training_meta),
-        "metrics_snapshot": _json_safe(metrics_snapshot),
+        "training_meta": model.training_meta,
+        "metrics_snapshot": metrics_snapshot,
         "preprocess_config_digest": preprocess_config_digest,
         "sections": table,
     }
-    header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":"),
+                              default=_numpy_json).encode("utf-8")
 
     body = bytearray()
     body += MAGIC

@@ -26,7 +26,7 @@ from . import store
 from .broker import Broker
 # `predict` is unused here: the benchmark tracer aliases `stream.predict`
 from .classifiers.base import predict, predict_batch  # noqa: F401
-from .corpus import INT_TO_LABEL
+from .corpus import INT_TO_LABEL, open_text
 from .errors import UnknownTopic
 from .hashutil import sha256_file, sha256_hex
 from .preprocess import PreprocessConfig, filter_text, looks_english, preprocess
@@ -125,7 +125,7 @@ def replay_produce(source, broker: Broker, topic: str, rate: float = 0.0,
         raise UnknownTopic(f"topic {topic!r} does not exist")
     stats = ReplayStats()
     own = isinstance(source, (str, bytes)) or hasattr(source, "__fspath__")
-    fh = open(source, "r", encoding="utf-8", errors="replace") if own else source
+    fh = open_text(source, errors="replace") if own else source
     try:
         while True:
             for line in fh:
@@ -310,7 +310,7 @@ def aggregate(broker: Broker, output_topic: str = DEFAULT_OUTPUT_TOPIC,
         raise UnknownTopic(f"topic {output_topic!r} does not exist")
     counts = [0, 0]  # events per label
     recent: deque = deque()  # the labels inside the window, when one is set
-    feed = open(jsonl_out, "w", encoding="utf-8") if jsonl_out else None
+    feed = open_text(jsonl_out, "w") if jsonl_out else None
     try:
         while True:
             batch = broker.consume(output_topic, group, max_records=4096)
@@ -339,7 +339,7 @@ def aggregate(broker: Broker, output_topic: str = DEFAULT_OUTPUT_TOPIC,
 
     report = _report_from(*counts)
     if csv_out:
-        with open(csv_out, "w", encoding="utf-8") as fh:
+        with open_text(csv_out, "w") as fh:
             fh.write("suicide,non_suicide,total,pct_suicide,pct_non_suicide\n")
             pct_s = "NA" if report.pct_suicide is None else f"{report.pct_suicide:.2f}"
             pct_n = "NA" if report.pct_non_suicide is None else f"{report.pct_non_suicide:.2f}"

@@ -577,3 +577,31 @@ def _crash_run(root: Path, run_id: str, kill_after_ms: float) -> set[str]:
     acked = {line for line in (first + out).decode().splitlines() if line}
     assert acked, "producer never acked anything"
     return acked
+
+
+class TestGroupFiles:
+    @pytest.mark.parametrize("state", ['{"T/x": 1}', '{"T/0": "1"}', '{"T/0": 1.5}',
+                                       '{"T/0": [1]}', '{"T/0": -3}', '{"T": 1}',
+                                       '{"T/01": 1}', '{"T/0": true}', '{"/0": 1}'])
+    def test_malformed_offsets_are_corrupt_payload_at_open(self, tmp_path, state):
+        groups = tmp_path / "log" / "groups"
+        groups.mkdir(parents=True)
+        (groups / "g.json").write_text(state, "utf-8")
+        with pytest.raises(CorruptPayload, match=r"g\.json"):
+            Broker(tmp_path / "log")
+        assert main(["report", "--broker-dir", str(tmp_path / "log"), "--group", "g"]) == 51
+
+    @pytest.mark.parametrize("durability,fsyncs", [("fsync", 1), ("batch", 1), ("none", 0)])
+    def test_topic_metadata_is_fsynced_like_a_commit(self, tmp_path, monkeypatch,
+                                                      durability, fsyncs):
+        calls = []
+        fsync = os.fsync
+        with Broker(tmp_path / "log", durability=durability) as b:
+            monkeypatch.setattr(os, "fsync", lambda fd: calls.append(fd) or fsync(fd))
+            b.create_topic("t", partitions=2)
+            created = len(calls)
+            b.commit("g", "t", {0: 0})
+            monkeypatch.undo()
+        assert created == len(calls) - created == fsyncs
+        assert (tmp_path / "log" / "topics" / "t" / "topic.json").read_text() \
+            == '{"name": "t", "partitions": 2}'

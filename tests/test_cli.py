@@ -1,9 +1,11 @@
 import csv
 import json
 import random
+from pathlib import Path
 
 import pytest
 
+from ideation_stream import errors
 from ideation_stream.cli import main
 
 
@@ -323,3 +325,109 @@ class TestInspect:
         header = json.loads(capsys.readouterr().out)
         assert header["model_kind"] == "nb"
         assert header["pipeline"]["combo"] == "uni-cv-idf"
+
+
+NB_FAST = ["--model", "nb", "--combo", "uni-cv-idf", "--min-tf", "0", "--folds", "0",
+           "--out", "m.isp"]
+
+
+class TestFileErrors:
+    @pytest.mark.parametrize("argv", [
+        ["train", "--data", "missing.csv"],
+        ["train", "--data", "."],
+        ["top-terms", "--data", "missing.csv", "--class", "suicide"],
+        ["evaluate", "--model", "{model}", "--data", "missing.csv"],
+        ["replay", "--broker-dir", "b", "--create-topics", "--file", "missing.txt"],
+        ["train", "--data", "{data}", *NB_FAST, "--metrics-out", "nodir/x.csv"],
+        ["train", "--data", "{data}", *NB_FAST, "--folds", "3", "--cv-out", "nodir/cv.csv"],
+        ["evaluate", "--model", "{model}", "--data", "{data}", "--out", "nodir/e.csv"],
+        ["evaluate", "--model", "{model}", "--data", "{data}", "--roc-out", "nodir/r.csv"],
+        ["top-terms", "--data", "{data}", "--class", "suicide", "--out", "nodir/t.csv"],
+        ["report", "--broker-dir", "b", "--jsonl-out", "nodir/r.jsonl"],
+        ["report", "--broker-dir", "b", "--csv-out", "nodir/r.csv"],
+        ["top-terms", "--data", "{data}", "--class", "suicide", "--out", "blocked.csv"],
+        ["broker", "offsets", "--broker-dir", "feed.txt", "--topic", "t"],
+    ], ids=["train-data-missing", "train-data-is-a-directory", "top-terms-data-missing",
+            "evaluate-data-missing", "replay-file-missing", "train-metrics-out",
+            "train-cv-out", "evaluate-out", "evaluate-roc-out", "top-terms-out",
+            "report-jsonl-out", "report-csv-out", "manifest-path-is-a-directory",
+            "broker-dir-is-a-file"])
+    def test_exits_52_without_traceback(self, tmp_path, data_csv, trained_model, capsys,
+                                        argv):
+        assert main(["broker", "create-topic", "--broker-dir", "b",
+                     "--topic", "Predicted-tweets"]) == 0
+        (tmp_path / "blocked.csv.manifest.json").mkdir()
+        (tmp_path / "feed.txt").write_text("a post\n", "utf-8")
+        capsys.readouterr()
+        argv = [a.format(data=data_csv, model=trained_model) for a in argv]
+        assert main(argv) == 52  # IoFailure
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
+MANIFEST_KEYS = {"argv", "command", "duration_s", "input_digests", "outputs", "seeds",
+                 "started_at"}
+
+
+class TestManifests:
+    @pytest.mark.parametrize("argv,path,extra", [
+        (["train", "--data", "{data}", *NB_FAST, "--metrics-out", "met.csv"], "m.isp",
+         {"model_digest", "rows_loaded", "duplicates_removed", "train_rows", "test_rows",
+          "params"}),
+        (["evaluate", "--model", "{model}", "--data", "{data}"], "evaluate", set()),
+        (["top-terms", "--data", "{data}", "--class", "suicide", "--out", "t.csv"], "t.csv",
+         set()),
+        (["replay", "--broker-dir", "b", "--file", "feed.txt"], "replay",
+         {"produced", "malformed"}),
+        (["serve", "--broker-dir", "b", "--model", "{model}", "--stop-when-idle",
+          "--trigger-ms", "20"], "serve",
+         {"consumed", "events", "dead_letters", "dropped", "p50_latency_ms"}),
+        (["report", "--broker-dir", "b", "--csv-out", "agg.csv", "--jsonl-out", "agg.jsonl"],
+         "agg.csv", set()),
+    ], ids=["train", "evaluate", "top-terms", "replay", "serve", "report"])
+    def test_keys_and_payload_path(self, tmp_path, data_csv, trained_model, capsys,
+                                   argv, path, extra):
+        (tmp_path / "feed.txt").write_text("i want to die\nsunny day\n{bad\n", "utf-8")
+        for topic in ("Source-tweets", "Predicted-tweets"):
+            assert main(["broker", "create-topic", "--broker-dir", "b", "--topic", topic]) == 0
+        replay = ["replay", "--broker-dir", "b", "--file", "feed.txt"]
+        serve = ["serve", "--broker-dir", "b", "--model", str(trained_model),
+                 "--stop-when-idle", "--trigger-ms", "20"]
+        for step in {"serve": [replay], "report": [replay, serve]}.get(argv[0], []):
+            assert main(step) == 0
+        capsys.readouterr()
+        argv = [a.format(data=data_csv, model=trained_model) for a in argv]
+        assert main([*argv, "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["manifest"] == f"{path}.manifest.json"
+        manifest = json.loads((tmp_path / payload["manifest"]).read_text())
+        assert set(manifest) == MANIFEST_KEYS | extra
+        assert manifest["command"] == argv[0]
+        assert all((tmp_path / out).is_file() for out in manifest["outputs"])
+        # the counts a streaming command reports are its manifest's extra keys
+        shared = extra & set(payload)
+        assert {k: manifest[k] for k in shared} == {k: payload[k] for k in shared}
+
+
+def _error_classes() -> list[type]:
+    return [cls for cls in vars(errors).values() if isinstance(cls, type)
+            and issubclass(cls, errors.IdeationStreamError)
+            and cls is not errors.IdeationStreamError]
+
+
+class TestExitCodes:
+    def test_each_error_class_has_its_own_code(self):
+        codes = [cls.__dict__.get("exit_code") for cls in _error_classes()]
+        assert all(type(code) is int and code not in (0, 1, 2) for code in codes), codes
+        assert len(set(codes)) == len(codes)
+        assert errors.IdeationStreamError.exit_code == 1
+
+    def test_readme_table_lists_exactly_those_codes(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+        section = readme.split("\n## Exit codes\n", 1)[1].split("\n## ", 1)[0]
+        listed = set()
+        for line in section.splitlines():
+            cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+            listed |= {(int(code), name) for code, name in zip(cells[::2], cells[1::2])
+                       if code.isdigit()}
+        assert listed == {(cls.exit_code, cls.__name__) for cls in _error_classes()}

@@ -66,6 +66,17 @@ class TestSaveLoad:
         assert d1 == d2
         assert (tmp_path / "a.isp").read_bytes() == (tmp_path / "b.isp").read_bytes()
 
+    def test_header_takes_numpy_values_and_rejects_other_objects(self, pipeline,
+                                                                 fixture_dataset, tmp_path):
+        model = train_nb(_dataset_for(pipeline, fixture_dataset))
+        plain = {"n": 3, "acc": 0.5, "flag": True, "curve": [[1.0, 2.0]]}
+        as_numpy = {"n": np.int64(3), "acc": np.float32(0.5), "flag": np.bool_(True),
+                    "curve": np.array([[1.0, 2.0]])}
+        assert store.save(pipeline, model, tmp_path / "a.isp", metrics_snapshot=plain) \
+            == store.save(pipeline, model, tmp_path / "b.isp", metrics_snapshot=as_numpy)
+        with pytest.raises(TypeError):
+            store.save(pipeline, model, tmp_path / "c.isp", metrics_snapshot={"x": object()})
+
     @pytest.mark.parametrize("kind", list(TRAIN_CALLS))
     def test_round_trip_predictions_bit_identical(self, pipeline, fixture_dataset,
                                                   tmp_path, kind):
