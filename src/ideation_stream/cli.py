@@ -146,6 +146,9 @@ def cmd_train(args: argparse.Namespace) -> Outcome:
     from .features import fit_pipeline
     from .preprocess import PreprocessConfig
 
+    for path in (args.out, args.metrics_out, args.cv_out):  # fail before any work
+        if path and not Path(path).parent.is_dir():
+            raise errors.IoFailure(f"cannot write {path}: {Path(path).parent} is not a directory")
     corpus, load_report, clean_report = _load_labeled(args.data, args.text_col, args.label_col)
     train_corpus, test_corpus = split(corpus, SplitSpec(train_fraction=args.train_frac,
                                                         seed=args.seed))

@@ -13,6 +13,7 @@ every record of that call is a dead letter carrying the error.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import math
@@ -310,8 +311,11 @@ def aggregate(broker: Broker, output_topic: str = DEFAULT_OUTPUT_TOPIC,
         raise UnknownTopic(f"topic {output_topic!r} does not exist")
     counts = [0, 0]  # events per label
     recent: deque = deque()  # the labels inside the window, when one is set
-    feed = open_text(jsonl_out, "w") if jsonl_out else None
-    try:
+    with contextlib.ExitStack() as files:
+        # both open before the first consume: a file that cannot be opened
+        # fails the report before the group's offsets move
+        feed = files.enter_context(open_text(jsonl_out, "w")) if jsonl_out else None
+        table = files.enter_context(open_text(csv_out, "w")) if csv_out else None
         while True:
             batch = broker.consume(output_topic, group, max_records=4096)
             if not batch:
@@ -333,17 +337,12 @@ def aggregate(broker: Broker, output_topic: str = DEFAULT_OUTPUT_TOPIC,
             if feed:
                 snapshot = _report_from(*counts)
                 feed.write(json.dumps(snapshot.to_dict(), sort_keys=True) + "\n")
-    finally:
-        if feed:
-            feed.close()
-
-    report = _report_from(*counts)
-    if csv_out:
-        with open_text(csv_out, "w") as fh:
-            fh.write("suicide,non_suicide,total,pct_suicide,pct_non_suicide\n")
+        report = _report_from(*counts)
+        if table:
+            table.write("suicide,non_suicide,total,pct_suicide,pct_non_suicide\n")
             pct_s = "NA" if report.pct_suicide is None else f"{report.pct_suicide:.2f}"
             pct_n = "NA" if report.pct_non_suicide is None else f"{report.pct_non_suicide:.2f}"
-            fh.write(f"{report.suicide},{report.non_suicide},{report.total},{pct_s},{pct_n}\n")
+            table.write(f"{report.suicide},{report.non_suicide},{report.total},{pct_s},{pct_n}\n")
     return report
 
 

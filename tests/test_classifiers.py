@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,13 +9,14 @@ from ideation_stream.classifiers import (LabeledDataset, ModelKind,
                                          predict, predict_batch, train_dt,
                                          train_linear_svc, train_lr,
                                          train_mlp, train_nb, train_rf)
-from ideation_stream.classifiers.linear import LinearParams, logistic_loss_grad
+from ideation_stream.classifiers.linear import (LinearParams, _minimize, logistic_loss_grad,
+                                                squared_hinge_loss_grad)
 from ideation_stream.classifiers.mlp import init_params, loss_and_grads
 from ideation_stream.classifiers import tree
 from ideation_stream.classifiers.tree import score_batch as tree_score_batch
 from ideation_stream.errors import (DegenerateLabels, DimensionMismatch,
                                     NegativeFeature)
-from ideation_stream.features import SparseBatch
+from ideation_stream.features import FeatureCombo, SparseBatch, fit_pipeline
 
 from conftest import (densify_first_layer, make_data, make_vec,
                       random_sparse_dataset, rows_of, stack)
@@ -131,11 +134,23 @@ class TestLinearSvc:
             a, b = predict(model, v).score, predict(mirror, v).score
             assert np.sign(a) == -np.sign(b)
 
-    def test_objective_trace_decreases_monotonically(self, separable_toy):
-        model = train_linear_svc(separable_toy, c=10.0, max_iter=2000, tol=0.0)
-        trace = model.training_meta["objective_trace"]
-        assert len(trace) >= 5
-        assert all(b <= a for a, b in zip(trace, trace[1:]))
+    def test_gradient_matches_finite_differences(self):
+        rng = np.random.default_rng(1)
+        for trial in range(8):
+            data = random_sparse_dataset(rng, n=12, dim=6)
+            lam = float(rng.uniform(0, 0.5))
+            wb = rng.normal(size=7)
+            _, grad = squared_hinge_loss_grad(wb, data, lam)
+            eps = 1e-6
+            for j in range(7):
+                probe = wb.copy()
+                probe[j] += eps
+                up, _ = squared_hinge_loss_grad(probe, data, lam)
+                probe[j] -= 2 * eps
+                down, _ = squared_hinge_loss_grad(probe, data, lam)
+                numeric = (up - down) / (2 * eps)
+                denom = max(abs(numeric), abs(grad[j]), 1e-8)
+                assert abs(numeric - grad[j]) / denom < 1e-6
 
     def test_scaling_preserves_label_ordering(self, separable_toy):
         b = separable_toy.batch
@@ -146,6 +161,36 @@ class TestLinearSvc:
         labels_a = [predict(base, v).label for v in rows_of(separable_toy.batch)]
         labels_b = [predict(other, v).label for v in rows_of(scaled.batch)]
         assert labels_a == labels_b
+
+
+class TestLinearMinimizer:
+    @pytest.mark.parametrize("loss_grad", [partial(logistic_loss_grad, l2=0.01),
+                                           partial(squared_hinge_loss_grad, lam=0.01)],
+                             ids=["logistic", "squared-hinge"])
+    def test_every_step_lowers_the_loss(self, fixture_dataset, loss_grad):
+        # the minimizer is deterministic, so max_iter=k ends on its k-th step
+        x0 = np.zeros(fixture_dataset.dim + 1)
+        losses = [loss_grad(x0, fixture_dataset)[0]]
+        for k in range(1, 100):
+            _, loss, _, iterations, _ = _minimize(partial(loss_grad, data=fixture_dataset),
+                                                  x0, k, 0.0)
+            if iterations < k:
+                break
+            losses.append(loss)
+        assert len(losses) > 10
+        assert all(b < a for a, b in zip(losses, losses[1:]))
+
+    def test_untouched_columns_keep_zero_weight(self):
+        rng = np.random.default_rng(6)
+        docs = [[f"w{int(rng.integers(0, 200))}" for _ in range(6)] for _ in range(60)]
+        _, batch = fit_pipeline(docs, FeatureCombo.UNI_TFIDF, min_tf=0)
+        data = LabeledDataset(batch, [int("w0" in d or "w1" in d) for d in docs]).subset(
+            np.arange(30))
+        untouched = np.setdiff1d(np.arange(data.dim), data.batch.indices)
+        assert np.setdiff1d(batch.indices, data.batch.indices).size  # held-out-only columns
+        for model in (train_lr(data), train_linear_svc(data)):
+            assert model.params.weights[untouched].tolist() == [0.0] * untouched.size
+            assert np.count_nonzero(model.params.weights) == np.unique(data.batch.indices).size
 
 
 class TestDecisionTree:

@@ -6,7 +6,9 @@ from pathlib import Path
 import pytest
 
 from ideation_stream import errors
+from ideation_stream.broker import Broker
 from ideation_stream.cli import main
+from ideation_stream.stream import PredictionEvent
 
 
 @pytest.fixture(autouse=True)
@@ -133,9 +135,11 @@ class TestOutOfRangeHyperparameters:
         ("rf", ["--hyper", "max_depth=0"]),
         ("dt", ["--hyper", "min_leaf=0"]),
         ("rf", ["--hyper", "min_leaf=-1"]),
+        ("lr", ["--hyper", "max_iter=0"]),
+        ("svc", ["--hyper", "tol=-1"]),
     ], ids=["dt-max-depth", "svc-c", "nb-alpha", "mlp-no-hidden-layer", "rf-feature-fraction",
             "mlp-batch-size", "grid-in-cv", "lr-l2", "rf-max-depth", "dt-min-leaf",
-            "rf-min-leaf"])
+            "rf-min-leaf", "lr-max-iter", "svc-tol"])
     def test_exits_34_without_traceback(self, tmp_path, data_csv, capsys, model, extra):
         out = tmp_path / "m.isp"
         rc = main(["train", "--data", str(data_csv), "--model", model, "--combo",
@@ -356,6 +360,10 @@ class TestFileErrors:
                                         argv):
         assert main(["broker", "create-topic", "--broker-dir", "b",
                      "--topic", "Predicted-tweets"]) == 0
+        with Broker("b") as broker:
+            for label in (1, 0, 1):
+                event = PredictionEvent(0, 0, "0" * 64, label, "x", 0.5, "d", 0)
+                broker.produce("Predicted-tweets", event.to_json().encode())
         (tmp_path / "blocked.csv.manifest.json").mkdir()
         (tmp_path / "feed.txt").write_text("a post\n", "utf-8")
         capsys.readouterr()
@@ -363,6 +371,10 @@ class TestFileErrors:
         assert main(argv) == 52  # IoFailure
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+        # a failed train leaves no model, a failed report its group's offsets
+        assert not (tmp_path / "m.isp").exists()
+        assert main(["report", "--broker-dir", "b", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["total"] == 3
 
 
 MANIFEST_KEYS = {"argv", "command", "duration_s", "input_digests", "outputs", "seeds",
