@@ -73,6 +73,24 @@ def random_sparse_dataset(rng, n, dim, density=0.4):
     return make_data(rows, labels)
 
 
+def correlated_sparse_dataset(rng, n, dim, nnz=40, cue=0.2, cue_cols=40):
+    """Rows of ``nnz`` columns whose values sum to 1, as term frequencies do.
+    Each column is a cue for the row's label (columns ``[0, cue_cols)`` for
+    label 0, the next ``cue_cols`` for label 1) with probability ``cue``,
+    else drawn from the shared columns above them."""
+    rows, labels = [], []
+    for _ in range(n):
+        label = int(rng.integers(0, 2))
+        n_cue = rng.binomial(nnz, cue)
+        idx = np.sort(np.concatenate([
+            rng.choice(cue_cols, size=n_cue, replace=False) + label * cue_cols,
+            rng.choice(np.arange(2 * cue_cols, dim), size=nnz - n_cue, replace=False)]))
+        val = rng.uniform(0.5, 1.5, size=nnz)
+        rows.append(SparseBatch(dim, np.array([0, nnz]), idx.astype(np.int64), val / val.sum()))
+        labels.append(label)
+    return make_data(rows, labels)
+
+
 @pytest.fixture
 def vec():
     return make_vec

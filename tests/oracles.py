@@ -145,6 +145,41 @@ def mlp_scores_per_row(weights, biases, indptr, indices, values):
     return np.array(scores, dtype=np.float64)
 
 
+def lazy_adam_mlp_reference(weights, biases, indptr, indices, grads, learning_rate, epochs,
+                            batch_size, seed):
+    """The MLP's weights and biases after per-step Adam from the given start
+    (beta1 0.9, beta2 0.999, eps 1e-8, bias-corrected by the global step).
+    Each epoch shuffles the rows by ``default_rng(seed + 1)`` and takes
+    ``batch_size`` of them at a time; ``grads(weights, biases, rows)`` gives
+    their gradients, the first layer's in its full shape. The moments are
+    full-size, and the first layer's weights and moments change at the
+    input rows the mini-batch touches only."""
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    weights = [w.copy() for w in weights]
+    biases = [b.copy() for b in biases]
+    params = weights + biases
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    n = len(indptr) - 1
+    rng = np.random.default_rng(seed + 1)
+    t = 0
+    for _ in range(epochs):
+        perm = rng.permutation(n)
+        for start in range(0, n, batch_size):
+            rows = perm[start:start + batch_size]
+            grads_w, grads_b = grads(weights, biases, rows)
+            t += 1
+            touched = sorted({int(j) for i in rows for j in indices[indptr[i]:indptr[i + 1]]})
+            for k, (p, g) in enumerate(zip(params, grads_w + grads_b)):
+                at = touched if k == 0 else slice(None)
+                m[k][at] = b1 * m[k][at] + (1 - b1) * g[at]
+                v[k][at] = b2 * v[k][at] + (1 - b2) * g[at] ** 2
+                m_hat = m[k][at] / (1 - b1 ** t)
+                v_hat = v[k][at] / (1 - b2 ** t)
+                p[at] -= learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+    return weights, biases
+
+
 def lemma_reference(token, config):
     if token in config.lemma_exceptions:
         return config.lemma_exceptions[token]

@@ -554,8 +554,8 @@ def test_c13_table_replication_with_tolerance(full_tokenized):
         ModelKind.DT: lambda d: train_dt(d, max_depth=8, min_leaf=50),
         ModelKind.RF: lambda d: train_rf(d, num_trees=20, feature_fraction=0.02,
                                          max_depth=10, min_leaf=20, seed=13),
-        ModelKind.MLP: lambda d: train_mlp(d, hidden_layers=[64], learning_rate=1.0,
-                                           epochs=6, batch_size=256, seed=13),
+        ModelKind.MLP: lambda d: train_mlp(d, hidden_layers=[64], epochs=6, batch_size=256,
+                                           seed=13),
     }
 
     uni_train, uni_test = _combo_datasets(full_tokenized, FeatureCombo.UNI_CV_IDF)

@@ -11,16 +11,16 @@ from ideation_stream.classifiers import (LabeledDataset, ModelKind,
                                          train_mlp, train_nb, train_rf)
 from ideation_stream.classifiers.linear import (LinearParams, _minimize, logistic_loss_grad,
                                                 squared_hinge_loss_grad)
-from ideation_stream.classifiers.mlp import init_params, loss_and_grads
+from ideation_stream.classifiers.mlp import MLPParams, init_params, loss_and_grads
 from ideation_stream.classifiers import tree
 from ideation_stream.classifiers.tree import score_batch as tree_score_batch
 from ideation_stream.errors import (DegenerateLabels, DimensionMismatch,
                                     NegativeFeature)
 from ideation_stream.features import FeatureCombo, SparseBatch, fit_pipeline
 
-from conftest import (densify_first_layer, make_data, make_vec,
+from conftest import (correlated_sparse_dataset, densify_first_layer, make_data, make_vec,
                       random_sparse_dataset, rows_of, stack)
-from oracles import build_tree_reference, mlp_scores_per_row
+from oracles import build_tree_reference, lazy_adam_mlp_reference, mlp_scores_per_row
 
 
 class TestNaiveBayes:
@@ -422,6 +422,40 @@ class TestMlp:
         assert got.dtype == np.float64 and got.tolist() == expected.tolist()
         empty = score_batch(p, batch.take([]))
         assert empty.dtype == np.float64 and empty.shape == (0,)
+
+    def test_adam_matches_lazy_reference(self):
+        # columns 12-19 are in no training row: their first-layer rows stay as initialized
+        small = random_sparse_dataset(np.random.default_rng(11), n=30, dim=12, density=0.3)
+        b = small.batch
+        data = LabeledDataset(SparseBatch(20, b.indptr, b.indices, b.values), small.labels)
+        y = data.labels.astype(np.int64)
+        model = train_mlp(data, hidden_layers=[6, 3], learning_rate=0.05, epochs=4,
+                          batch_size=8, seed=5)
+        start = init_params(20, [6, 3], seed=5)
+
+        def grads(weights, biases, rows):
+            batch = data.batch.take(rows)
+            _, grads_w, grads_b = loss_and_grads(MLPParams(weights, biases), batch, y[rows])
+            grads_w[0] = densify_first_layer(grads_w[0], batch, weights[0])
+            return grads_w, grads_b
+
+        weights, biases = lazy_adam_mlp_reference(start.weights, start.biases, b.indptr,
+                                                  b.indices, grads, 0.05, 4, 8, 5)
+        for got, want in zip(model.params.weights + model.params.biases, weights + biases):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        assert not np.array_equal(model.params.weights[0][:12], start.weights[0][:12])
+        assert np.array_equal(model.params.weights[0][12:], start.weights[0][12:])
+
+    def test_learns_as_well_as_lr(self):
+        # values near 1/40, the scale of term frequencies, give tiny first-layer gradients
+        data = correlated_sparse_dataset(np.random.default_rng(0), 400, 1000)
+        train = LabeledDataset(data.batch.take(range(320)), data.labels[:320])
+        test = LabeledDataset(data.batch.take(range(320, 400)), data.labels[320:])
+
+        def accuracy(model):
+            return np.mean([p.label == y for p, y in zip(predict_batch(model, test.batch),
+                                                         test.labels)])
+        assert accuracy(train_mlp(train, seed=0)) >= accuracy(train_lr(train)) - 0.05
 
     def test_full_batch_loss_non_increasing_at_small_lr(self, xor_toy):
         model = train_mlp(xor_toy, hidden_layers=[4], learning_rate=0.01,
