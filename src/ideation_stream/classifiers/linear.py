@@ -29,12 +29,9 @@ class LinearParams:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # exp(-|z|), which never overflows; minimum returns its first argument at NaN
+    ez = np.exp(np.minimum(z, -z))
+    return np.where(z >= 0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:

@@ -2,11 +2,10 @@
 cross-entropy loss, mini-batch Adam.
 
 Weights start Glorot-uniform (+-sqrt(6/(fan_in+fan_out))) from the seed;
-biases start at zero. The first layer reads the rows of a CSR
-``SparseBatch`` one at a time, and its gradient holds the touched rows only,
-so the input dimension never gets densified. The dense layers after it run
-a stack of 1-row products: a row scores alike in any batch, and training
-and scoring share one ``forward``.
+biases start at zero. ``forward`` runs each row of a CSR ``SparseBatch``
+alone through 1-row products, so a row scores alike in any batch, and
+training and scoring share it. The first layer's gradient is X^T d_z over
+the mini-batch's touched columns, in products of M*N*K <= 2^18 (unthreaded).
 
 Adam (Kingma & Ba, 2015; beta1 0.9, beta2 0.999, eps 1e-8, bias-corrected)
 takes ``learning_rate`` as its step. Its first-layer moments are lazy (as in
@@ -27,6 +26,7 @@ from .base import LabeledDataset, ModelArtifact, ModelKind
 from .linear import _sigmoid
 
 _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
+_GEMM_MNK = 1 << 18  # OpenBLAS runs a GEMM of M*N*K <= this on the calling thread
 
 
 @dataclass
@@ -113,12 +113,12 @@ def _loss_and_grads(params: MLPParams, rows: SparseBatch, y: np.ndarray, touched
         d_a = d_z @ params.weights[layer].T
         d_z = d_a * a_prev * (1.0 - a_prev)
 
-    dw0 = np.zeros((touched.size, params.weights[0].shape[1]))
-    indptr = rows.indptr.tolist()
-    for i, (lo, hi) in enumerate(zip(indptr[:-1], indptr[1:])):
-        if hi > lo:
-            dw0[local[lo:hi]] += rows.values[lo:hi, None] * d_z[i]
-    grads_w[0] = dw0
+    x_t = np.zeros((touched.size, b))  # the batch's touched block, transposed
+    x_t[local, rows.row_ids] = rows.values
+    grads_w[0] = dw0 = np.empty((touched.size, d_z.shape[1]))
+    step = max(1, _GEMM_MNK // (b * d_z.shape[1]))
+    for lo in range(0, touched.size, step):
+        np.matmul(x_t[lo:lo + step], d_z, out=dw0[lo:lo + step])
     grads_b[0] = d_z.sum(axis=0)
     return loss, grads_w, grads_b
 
@@ -126,8 +126,9 @@ def _loss_and_grads(params: MLPParams, rows: SparseBatch, y: np.ndarray, touched
 def train_mlp(data: LabeledDataset, hidden_layers: Sequence[int] = (64,),
               learning_rate: float = 0.01, epochs: int = 10, batch_size: int = 32,
               seed: int = 0) -> ModelArtifact:
-    if batch_size < 1:
-        raise InvalidHyperparameter(f"batch_size must be >= 1, got {batch_size}")
+    if batch_size < 1 or epochs < 1 or not 0.0 < learning_rate < np.inf:
+        raise InvalidHyperparameter("need batch_size, epochs >= 1 and a finite learning_rate > 0, "
+                                    f"got {batch_size}, {epochs}, {learning_rate}")
     params = init_params(data.dim, hidden_layers, seed)
     rng = np.random.default_rng(seed + 1)
     n = len(data)

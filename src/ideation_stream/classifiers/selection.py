@@ -9,7 +9,9 @@ one forked child per CPU each train a share of them, and the children
 pickle their few-float results back over a pipe. Fold i trains on the
 same rows with the same seed either way, so the report, and every model
 trained after it, is the same on one CPU as on many. Spans and counters
-recorded inside a child stay in the child.
+recorded inside a child stay in the child. Keep each BLAS call made there
+within OpenBLAS's one-thread size, M*N*K <= 2^18: a woken BLAS thread spins,
+and on two CPUs an unblocked MLP gradient took the MLP's ``train`` 0.45 -> 0.73 s.
 """
 
 from __future__ import annotations

@@ -145,6 +145,33 @@ def mlp_scores_per_row(weights, biases, indptr, indices, values):
     return np.array(scores, dtype=np.float64)
 
 
+def mlp_first_layer_grad_reference(weights, biases, indptr, indices, values, y):
+    """The gradient of the MLP's mean cross-entropy over a CSR batch with
+    respect to its first weight matrix, at the rows ``np.unique(indices)``
+    only: each row runs forward and back alone through 1-row products, and
+    its delta times its values is added into its columns' rows in turn."""
+    n = len(indptr) - 1
+    touched = np.unique(indices)
+    dw0 = np.zeros((touched.size, weights[0].shape[1]))
+    for i, (lo, hi) in enumerate(zip(indptr[:-1], indptr[1:])):
+        z = biases[0][None, :].copy()
+        if hi > lo:
+            z[0] += values[lo:hi] @ weights[0][indices[lo:hi]]
+        acts = [_sigmoid_reference(z)]
+        for w, b in zip(weights[1:-1], biases[1:-1]):
+            acts.append(_sigmoid_reference(acts[-1] @ w + b))
+        logits = acts[-1] @ weights[-1] + biases[-1]
+        expd = np.exp(logits - logits.max(axis=1, keepdims=True))
+        d_z = expd / expd.sum(axis=1, keepdims=True)
+        d_z[0, y[i]] -= 1.0
+        d_z /= n
+        for w, a in zip(weights[:0:-1], acts[::-1]):  # back from the last layer
+            d_z = (d_z @ w.T) * a * (1.0 - a)
+        if hi > lo:
+            dw0[np.searchsorted(touched, indices[lo:hi])] += values[lo:hi, None] * d_z[0]
+    return dw0
+
+
 def lazy_adam_mlp_reference(weights, biases, indptr, indices, grads, learning_rate, epochs,
                             batch_size, seed):
     """The MLP's weights and biases after per-step Adam from the given start

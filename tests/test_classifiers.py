@@ -2,25 +2,27 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ideation_stream.classifiers import (LabeledDataset, ModelKind,
                                          predict, predict_batch, train_dt,
                                          train_linear_svc, train_lr,
                                          train_mlp, train_nb, train_rf)
-from ideation_stream.classifiers.linear import (LinearParams, _minimize, logistic_loss_grad,
+from ideation_stream.classifiers.linear import (LinearParams, _minimize, _sigmoid,
+                                                logistic_loss_grad,
                                                 squared_hinge_loss_grad)
 from ideation_stream.classifiers.mlp import MLPParams, init_params, loss_and_grads
 from ideation_stream.classifiers import tree
 from ideation_stream.classifiers.tree import score_batch as tree_score_batch
 from ideation_stream.errors import (DegenerateLabels, DimensionMismatch,
-                                    NegativeFeature)
+                                    InvalidHyperparameter, NegativeFeature)
 from ideation_stream.features import FeatureCombo, SparseBatch, fit_pipeline
 
 from conftest import (correlated_sparse_dataset, densify_first_layer, make_data, make_vec,
                       random_sparse_dataset, rows_of, stack)
-from oracles import build_tree_reference, lazy_adam_mlp_reference, mlp_scores_per_row
+from oracles import (_sigmoid_reference, build_tree_reference, lazy_adam_mlp_reference,
+                     mlp_first_layer_grad_reference, mlp_scores_per_row)
 
 
 class TestNaiveBayes:
@@ -103,6 +105,16 @@ class TestLogisticRegression:
         model = ModelArtifact(kind=ModelKind.LR, dim=2,
                               params=LinearParams(np.zeros(2), 0.0))
         assert predict(model, vec(2, [(0, 5)])).score == 0.5
+
+    def test_sigmoid_bitwise_equals_reference(self):
+        rng = np.random.default_rng(0)
+        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 709.0, -709.0, 710.0,
+                            -710.0, 745.2, -745.2, 800.0, -800.0, 1e308, -1e308, 5e-324, -5e-324])
+        for z in [special, rng.normal(0.0, 30.0, (32, 64)), rng.uniform(-800.0, 800.0, 1000),
+                  np.zeros((0, 3))]:
+            got, want = _sigmoid(z), _sigmoid_reference(z)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()  # NaN's sign and payload too
 
     def test_feature_scaling_preserves_label_ordering(self, separable_toy):
         b = separable_toy.batch
@@ -396,6 +408,42 @@ class TestMlp:
                     analytic = grads_w[layer][probe]
                     denom = max(abs(numeric), abs(analytic), 1e-8)
                     assert abs(numeric - analytic) / denom < 1e-4
+
+    @pytest.mark.parametrize("hyper", [
+        {"learning_rate": -0.01}, {"learning_rate": 0.0}, {"learning_rate": float("inf")},
+        {"learning_rate": float("nan")}, {"epochs": 0}, {"epochs": -3},
+    ], ids=str)
+    def test_out_of_range_hyperparameters_rejected(self, xor_toy, hyper):
+        with pytest.raises(InvalidHyperparameter):
+            train_mlp(xor_toy, hidden_layers=[4], **hyper)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 40), dim=st.integers(1, 600), density=st.floats(0.0, 0.3),
+           hidden=st.sampled_from([[3], [64], [16, 8], [300]]), empty_first=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    @example(n=1, dim=7, density=0.5, hidden=[64], empty_first=False, seed=0)
+    @example(n=5, dim=7, density=0.5, hidden=[64], empty_first=True, seed=0)
+    # 32 rows of a 64-wide layer: 128 columns a product; this batch touches 477
+    @example(n=32, dim=600, density=0.05, hidden=[64], empty_first=False, seed=0)
+    def test_first_layer_gradient_matches_per_row_reference(self, n, dim, density, hidden,
+                                                            empty_first, seed):
+        rng = np.random.default_rng(seed)
+        mask = rng.random((n, dim)) < density
+        mask[0] &= not empty_first
+        x = np.where(mask, rng.uniform(-3.0, 3.0, (n, dim)), 0.0)
+        r, c = np.nonzero(x)
+        batch = SparseBatch(dim, np.concatenate(([0], np.cumsum(mask.sum(axis=1)))), c, x[r, c])
+        params = init_params(dim, hidden, seed=seed)
+        for b in params.biases:
+            b += rng.normal(0.0, 1.0, b.shape)
+        y = rng.integers(0, 2, n)
+        got = loss_and_grads(params, batch, y)[1][0]
+        want = mlp_first_layer_grad_reference(params.weights, params.biases, batch.indptr,
+                                              batch.indices, batch.values, y)
+        assert got.shape == want.shape == (np.unique(c).size, hidden[0])
+        # the sums run in another order: a few ulps of the largest entry
+        tol = 16 * np.finfo(np.float64).eps * np.abs(want).max(initial=0.0)
+        np.testing.assert_allclose(got, want, rtol=0, atol=tol)
 
     def test_xor_with_four_hidden_units(self, xor_toy):
         model = train_mlp(xor_toy, hidden_layers=[4], learning_rate=0.5,

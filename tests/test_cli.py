@@ -137,9 +137,13 @@ class TestOutOfRangeHyperparameters:
         ("rf", ["--hyper", "min_leaf=-1"]),
         ("lr", ["--hyper", "max_iter=0"]),
         ("svc", ["--hyper", "tol=-1"]),
+        ("mlp", ["--hyper", "learning_rate=-0.01"]),
+        ("mlp", ["--hyper", "learning_rate=1e309"]),  # JSON reads it as inf
+        ("mlp", ["--hyper", "epochs=0"]),
     ], ids=["dt-max-depth", "svc-c", "nb-alpha", "mlp-no-hidden-layer", "rf-feature-fraction",
             "mlp-batch-size", "grid-in-cv", "lr-l2", "rf-max-depth", "dt-min-leaf",
-            "rf-min-leaf", "lr-max-iter", "svc-tol"])
+            "rf-min-leaf", "lr-max-iter", "svc-tol", "mlp-learning-rate", "mlp-learning-rate-inf",
+            "mlp-epochs"])
     def test_exits_34_without_traceback(self, tmp_path, data_csv, capsys, model, extra):
         out = tmp_path / "m.isp"
         rc = main(["train", "--data", str(data_csv), "--model", model, "--combo",
