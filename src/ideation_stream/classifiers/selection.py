@@ -4,14 +4,16 @@ Folds are contiguous slices of a seeded shuffle with sizes differing by at
 most one. Per-run trainer seeds derive from (base seed, run index) so
 results do not depend on execution order.
 
-``cross_validate`` runs its folds at the same time: the caller and up to
-one forked child per CPU each train a share of them, and the children
-pickle their few-float results back over a pipe. Fold i trains on the
-same rows with the same seed either way, so the report, and every model
-trained after it, is the same on one CPU as on many. Spans and counters
-recorded inside a child stay in the child. Keep each BLAS call made there
-within OpenBLAS's one-thread size, M*N*K <= 2^18: a woken BLAS thread spins,
-and on two CPUs an unblocked MLP gradient took the MLP's ``train`` 0.45 -> 0.73 s.
+``cross_validate`` runs its folds, and the final fit if asked, at the
+same time, one process per CPU: the caller and up to CPUs - 1 forked
+children each train a share, and the children pickle their few-float
+results back over a pipe. The final fit runs in the caller, so its model
+never crosses a pipe. Fold i trains on the same rows with the same seed
+either way, so the report, and every model trained after it, is the same
+on one CPU as on many. Spans and counters recorded inside a child stay in
+the child. Keep each BLAS call made there within OpenBLAS's one-thread
+size, M*N*K <= 2^18: a woken BLAS thread spins, and on two CPUs an
+unblocked MLP gradient took the MLP's ``train`` 0.45 -> 0.73 s.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from typing import BinaryIO, Callable
 import numpy as np
 
 from ..errors import FoldWorkerDied, TooFewRows
-from .base import LabeledDataset, ModelKind, predict_batch
+from .base import LabeledDataset, ModelArtifact, ModelKind, predict_batch
 from .linear import train_linear_svc, train_lr
 from .mlp import train_mlp
 from .naive_bayes import train_nb
@@ -70,6 +72,7 @@ class CVReport:
     kind: ModelKind
     params: dict
     folds: list[FoldResult] = field(default_factory=list)
+    model: ModelArtifact | None = field(default=None, compare=False, repr=False)
 
     @property
     def mean_accuracy(self) -> float:
@@ -105,9 +108,11 @@ def fold_indices(n: int, k: int, seed: int) -> list[np.ndarray]:
 
 
 def cross_validate(kind: ModelKind | str, params: dict, data: LabeledDataset,
-                   k: int = 10, seed: int = 0, fold_seed: int | None = None) -> CVReport:
+                   k: int = 10, seed: int = 0, fold_seed: int | None = None,
+                   fit: bool = False) -> CVReport:
     """``fold_seed`` pins the shuffle independently of the trainer seeds,
-    so a grid search can score every candidate on identical folds."""
+    so a grid search can score every candidate on identical folds. With
+    ``fit``, the report's ``model`` is trained on all of ``data`` with ``seed``."""
     from ..evaluation import confusion, metrics
 
     kind = ModelKind(kind)
@@ -126,26 +131,49 @@ def cross_validate(kind: ModelKind | str, params: dict, data: LabeledDataset,
         return FoldResult(fold=i, n_validate=len(fold), accuracy=scored.accuracy,
                           precision=scored.precision, recall=scored.recall, f1=scored.f1)
 
-    return CVReport(kind=kind, params=dict(params), folds=_run_folds(run_fold, k))
+    weights = [len(data) - len(fold) for fold in folds] + ([len(data)] if fit else [])
+    results, model = _run_folds(run_fold, weights,
+                                (lambda: trainer(data, seed=seed, **params)) if fit else None)
+    return CVReport(kind=kind, params=dict(params), folds=results, model=model)
 
 
-def _run_folds(run_fold: Callable[[int], FoldResult], k: int) -> list[FoldResult]:
-    """``run_fold(i)`` for every i < k, in fold order.
+def _shares(weights: list[int], processes: int) -> list[list[int]]:
+    """Graham's LPT rule (1969): job j, heaviest first and ties in index
+    order, goes to the least loaded process, the lowest-numbered among
+    equals. Each share lists its jobs in ascending order."""
+    shares: list[list[int]] = [[] for _ in range(processes)]
+    for j in sorted(range(len(weights)), key=lambda j: -weights[j]):
+        min(shares, key=lambda share: sum(weights[i] for i in share)).append(j)
+    return [sorted(share) for share in shares]
 
-    With n = min(CPUs, k - 1) forked children, none on one CPU, child c
-    runs folds c, c + n + 1, ... while the caller runs 0, n + 1, ...; each
-    stops at its first failing fold. The lowest failing fold's exception is
-    raised, the one a serial run raises first, and no child outlives the
-    call."""
+
+def _run_folds(run_fold: Callable[[int], FoldResult], weights: list[int],
+               fit: Callable[[], ModelArtifact] | None = None
+               ) -> tuple[list[FoldResult], ModelArtifact | None]:
+    """``run_fold(i)`` for every fold i, in fold order, and ``fit()``.
+
+    ``weights`` holds each job's training rows, the fit's last. ``_shares``
+    gives the caller the fit, the heaviest job, and a forked child each
+    other share. The caller fits, then runs its own folds; alone, it fits
+    after them, as a serial loop would. Each process stops at its first
+    failing fold. The lowest failing fold's exception is raised, the one a
+    serial run raises first, else the fit's; and no child outlives the call."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    stride = min(cpus, k - 1) + 1 if cpus > 1 else 1
+    k = len(weights) - (fit is not None)
+    caller, *others = _shares(weights, min(cpus, len(weights)))
     outcome: dict[int, FoldResult | Exception] = {}
     lost: dict[int, int] = {}  # fold -> wait status of a child that sent no result
-    workers: list[tuple[int, BinaryIO, range]] = []
+    workers: list[tuple[int, BinaryIO, list[int]]] = []
+    fitted: ModelArtifact | Exception | None = None
     try:
-        for c in range(1, stride):
-            workers.append(_fork_worker(run_fold, range(c, k, stride)))
-        outcome.update(_run_in_order(run_fold, range(0, k, stride)))
+        for share in others:
+            workers.append(_fork_worker(run_fold, share))
+        if fit and workers:
+            try:
+                fitted = fit()
+            except Exception as exc:  # noqa: BLE001 - a failing fold outranks it
+                fitted = exc
+        outcome.update(_run_in_order(run_fold, [i for i in caller if i < k]))
         while workers:
             pid, reader, folds = workers[0]
             data = reader.read()
@@ -176,11 +204,15 @@ def _run_folds(run_fold: Callable[[int], FoldResult], k: int) -> list[FoldResult
         if isinstance(outcome[i], Exception):
             raise outcome[i]
         results.append(outcome[i])
-    return results
+    if fit and fitted is None:
+        fitted = fit()
+    if isinstance(fitted, Exception):
+        raise fitted
+    return results, fitted
 
 
 def _run_in_order(run_fold: Callable[[int], FoldResult],
-                  folds: range) -> dict[int, FoldResult | Exception]:
+                  folds: list[int]) -> dict[int, FoldResult | Exception]:
     """Each fold's result, up to and including the first that raises."""
     done: dict[int, FoldResult | Exception] = {}
     for i in folds:
@@ -193,7 +225,7 @@ def _run_in_order(run_fold: Callable[[int], FoldResult],
 
 
 def _fork_worker(run_fold: Callable[[int], FoldResult],
-                 folds: range) -> tuple[int, BinaryIO, range]:
+                 folds: list[int]) -> tuple[int, BinaryIO, list[int]]:
     """A child that runs ``folds`` and pickles its results and the text
     of its traceback, if one fold raised, into a pipe."""
     read_fd, write_fd = os.pipe()

@@ -163,14 +163,17 @@ def cmd_train(args: argparse.Namespace) -> Outcome:
     kind = ModelKind(args.model)
     params = dict(args.hyper)
     cv_reports = []
+    model = None
     if args.grid:
         grid = DEFAULT_GRIDS[kind] if args.grid == "default" else args.grid
         best, cv_reports = grid_search(kind, grid, train_data, k=args.folds, seed=args.seed)
         params = {**best, **params}
-    elif args.folds > 0:
-        cv_reports = [cross_validate(kind, params, train_data, k=args.folds, seed=args.seed)]
-
-    model = TRAINERS[kind](train_data, seed=args.seed, **params)
+    elif args.folds > 0:  # the final fit runs alongside the folds
+        cv_reports = [cross_validate(kind, params, train_data, k=args.folds, seed=args.seed,
+                                     fit=True)]
+        model = cv_reports[0].model
+    if model is None:
+        model = TRAINERS[kind](train_data, seed=args.seed, **params)
     model.training_meta["trained_at"] = _now()
     report, cm = evaluate_model(model, test_data, averaging=Averaging(args.averaging))
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import random
-import re
 from dataclasses import dataclass
 
 from .errors import DegenerateSplit, EmptyCorpus, IoFailure, MissingColumn, UnknownLabel
@@ -21,8 +20,6 @@ NON_SUICIDE = "non-suicide"
 
 LABEL_TO_INT = {SUICIDE: 1, NON_SUICIDE: 0}
 INT_TO_LABEL = {1: SUICIDE, 0: NON_SUICIDE}
-
-_WS_RE = re.compile(r"\s+")
 
 
 @dataclass(frozen=True)
@@ -129,8 +126,9 @@ def load_csv(path, text_column: str, label_column: str | None = None) -> Corpus:
 
 
 def normalized_text_key(text: str) -> str:
-    """Duplicate-detection key: case-folded, whitespace-collapsed text."""
-    return _WS_RE.sub(" ", text.casefold()).strip()
+    """Duplicate-detection key: case-folded, whitespace-collapsed text.
+    ``str.split`` splits at exactly the characters ``re``'s ``\\s`` matches."""
+    return " ".join(text.casefold().split())
 
 
 def dedupe_and_clean(corpus: Corpus) -> tuple[Corpus, CleanupReport]:

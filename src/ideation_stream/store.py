@@ -20,6 +20,7 @@ CorruptPayload too.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import zlib
@@ -34,7 +35,6 @@ from .classifiers.tree import ForestParams, TreeParams
 from .errors import CorruptPayload, IoFailure, NotFitted, VersionMismatch
 from .features import (COMBO_ORDERS, GRAM_JOINER, FeatureCombo, FeaturePipeline,
                        Vocabulary, check_num_buckets)
-from .hashutil import sha256_hex
 
 MAGIC = b"ISPK"
 FORMAT_VERSION = 1
@@ -107,7 +107,7 @@ def save(pipeline: FeaturePipeline, model: ModelArtifact, path, *,
         else:
             arr = np.ascontiguousarray(array)
             kind = {"f": "<f8", "i": "<i8"}[arr.dtype.kind]
-            data = arr.astype(kind).tobytes()
+            data = memoryview(arr.astype(kind, copy=False).reshape(-1).view(np.uint8))
             table.append({"name": name, "dtype": kind, "shape": list(arr.shape)})
         payloads.append(data)
 
@@ -124,21 +124,21 @@ def save(pipeline: FeaturePipeline, model: ModelArtifact, path, *,
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":"),
                               default=_numpy_json).encode("utf-8")
 
-    body = bytearray()
-    body += MAGIC
-    body += FORMAT_VERSION.to_bytes(2, "little")
-    body += len(header_bytes).to_bytes(4, "little")
-    body += header_bytes
-    for data in payloads:
-        body += data
-    body += (zlib.crc32(bytes(body)) & 0xFFFFFFFF).to_bytes(4, "little")
+    chunks = [MAGIC, FORMAT_VERSION.to_bytes(2, "little"),
+              len(header_bytes).to_bytes(4, "little"), header_bytes, *payloads]
+    crc, digest = 0, hashlib.sha256()
+    for chunk in chunks:  # piece by piece: the file's bytes are never joined
+        crc = zlib.crc32(chunk, crc)
+        digest.update(chunk)
+    chunks.append(crc.to_bytes(4, "little"))
+    digest.update(chunks[-1])
 
     try:
         with open(path, "wb") as fh:
-            fh.write(body)
+            fh.writelines(chunks)
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
-    return sha256_hex(bytes(body))
+    return digest.hexdigest()
 
 
 def inspect_header(path) -> dict:

@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import random
 from pathlib import Path
 
@@ -95,6 +96,47 @@ class TestTrain:
         assert main(args + ["--out", str(a)]) == 0
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("kind", ["nb", "lr", "svc", "dt", "rf", "mlp"])
+    def test_cv_and_the_saved_model_do_not_depend_on_the_cpus(self, tmp_path, data_csv,
+                                                             monkeypatch, capsys, kind):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+        args = ["train", "--data", str(data_csv), "--model", kind, "--combo",
+                "uni-cv-idf", "--min-tf", "0", "--folds", "3", "--seed", "9", "--json"]
+        args += ["--hyper", "num_trees=10"] if kind == "rf" else []
+        seen = []
+        for n in (1, 3):  # one CPU runs every job in turn; three fork two children
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=n: set(range(n)))
+            out = tmp_path / f"{n}.isp"
+            assert main(args + ["--out", str(out)]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            seen.append((out.read_bytes(), payload["digest"], payload["cv"]))
+        assert seen[0] == seen[1]
+        assert len(seen[0][2][0]["folds"]) == 3
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("fails, code", [("fit", errors.DegenerateLabels.exit_code),
+                                             ("fold", errors.TooFewRows.exit_code)])
+    def test_a_failing_fold_or_fit_keeps_its_exit_code(self, tmp_path, data_csv,
+                                                       monkeypatch, cpus, fails, code):
+        from ideation_stream.classifiers import ModelKind, selection
+
+        real = selection.TRAINERS[ModelKind.NB]
+
+        def trainer(data, seed, **params):
+            if seed == 9:  # the final fit; the folds get derived seeds
+                raise errors.DegenerateLabels("the final fit")
+            if fails == "fold":
+                raise errors.TooFewRows("a fold")
+            return real(data, seed=seed, **params)
+
+        monkeypatch.setitem(selection.TRAINERS, ModelKind.NB, trainer)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        out = tmp_path / "m.isp"
+        assert main(["train", "--data", str(data_csv), "--model", "nb", "--combo",
+                     "uni-cv-idf", "--min-tf", "0", "--folds", "3", "--seed", "9",
+                     "--out", str(out)]) == code
+        assert not out.exists()
 
     def test_json_output(self, tmp_path, data_csv, capsys):
         out = tmp_path / "model.isp"

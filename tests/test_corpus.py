@@ -1,4 +1,6 @@
 import csv
+import re
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,7 @@ from hypothesis import strategies as st
 
 from ideation_stream.corpus import (Corpus, Document, SplitSpec,
                                     dedupe_and_clean, load_csv,
-                                    split)
+                                    normalized_text_key, split)
 from ideation_stream.errors import (DegenerateSplit, EmptyCorpus,
                                     MissingColumn, UnknownLabel)
 
@@ -114,6 +116,26 @@ class TestDedupe:
         twice, report = dedupe_and_clean(once)
         assert twice.documents == once.documents
         assert report.duplicates_removed == report.empty_removed == 0
+
+
+EVERY_CODE_POINT = "".join(map(chr, range(sys.maxunicode + 1)))
+WHITESPACE = "".join(c for c in EVERY_CODE_POINT if c.isspace())
+
+
+class TestNormalizedTextKey:
+    def test_regex_whitespace_is_str_whitespace_on_every_code_point(self):
+        assert "".join(re.findall(r"\s", EVERY_CODE_POINT)) == WHITESPACE
+        assert len(WHITESPACE) > 20  # the Unicode spaces, not just ASCII
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text(alphabet=WHITESPACE + "aBß\u0130\u03a3", max_size=30))
+    def test_matches_the_regex_key(self, text):
+        assert normalized_text_key(text) == re.sub(r"\s+", " ", text.casefold()).strip()
+
+    def test_every_whitespace_character_collapses(self):
+        text = f"{WHITESPACE}I{WHITESPACE}AM" + "sad".join(WHITESPACE)
+        assert normalized_text_key(text) == re.sub(r"\s+", " ", text.casefold()).strip()
+        assert normalized_text_key(text) == "i am" + " sad" * (len(WHITESPACE) - 1)
 
 
 class TestSplit:

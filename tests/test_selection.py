@@ -1,5 +1,6 @@
 import atexit
 import os
+import pickle
 import signal
 import threading
 import time
@@ -108,8 +109,9 @@ class TestGridSearch:
 
 
 def _fold_of(seed, k=5):
-    """Which fold a trainer call belongs to, from the seed it was given."""
-    return {derive_seed(3, i): i for i in range(k)}[seed]
+    """Which fold a trainer call belongs to, from the seed it was given;
+    None for the final fit, which gets the base seed 3."""
+    return {derive_seed(3, i): i for i in range(k)}.get(seed)
 
 
 @pytest.fixture
@@ -134,7 +136,7 @@ class TestForkedFolds:
         data = random_sparse_dataset(np.random.default_rng(7), n=40, dim=6)
         cpus(1)
         serial = cross_validate(kind, {}, data, k=5, seed=3)
-        cpus(3)  # the caller runs folds 0 and 4, three children one each
+        cpus(3)  # the caller runs folds 0 and 3, one child 1 and 4, one child 2
         assert cross_validate(kind, {}, data, k=5, seed=3) == serial
 
     @pytest.mark.parametrize("failing, first", [((1, 2), 1), ((2, 4), 2), ((0, 3), 0)])
@@ -167,8 +169,79 @@ class TestForkedFolds:
         monkeypatch.setitem(selection.TRAINERS, ModelKind.NB, trainer)
         data = random_sparse_dataset(np.random.default_rng(9), n=30, dim=4)
         cpus(3)
-        with pytest.raises(FoldWorkerDied, match=r"fold 2: .*wait status 9\)"):
-            cross_validate(ModelKind.NB, {}, data, k=5, seed=3)
+        # the caller fits and runs fold 4, one child 0 and 2, one child 1 and 3:
+        # the killed child's fold 0 is lost with its fold 2
+        with pytest.raises(FoldWorkerDied, match=r"fold 0: .*wait status 9\)"):
+            cross_validate(ModelKind.NB, {}, data, k=5, seed=3, fit=True)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("fit", [False, True])
+    def test_one_process_per_cpu(self, monkeypatch, cpus, n, fit):
+        real_fork, forked = os.fork, []
+
+        def fork():
+            pid = real_fork()
+            if pid:
+                forked.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", fork)
+        data = random_sparse_dataset(np.random.default_rng(14), n=30, dim=4)
+        cpus(n)
+        cross_validate(ModelKind.NB, {}, data, k=3, seed=3, fit=fit)
+        assert len(forked) == min(n, 3 + fit) - 1
+
+    @pytest.mark.parametrize("n, order", [(1, [0, 1, 2, 3, 4, None]), (3, [None, 4])])
+    def test_the_caller_fits_first_unless_alone(self, monkeypatch, cpus, n, order):
+        caller, calls = os.getpid(), []
+        real = selection.TRAINERS[ModelKind.NB]
+
+        def trainer(data, seed, **params):
+            if os.getpid() == caller:
+                calls.append(_fold_of(seed))
+            return real(data, seed=seed, **params)
+
+        monkeypatch.setitem(selection.TRAINERS, ModelKind.NB, trainer)
+        data = random_sparse_dataset(np.random.default_rng(17), n=30, dim=4)
+        cpus(n)
+        cross_validate(ModelKind.NB, {}, data, k=5, seed=3, fit=True)
+        assert calls == order
+
+    def test_the_shares_balance_training_rows(self):
+        # 3 folds of 320 rows on 2 CPUs: the fit (320) and a fold against two folds;
+        # the heaviest job goes first, ties in index order
+        assert selection._shares([213, 213, 214, 320], 2) == [[1, 3], [0, 2]]
+        assert selection._shares([24] * 5, 3) == [[0, 3], [1, 4], [2]]
+        assert selection._shares([5, 5, 6], 1) == [[0, 1, 2]]
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_the_fit_is_the_trainer_on_all_rows(self, cpus, n, kind):
+        data = random_sparse_dataset(np.random.default_rng(15), n=40, dim=6)
+        cpus(n)
+        report = cross_validate(kind, {}, data, k=5, seed=3, fit=True)
+        alone = selection.TRAINERS[kind](data, seed=3)
+        assert report == cross_validate(kind, {}, data, k=5, seed=3)
+        assert pickle.dumps(report.model) == pickle.dumps(alone)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("failing, raised", [
+        ((1, None), DegenerateLabels), ((4, None), DegenerateLabels), ((None,), TooFewRows)])
+    def test_a_failing_fold_outranks_a_failing_fit(self, monkeypatch, cpus, n,
+                                                   failing, raised):
+        real = selection.TRAINERS[ModelKind.NB]
+
+        def trainer(data, seed, **params):
+            fold = _fold_of(seed)
+            if fold in failing:
+                raise (TooFewRows if fold is None else DegenerateLabels)(f"fold {fold}")
+            return real(data, seed=seed, **params)
+
+        monkeypatch.setitem(selection.TRAINERS, ModelKind.NB, trainer)
+        data = random_sparse_dataset(np.random.default_rng(16), n=30, dim=4)
+        cpus(n)
+        with pytest.raises(raised, match=f"^fold {failing[0]}$"):
+            cross_validate(ModelKind.NB, {}, data, k=5, seed=3, fit=True)
 
     def test_an_interrupted_caller_kills_its_children(self, monkeypatch, cpus):
         caller = os.getpid()
