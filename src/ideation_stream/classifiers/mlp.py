@@ -2,10 +2,11 @@
 cross-entropy loss, mini-batch Adam.
 
 Weights start Glorot-uniform (+-sqrt(6/(fan_in+fan_out))) from the seed;
-biases start at zero. ``forward`` runs each row of a CSR ``SparseBatch``
-alone through 1-row products, so a row scores alike in any batch, and
-training and scoring share it. The first layer's gradient is X^T d_z over
-the mini-batch's touched columns, in products of M*N*K <= 2^18 (unthreaded).
+biases start at zero. Scoring runs ``forward``, which takes each row of a
+CSR ``SparseBatch`` alone through 1-row products, so a row scores alike in
+any batch. Training does not share it: a mini-batch runs on the block of the
+first layer its rows touch, where X W and the gradient X^T d_z are dense
+products over those columns, M*N*K <= 2^18 each (unthreaded).
 
 Adam (Kingma & Ba, 2015; beta1 0.9, beta2 0.999, eps 1e-8, bias-corrected)
 takes ``learning_rate`` as its step. Its first-layer moments are lazy (as in
@@ -69,13 +70,15 @@ def _dense(a: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
 def forward(params: MLPParams, rows: SparseBatch) -> list[np.ndarray]:
     """Activations per layer, each row computed alone; the last entry is
     the softmax output."""
-    acts = []
-    a = _sigmoid(_first_layer(rows, params.weights[0], params.biases[0]))
-    acts.append(a)
+    return _activations(params, _first_layer(rows, params.weights[0], params.biases[0]))
+
+
+def _activations(params: MLPParams, z: np.ndarray) -> list[np.ndarray]:
+    """Activations per layer from the first layer's pre-activations ``z``."""
+    acts = [_sigmoid(z)]
     for w, b in zip(params.weights[1:-1], params.biases[1:-1]):
-        a = _sigmoid(_dense(a, w, b))
-        acts.append(a)
-    logits = _dense(a, params.weights[-1], params.biases[-1])
+        acts.append(_sigmoid(_dense(acts[-1], w, b)))
+    logits = _dense(acts[-1], params.weights[-1], params.biases[-1])
     m = logits.max(axis=1, keepdims=True)
     expd = np.exp(logits - m)
     acts.append(expd / expd.sum(axis=1, keepdims=True))
@@ -87,15 +90,24 @@ def loss_and_grads(params: MLPParams, rows: SparseBatch,
     """Mean cross-entropy over the batch plus gradients for every weight
     matrix and bias vector; the first layer's holds the rows
     ``np.unique(rows.indices)`` only, in that order (the rest are zero)."""
-    return _loss_and_grads(params, rows, y, *np.unique(rows.indices, return_inverse=True))
+    touched, local = np.unique(rows.indices, return_inverse=True)
+    x_t = np.zeros((touched.size, rows.n_rows))  # the batch's touched block, transposed
+    x_t[local, rows.row_ids] = rows.values
+    block = MLPParams([params.weights[0][touched], *params.weights[1:]], params.biases)
+    return _block_loss_and_grads(block, x_t, y)
 
 
-def _loss_and_grads(params: MLPParams, rows: SparseBatch, y: np.ndarray, touched: np.ndarray,
-                    local: np.ndarray) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
-    """``loss_and_grads`` given ``touched, local = np.unique(rows.indices,
-    return_inverse=True)``."""
-    b = rows.n_rows
-    acts = forward(params, rows)
+def _block_loss_and_grads(params: MLPParams, x_t: np.ndarray, y: np.ndarray
+                          ) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
+    """``loss_and_grads`` on the batch's touched block: ``params.weights[0]``
+    holds the touched columns' rows, ``x_t`` the batch over them, transposed."""
+    w0, b = params.weights[0], x_t.shape[1]
+    step = max(1, _GEMM_MNK // (b * w0.shape[1]))
+    blocks = [slice(lo, lo + step) for lo in range(0, w0.shape[0], step)]
+    z = np.tile(params.biases[0], (b, 1))
+    for blk in blocks:
+        z += x_t[blk].T @ w0[blk]
+    acts = _activations(params, z)
     probs = acts[-1]
     eps = np.finfo(np.float64).tiny
     loss = float(-np.mean(np.log(probs[np.arange(b), y] + eps)))
@@ -113,12 +125,9 @@ def _loss_and_grads(params: MLPParams, rows: SparseBatch, y: np.ndarray, touched
         d_a = d_z @ params.weights[layer].T
         d_z = d_a * a_prev * (1.0 - a_prev)
 
-    x_t = np.zeros((touched.size, b))  # the batch's touched block, transposed
-    x_t[local, rows.row_ids] = rows.values
-    grads_w[0] = dw0 = np.empty((touched.size, d_z.shape[1]))
-    step = max(1, _GEMM_MNK // (b * d_z.shape[1]))
-    for lo in range(0, touched.size, step):
-        np.matmul(x_t[lo:lo + step], d_z, out=dw0[lo:lo + step])
+    grads_w[0] = dw0 = np.empty_like(w0)
+    for blk in blocks:
+        np.matmul(x_t[blk], d_z, out=dw0[blk])
     grads_b[0] = d_z.sum(axis=0)
     return loss, grads_w, grads_b
 
@@ -139,36 +148,52 @@ def train_mlp(data: LabeledDataset, hidden_layers: Sequence[int] = (64,),
     b = data.batch
     cols = np.unique(b.indices)
     batch = SparseBatch(cols.size, b.indptr, np.searchsorted(cols, b.indices), b.values)
-    fit = MLPParams([params.weights[0][cols], *params.weights[1:]], params.biases)
-    state = [(p, np.zeros_like(p), np.zeros_like(p)) for p in [*fit.weights, *fit.biases]]
+    # Adam state: the first layer's rows stacked with their moments (lazy: only
+    # touched rows change); the other parameters as views of one flat array
+    first = np.stack([params.weights[0][cols], *np.zeros((2, cols.size, hidden_layers[0]))])
+    rest = [*params.weights[1:], *params.biases]
+    flat = np.concatenate([p.ravel() for p in rest])
+    ends = np.cumsum([p.size for p in rest])[:-1]
+    rest = [v.reshape(p.shape) for v, p in zip(np.split(flat, ends), rest)]
+    params.weights[1:], params.biases = rest[:len(hidden_layers)], rest[len(hidden_layers):]
+    flat_state = (flat, np.zeros_like(flat), np.zeros_like(flat))
+    mark, where = np.zeros(cols.size, dtype=bool), np.empty(cols.size, dtype=np.int64)
 
     loss_trace: list[float] = []
     step = 0
     for _ in range(epochs):
         perm = rng.permutation(n)
+        epoch, y_epoch = batch.take(perm), y[perm]  # the epoch's rows in order, laid out once
         epoch_loss = 0.0
         for start in range(0, n, batch_size):
-            batch_idx = perm[start:start + batch_size]
-            rows = batch.take(batch_idx)
-            touched, local = np.unique(rows.indices, return_inverse=True)
-            loss, grads_w, grads_b = _loss_and_grads(fit, rows, y[batch_idx], touched, local)
-            epoch_loss += loss * len(batch_idx)
+            end = min(start + batch_size, n)
+            at = slice(epoch.indptr[start], epoch.indptr[end])
+            mark[epoch.indices[at]] = True
+            touched = np.flatnonzero(mark)  # ascending, as np.unique gives them
+            mark[touched] = False
+            where[touched] = np.arange(touched.size)
+            x_t = np.zeros((touched.size, end - start))
+            x_t[where[epoch.indices[at]], epoch.row_ids[at] - start] = epoch.values[at]
+            block = np.take(first, touched, axis=1)  # weights and moments, gathered once
+            fit = MLPParams([block[0], *params.weights[1:]], params.biases)
+            loss, grads_w, grads_b = _block_loss_and_grads(fit, x_t, y_epoch[start:end])
+            epoch_loss += loss * (end - start)
             step += 1
             c2 = np.sqrt(1.0 - _BETA2 ** step)  # bias corrections folded into step and eps
-            for i, ((p, m, v), g) in enumerate(zip(state, [*grads_w, *grads_b])):
-                at = touched if i == 0 else slice(None)  # lazy first layer: touched rows only
-                m_at, v_at = m[at], v[at]
-                m_at *= _BETA1
-                m_at += (1.0 - _BETA1) * g
-                v_at *= _BETA2
-                v_at += (1.0 - _BETA2) * np.square(g, out=g)
-                np.sqrt(v_at, out=g)
+            g_flat = np.concatenate([g.ravel() for g in [*grads_w[1:], *grads_b]])
+            for (p, m, v), g in zip([block, flat_state], [grads_w[0], g_flat]):
+                m *= _BETA1
+                m += (1.0 - _BETA1) * g
+                v *= _BETA2
+                v += (1.0 - _BETA2) * np.square(g, out=g)
+                np.sqrt(v, out=g)
                 g += _EPS * c2
-                np.divide(m_at, g, out=g)
+                np.divide(m, g, out=g)
                 g *= learning_rate * c2 / (1.0 - _BETA1 ** step)
-                p[at], m[at], v[at] = p[at] - g, m_at, v_at
+                p -= g
+            first[:, touched] = block
         loss_trace.append(epoch_loss / n)
-    params.weights[0][cols] = fit.weights[0]
+    params.weights[0][cols] = first[0]
 
     meta = {"hidden_layers": list(hidden_layers), "learning_rate": learning_rate,
             "epochs": epochs, "batch_size": batch_size, "seed": seed,

@@ -2,22 +2,25 @@
 
 Two vectorization routes share one smoothed-IDF stage:
 
-* hashing — gram -> FNV-1a bucket, no vocabulary (``uni-tfidf`` combo);
+* hashing — token -> FNV-1a bucket, no vocabulary (``uni-tfidf`` combo);
 * vocabulary — grams above a corpus-frequency threshold get dense column
-  indices ordered by descending frequency (``*-cv-idf`` combos).
+  indices ordered by descending frequency (``*-cv-idf`` combos). The fit
+  counts grams by token-id keys and a transform looks bigrams up by token
+  pair (``Vocabulary.pair_index``): no route builds a string per gram.
 
 ``FeaturePipeline.transform_batch`` maps the grams of every document to
 columns in one pass, counts each (row, column) pair, optionally rescales by
 document length (count / total grams in the document) and applies
 ``idf = ln((N + 1) / (df + 1))``, all into one ``SparseBatch``;
 ``transform`` is its batch of one. ``fit_pipeline`` returns the fitted
-pipeline and the training documents' batch from one gram pass.
+pipeline and the training documents' batch from the same column pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from itertools import chain, repeat
 from typing import Sequence
 
@@ -105,15 +108,9 @@ class SparseBatch:
                            minlength=self.dim)
 
 
-def ngrams(tokens: Sequence[str], orders: Sequence[int]) -> list[str]:
-    """All windows of each order in ``orders``, order-of-n then position order."""
-    out: list[str] = []
-    for n in orders:
-        grams = tokens
-        for k in range(1, n):  # windows of k + 1 tokens from windows of k
-            grams = [f"{gram}{GRAM_JOINER}{token}" for gram, token in zip(grams, tokens[k:])]
-        out.extend(grams)
-    return out
+def _token_stream(token_docs: Sequence[Sequence[str]]):
+    """Every token of every document in order, each document followed by None."""
+    return chain.from_iterable(chain.from_iterable(zip(token_docs, repeat((None,)))))
 
 
 @dataclass
@@ -128,6 +125,13 @@ class Vocabulary:
 
     def terms_by_index(self) -> list[str]:
         return sorted(self.term_to_index, key=self.term_to_index.get)
+
+    @cached_property
+    def pair_index(self) -> dict[tuple[str, str], int]:
+        """(first, second) token pair -> column of each two-token term. Tokens
+        hold no ``GRAM_JOINER``, so a term of more parts matches no gram."""
+        pairs = ((tuple(t.split(GRAM_JOINER)), j) for t, j in self.term_to_index.items())
+        return {pair: j for pair, j in pairs if len(pair) == 2}
 
 
 def check_num_buckets(num_buckets: int) -> None:
@@ -181,17 +185,28 @@ class FeaturePipeline:
             raise NotFitted("pipeline has no fitted vocabulary")
         return self.vocab.dim
 
-    def _grams(self, token_docs: Sequence[Sequence[str]]) -> tuple[list[str], np.ndarray]:
-        """The grams of all documents in order, and each document's gram count."""
-        orders = COMBO_ORDERS[self.combo]
-        per_doc = [ngrams(tokens, orders) for tokens in token_docs]
-        lengths = np.fromiter(map(len, per_doc), np.int64, len(per_doc))
-        return list(chain.from_iterable(per_doc)), lengths
+    def _columns(self, token_docs: Sequence[Sequence[str]]
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each gram's column (-1 for none) and document, and each document's
+        gram count; vocabulary route: one row per order over the token stream."""
+        n_tok = np.fromiter(map(len, token_docs), np.int64, len(token_docs))
+        docs = np.arange(n_tok.size)
+        if self.hashing:  # unigrams only
+            cols = hashing_tf(list(chain.from_iterable(token_docs)), self.num_buckets,
+                              _cache=self._bucket_cache)
+            return cols, np.repeat(docs, n_tok), n_tok
+        orders, stream = COMBO_ORDERS[self.combo], list(_token_stream(token_docs))
+        lookups = [map(self.vocab.term_to_index.get, stream, repeat(-1)) if n == 1 else
+                   chain(map(self.vocab.pair_index.get, zip(stream, stream[1:]), repeat(-1)), (-1,))
+                   for n in orders]
+        cols = np.fromiter(chain.from_iterable(lookups), np.int64, len(orders) * len(stream))
+        lengths = np.maximum(len(orders) * n_tok - orders.count(2), 0)  # n + 1 - k of order k
+        return cols.reshape(len(orders), -1), np.repeat(docs, n_tok + 1), lengths
 
     @staticmethod
-    def _counts(cols: np.ndarray, lengths: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    def _counts(cols: np.ndarray, rows: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
         """Distinct ``row * dim + col`` keys of grams with a column, ascending, and counts."""
-        keys = np.repeat(np.arange(lengths.size) * dim, lengths) + cols
+        keys = rows * dim + cols
         return np.unique(keys[cols >= 0], return_counts=True)
 
     def _assemble(self, keys: np.ndarray, counts: np.ndarray, lengths: np.ndarray) -> SparseBatch:
@@ -212,13 +227,8 @@ class FeaturePipeline:
         dim = self.dim
         if self.idf.size != dim:
             raise DimensionMismatch(f"pipeline dim {dim} != idf dim {self.idf.size}")
-        grams, lengths = self._grams(token_docs)
-        if self.hashing:
-            cols = hashing_tf(grams, dim, _cache=self._bucket_cache)
-        else:
-            cols = np.fromiter(map(self.vocab.term_to_index.get, grams, repeat(-1)),
-                               np.int64, len(grams))
-        return self._assemble(*self._counts(cols, lengths, dim), lengths)
+        cols, rows, lengths = self._columns(token_docs)
+        return self._assemble(*self._counts(cols, rows, dim), lengths)
 
     def transform(self, tokens: Sequence[str]) -> SparseBatch:
         """One TF-IDF row for one document: a batch of one."""
@@ -231,7 +241,7 @@ def fit_pipeline(token_docs: Sequence[Sequence[str]], combo: FeatureCombo | str,
                  ) -> tuple[FeaturePipeline, SparseBatch]:
     """Fit on training documents only; return the pipeline, which transforms
     unseen documents at a fixed dimension, and the documents' batch, equal to
-    its ``transform_batch(token_docs)``, both from one gram pass. The
+    its ``transform_batch(token_docs)`` and built by the same pass. The
     vocabulary keeps grams seen more than ``min_tf`` times, at most
     ``vocab_cap``, in columns by descending frequency, ties lexicographic;
     ``idf[j] = ln((N + 1) / (df_j + 1))``, df_j the documents holding column j."""
@@ -239,29 +249,34 @@ def fit_pipeline(token_docs: Sequence[Sequence[str]], combo: FeatureCombo | str,
         raise ValueError(f"vocab_cap must be >= 1, got {vocab_cap}")
     combo, n_docs = FeatureCombo(combo), len(token_docs)
     pipe = FeaturePipeline(combo=combo, normalize_tf=normalize_tf, min_tf=min_tf)
-    grams, lengths = pipe._grams(token_docs)
     if pipe.hashing:
-        pipe.num_buckets = dim = num_buckets
-        cols = hashing_tf(grams, dim, _cache=pipe._bucket_cache)
-    else:
-        ids: dict[str, int] = {}  # gram -> provisional id, in first-seen order
-        gram_ids = np.fromiter((ids.setdefault(g, len(ids)) for g in grams), np.int64, len(grams))
-        tf, terms = np.bincount(gram_ids, minlength=len(ids)).tolist(), list(ids)
-        kept = sorted((i for i, n in enumerate(tf) if n > min_tf),
-                      key=lambda i: (-tf[i], terms[i]))[:vocab_cap]
+        pipe.num_buckets = num_buckets
+    else:  # count every gram by key: its token's id (from 1), or v * first + second
+        names = [None, *dict.fromkeys(chain.from_iterable(token_docs))]  # id -> token
+        v, tok_id = len(names), dict(zip(names, range(len(names))))
+        tok = np.fromiter(map(tok_id.__getitem__, _token_stream(token_docs)), np.int64)
+        first, second = tok[:-1], tok[1:]  # id 0, a document's end, is in no gram
+        keys = np.concatenate([tok[tok > 0] if n == 1 else
+                               (v * first + second)[(first > 0) & (second > 0)]
+                               for n in COMBO_ORDERS[combo]])
+        del tok_id, tok, first, second
+        keys, tf = np.unique(keys, return_counts=True)
+        cand = np.flatnonzero(tf > min_tf)
+        tf = tf[cand].tolist()
+        terms = [names[k] if k < v else f"{names[k // v]}{GRAM_JOINER}{names[k % v]}"
+                 for k in keys[cand].tolist()]
+        kept = sorted(range(len(terms)), key=lambda i: (-tf[i], terms[i]))[:vocab_cap]
         if not kept:
             raise EmptyVocabulary(f"no gram exceeded min_tf={min_tf} over {n_docs} documents")
-        dim = len(kept)
-        column = np.full(len(ids), -1, dtype=np.int64)  # provisional id -> column
-        column[kept] = np.arange(dim)
-        cols, term_to_index = column[gram_ids], {terms[i]: j for j, i in enumerate(kept)}
-        del ids, gram_ids, tf, terms, column
-    del grams  # held past here, grams and provisional ids add ~2 MB to train's peak RSS
+        pipe.vocab = Vocabulary({terms[i]: j for j, i in enumerate(kept)}, np.empty(0), n_docs)
+        del names, keys, cand, tf, terms  # held past here, they add to the fit's peak RSS
     if not n_docs:
         raise ValueError("fit_pipeline needs at least one document")
-    keys, counts = pipe._counts(cols, lengths, dim)
-    df = np.bincount(keys % dim, minlength=dim)
+    cols, rows, lengths = pipe._columns(token_docs)
+    keys, counts = pipe._counts(cols, rows, pipe.dim)
+    del cols, rows
+    df = np.bincount(keys % pipe.dim, minlength=pipe.dim)
     if not pipe.hashing:
-        pipe.vocab = Vocabulary(term_to_index, df, n_docs)
+        pipe.vocab.doc_freq = df
     pipe.idf = np.log((n_docs + 1.0) / (df + 1.0))
     return pipe, pipe._assemble(keys, counts, lengths)

@@ -31,6 +31,18 @@ def ngrams_reference(tokens, orders):
     return out
 
 
+def ngrams(tokens, orders):
+    """All windows of each order in ``orders``, order-of-n then position
+    order, built window by window as strings (the string route's grams)."""
+    out = []
+    for n in orders:
+        grams = tokens
+        for k in range(1, n):  # windows of k + 1 tokens from windows of k
+            grams = [f"{gram} {token}" for gram, token in zip(grams, tokens[k:])]
+        out.extend(grams)
+    return out
+
+
 def dense_cv_tfidf(token_docs, orders, min_tf, normalize):
     """Brute-force count matrix -> TF scaling -> smoothed IDF. Returns the
     dense matrix and the vocabulary term order."""
@@ -55,6 +67,43 @@ def dense_cv_tfidf(token_docs, orders, min_tf, normalize):
                 matrix[i] /= len(grams)
     idf = np.log((n + 1.0) / (df + 1.0))
     return matrix * idf, kept
+
+
+def string_route_batch(term_to_index, idf, orders, normalize, token_docs):
+    """(indptr, indices, values) of ``token_docs`` by the vocabulary route as
+    written with a string per gram: each gram looked up in ``term_to_index``
+    and count * (1 / grams in the document, if ``normalize``) * idf kept per
+    column where it is not 0."""
+    indptr, indices, values = [0], [], []
+    for doc in token_docs:
+        grams = ngrams(list(doc), orders)
+        counts = Counter(term_to_index[g] for g in grams if g in term_to_index)
+        scale = 1.0 / max(len(grams), 1) if normalize else 1.0
+        for col in sorted(counts):
+            value = counts[col] * scale * float(idf[col])
+            if value != 0.0:
+                indices.append(col)
+                values.append(value)
+        indptr.append(len(indices))
+    return (np.array(indptr, dtype=np.int64), np.array(indices, dtype=np.int64),
+            np.array(values, dtype=np.float64))
+
+
+def string_route_fit(token_docs, orders, min_tf, vocab_cap, normalize):
+    """term -> column, doc_freq, idf and the training batch by the string
+    route: a term frequency per gram string, the grams above ``min_tf``
+    kept by (-tf, term) up to ``vocab_cap``, smoothed IDF."""
+    per_doc = [ngrams(list(doc), orders) for doc in token_docs]
+    tf = Counter(g for grams in per_doc for g in grams)
+    kept = sorted((t for t, c in tf.items() if c > min_tf), key=lambda t: (-tf[t], t))
+    term_to_index = {t: j for j, t in enumerate(kept[:vocab_cap])}
+    df = np.zeros(len(term_to_index), dtype=np.int64)
+    for grams in per_doc:
+        for j in {term_to_index[g] for g in grams if g in term_to_index}:
+            df[j] += 1
+    idf = np.log((len(token_docs) + 1.0) / (df + 1.0))
+    return term_to_index, df, idf, string_route_batch(term_to_index, idf, orders, normalize,
+                                                       token_docs)
 
 
 def dense_hashing_tfidf(token_docs, orders, num_buckets, normalize):
@@ -143,6 +192,24 @@ def mlp_scores_per_row(weights, biases, indptr, indices, values):
         expd = np.exp(logits - logits.max(axis=1, keepdims=True))
         scores.append((expd / expd.sum(axis=1, keepdims=True))[0, 1])
     return np.array(scores, dtype=np.float64)
+
+
+def mlp_loss_reference(weights, biases, indptr, indices, values, y):
+    """The MLP's mean cross-entropy over a CSR batch, each row run alone
+    through 1-row products and its log-probability summed in row order."""
+    total = 0.0
+    for i, (lo, hi) in enumerate(zip(indptr[:-1], indptr[1:])):
+        z = biases[0][None, :].copy()
+        if hi > lo:
+            z[0] += values[lo:hi] @ weights[0][indices[lo:hi]]
+        a = _sigmoid_reference(z)
+        for w, b in zip(weights[1:-1], biases[1:-1]):
+            a = _sigmoid_reference(a @ w + b)
+        logits = a @ weights[-1] + biases[-1]
+        expd = np.exp(logits - logits.max(axis=1, keepdims=True))
+        total -= math.log((expd / expd.sum(axis=1, keepdims=True))[0, y[i]]
+                          + np.finfo(np.float64).tiny)
+    return total / (len(indptr) - 1)
 
 
 def mlp_first_layer_grad_reference(weights, biases, indptr, indices, values, y):

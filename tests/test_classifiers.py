@@ -22,7 +22,7 @@ from ideation_stream.features import FeatureCombo, SparseBatch, fit_pipeline
 from conftest import (correlated_sparse_dataset, densify_first_layer, make_data, make_vec,
                       random_sparse_dataset, rows_of, stack)
 from oracles import (_sigmoid_reference, build_tree_reference, lazy_adam_mlp_reference,
-                     mlp_first_layer_grad_reference, mlp_scores_per_row)
+                     mlp_first_layer_grad_reference, mlp_loss_reference, mlp_scores_per_row)
 
 
 class TestNaiveBayes:
@@ -444,6 +444,30 @@ class TestMlp:
         # the sums run in another order: a few ulps of the largest entry
         tol = 16 * np.finfo(np.float64).eps * np.abs(want).max(initial=0.0)
         np.testing.assert_allclose(got, want, rtol=0, atol=tol)
+
+    @pytest.mark.parametrize("hidden", [[64], [64, 8]], ids=str)
+    def test_block_step_over_several_products_matches_per_row_loss_and_gradient(self, hidden):
+        # 32 rows of a 64-wide layer: 128 columns a product; the batch touches ~700,
+        # so the forward pass and the gradient each run in 6 products
+        rng = np.random.default_rng(21)
+        n, dim = 32, 3000
+        mask = rng.random((n, dim)) < 0.008
+        x = np.where(mask, rng.uniform(0.0, 0.2, (n, dim)), 0.0)
+        r, c = np.nonzero(x)
+        batch = SparseBatch(dim, np.concatenate(([0], np.cumsum(mask.sum(axis=1)))), c, x[r, c])
+        params = init_params(dim, hidden, seed=3)
+        for b in params.biases:
+            b += rng.normal(0.0, 1.0, b.shape)
+        y = rng.integers(0, 2, n)
+        assert np.unique(c).size > 5 * 128
+        loss, grads_w, _ = loss_and_grads(params, batch, y)
+        args = (params.weights, params.biases, batch.indptr, batch.indices, batch.values, y)
+        eps = np.finfo(np.float64).eps
+        want_loss = mlp_loss_reference(*args)
+        assert abs(loss - want_loss) <= 8 * eps * want_loss
+        want = mlp_first_layer_grad_reference(*args)
+        tol = 16 * eps * np.abs(want).max()
+        np.testing.assert_allclose(grads_w[0], want, rtol=0, atol=tol)
 
     def test_xor_with_four_hidden_units(self, xor_toy):
         model = train_mlp(xor_toy, hidden_layers=[4], learning_rate=0.5,

@@ -67,18 +67,23 @@ class TestTrain:
         assert len((tmp_path / "cv.csv").read_text().strip().splitlines()) == 1 + 2
 
     @pytest.mark.parametrize("combo", ["uni-bi-cv-idf", "uni-tfidf"])
-    def test_one_ngrams_call_per_document(self, tmp_path, data_csv, monkeypatch, combo):
+    def test_training_tokens_are_vectorized_once(self, tmp_path, data_csv, monkeypatch, combo):
+        # the fit returns the training batch; only the test split is transformed
         from ideation_stream import features
 
-        calls = []
-        original = features.ngrams
-        monkeypatch.setattr(features, "ngrams",
-                            lambda tokens, spec: calls.append(1) or original(tokens, spec))
+        fits, transforms = [], []
+        fit, transform = features.fit_pipeline, features.FeaturePipeline.transform_batch
+        monkeypatch.setattr(features, "fit_pipeline",
+                            lambda docs, *a, **k: fits.append(len(docs)) or fit(docs, *a, **k))
+        monkeypatch.setattr(features.FeaturePipeline, "transform_batch",
+                            lambda pipe, docs: (transforms.append(len(docs))
+                                                or transform(pipe, docs)))
         assert main(["train", "--data", str(data_csv), "--model", "nb", "--combo", combo,
                      "--min-tf", "0", "--folds", "0", "--out", str(tmp_path / "m.isp")]) == 0
         manifest = json.loads((tmp_path / "m.isp.manifest.json").read_text())
         assert manifest["train_rows"] and manifest["test_rows"]
-        assert len(calls) == manifest["train_rows"] + manifest["test_rows"]
+        assert fits == [manifest["train_rows"]]
+        assert transforms == [manifest["test_rows"]]
 
     def test_missing_column_exit_code(self, tmp_path, data_csv):
         rc = main(["train", "--data", str(data_csv), "--text-col", "nope",

@@ -2,17 +2,20 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ideation_stream.errors import (DimensionMismatch, EmptyVocabulary,
+from ideation_stream import store
+from ideation_stream.classifiers import train_nb
+from ideation_stream.errors import (CorruptPayload, DimensionMismatch, EmptyVocabulary,
                                     NotFitted)
 from ideation_stream.features import (COMBO_ORDERS, FeatureCombo, FeaturePipeline,
-                                      SparseBatch, fit_pipeline, hashing_tf, ngrams)
+                                      SparseBatch, Vocabulary, fit_pipeline, hashing_tf)
 from ideation_stream.hashutil import fnv1a_32
 
-from conftest import dense, entries, make_vec, same, stack
-from oracles import dense_cv_tfidf, dense_hashing_tfidf, fnv1a_32_reference, ngrams_reference
+from conftest import dense, entries, make_vec, random_sparse_dataset, same, stack
+from oracles import (dense_cv_tfidf, dense_hashing_tfidf, fnv1a_32_reference, ngrams,
+                     ngrams_reference, string_route_batch, string_route_fit)
 
 UNI = (1,)
 BI = (2,)
@@ -425,3 +428,94 @@ class TestFitBatch:
         if not pipe.hashing:
             assert pipe.vocab.doc_freq.tolist() == df.tolist()
         assert np.array_equal(pipe.idf, np.log((len(docs) + 1.0) / (df + 1.0)))
+
+
+CV_COMBOS = [FeatureCombo.UNI_CV_IDF, FeatureCombo.BI_CV_IDF, FeatureCombo.UNI_BI_CV_IDF]
+WORDS = ["a", "b", "c", "", "ß", "日本", "😢"]  # "" is a token too, as far as features go
+
+
+def assert_csr(batch, arrays):
+    """``batch`` holds exactly the oracle's (indptr, indices, values)."""
+    for got, want in zip((batch.indptr, batch.indices, batch.values), arrays):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def saved_and_loaded(pipe, tmp_path):
+    """``pipe`` after a ``store.save`` / ``store.load`` round trip."""
+    data = random_sparse_dataset(np.random.default_rng(0), 20, pipe.dim, density=0.5)
+    store.save(pipe, train_nb(data), tmp_path / "m.isp")
+    return store.load(tmp_path / "m.isp")[0]
+
+
+class TestTokenIdRoute:
+    """The vocabulary route, which keys grams by token ids, gives what the
+    string route (``oracles.string_route_fit``) gives, bit for bit: the
+    vocabulary in column order, ``doc_freq``, the IDF, the training batch
+    and the batch of any documents, out-of-vocabulary tokens included."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(docs=st.lists(st.lists(st.sampled_from(WORDS), max_size=6), min_size=1, max_size=8),
+           unseen=st.lists(st.lists(st.sampled_from(WORDS + ["oov", "a b"]), max_size=6),
+                           max_size=4),
+           combo=st.sampled_from(CV_COMBOS), min_tf=st.sampled_from([0, 1, 2]),
+           vocab_cap=st.sampled_from([None, 1, 2, 5]), normalize=st.booleans())
+    # empty and one-token documents; "b" and "c" occur only inside the kept "b c"
+    @example(docs=[[], ["a"], ["b", "c", "a"], ["b", "c"], []], unseen=[["c", "b"], ["a"], []],
+             combo=FeatureCombo.BI_CV_IDF, min_tf=1, vocab_cap=None, normalize=True)
+    @example(docs=[["a", "b"], ["a", "b"], ["a"]], unseen=[["oov", "a", "b", "oov"]],
+             combo=FeatureCombo.UNI_BI_CV_IDF, min_tf=0, vocab_cap=2, normalize=False)
+    def test_matches_string_route(self, docs, unseen, combo, min_tf, vocab_cap, normalize):
+        orders = COMBO_ORDERS[combo]
+        terms, df, idf, fitted = string_route_fit(docs, orders, min_tf, vocab_cap, normalize)
+        kwargs = {"min_tf": min_tf, "vocab_cap": vocab_cap, "normalize_tf": normalize}
+        if not terms:
+            with pytest.raises(EmptyVocabulary):
+                fit_pipeline(docs, combo, **kwargs)
+            return
+        pipe, batch = fit_pipeline(docs, combo, **kwargs)
+        assert list(pipe.vocab.term_to_index.items()) == list(terms.items())
+        assert pipe.vocab.doc_freq.tolist() == df.tolist()
+        assert pipe.idf.tobytes() == idf.tobytes()
+        assert_csr(batch, fitted)
+        everything = docs + unseen
+        together = pipe.transform_batch(everything)
+        assert_csr(together, string_route_batch(terms, idf, orders, normalize, everything))
+        assert_csr(pipe.transform_batch(unseen), string_route_batch(terms, idf, orders,
+                                                                    normalize, unseen))
+        for i, doc in enumerate(everything):  # a one-document batch is that row of a batch
+            assert same(pipe.transform(doc), together.take([i]))
+
+    @pytest.mark.parametrize("combo", CV_COMBOS)
+    def test_same_batches_after_a_store_round_trip(self, tmp_path, combo):
+        docs = [["want", "to", "die"], ["want", "to", "go"], ["to", "die", "for"], ["die"]]
+        pipe, _ = fit_pipeline(docs, combo, min_tf=0)
+        loaded = saved_and_loaded(pipe, tmp_path)
+        unseen = [["want", "to", "die", "alone"], [], ["go", "to"], ["die"]]
+        assert same(loaded.transform_batch(unseen), pipe.transform_batch(unseen))
+        assert_csr(loaded.transform_batch(unseen),
+                   string_route_batch(pipe.vocab.term_to_index, pipe.idf, COMBO_ORDERS[combo],
+                                      True, unseen))
+
+    @pytest.mark.parametrize("combo", CV_COMBOS)
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_hostile_terms_transform_as_the_string_route(self, tmp_path, combo, normalize):
+        # a term of no gram's shape matches what the string route matches: nothing,
+        # except that "" and a pair holding "" meet tokens that are ""
+        terms = ["a", "", " a", "a ", " ", "a  b", "a b c", "a b", "b", "a\tb"]
+        vocab = Vocabulary({t: j for j, t in enumerate(terms)},
+                           np.arange(1, len(terms) + 1), num_docs=12)
+        pipe = FeaturePipeline(combo=combo, normalize_tf=normalize, vocab=vocab,
+                               idf=np.linspace(0.5, 2.0, len(terms)))
+        loaded = saved_and_loaded(pipe, tmp_path)
+        docs = [["a", "b", "c"], ["", "a"], ["a", ""], ["", ""], ["a", "b", "a", "b"], [],
+                ["a"], ["a", "", "b"], ["b", "a", "b", "c"], ["a\tb"]]
+        want = string_route_batch(loaded.vocab.term_to_index, loaded.idf, COMBO_ORDERS[combo],
+                                  normalize, docs)
+        assert_csr(loaded.transform_batch(docs), want)
+
+    def test_malformed_vocabulary_is_still_corrupt_payload(self, tmp_path):
+        # the newline-joined terms section reads back as the duplicates "a", "a"
+        vocab = Vocabulary({"a": 0, "a\na": 1}, np.ones(2, dtype=np.int64), num_docs=3)
+        pipe = FeaturePipeline(combo=FeatureCombo.UNI_CV_IDF, vocab=vocab, idf=np.ones(2))
+        with pytest.raises(CorruptPayload):
+            saved_and_loaded(pipe, tmp_path)
