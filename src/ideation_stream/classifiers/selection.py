@@ -1,19 +1,20 @@
-"""k-fold cross-validation and exhaustive grid search.
+"""Model selection: k-fold cross-validation over one point or a grid.
 
 Folds are contiguous slices of a seeded shuffle with sizes differing by at
 most one. Per-run trainer seeds derive from (base seed, run index) so
 results do not depend on execution order.
 
-``cross_validate`` runs its folds, and the final fit if asked, at the
-same time, one process per CPU: the caller and up to CPUs - 1 forked
-children each train a share, and the children pickle their few-float
-results back over a pipe. The final fit runs in the caller, so its model
-never crosses a pipe. Fold i trains on the same rows with the same seed
-either way, so the report, and every model trained after it, is the same
-on one CPU as on many. Spans and counters recorded inside a child stay in
-the child. Keep each BLAS call made there within OpenBLAS's one-thread
-size, M*N*K <= 2^18: a woken BLAS thread spins, and on two CPUs an
-unblocked MLP gradient took the MLP's ``train`` 0.45 -> 0.73 s.
+``cross_validate`` is the one entry point. Its (point, fold) jobs, and
+the final fit when there is one point, run on one schedule, one process
+per CPU: the caller and up to CPUs - 1 forked children each train a
+share, and the children pickle their few-float results back over a pipe.
+The caller fits, so the model never crosses a pipe; with several points
+it fits the winner after the schedule. Each job trains on the same rows
+with the same seed either way, so the result is the same on one CPU as
+on many. Spans and counters recorded inside a child stay in the child.
+Keep each BLAS call made there within OpenBLAS's one-thread size,
+M*N*K <= 2^18: a woken BLAS thread spins, and on two CPUs an unblocked
+MLP gradient took the MLP's ``train`` 0.45 -> 0.73 s.
 """
 
 from __future__ import annotations
@@ -72,7 +73,6 @@ class CVReport:
     kind: ModelKind
     params: dict
     folds: list[FoldResult] = field(default_factory=list)
-    model: ModelArtifact | None = field(default=None, compare=False, repr=False)
 
     @property
     def mean_accuracy(self) -> float:
@@ -108,22 +108,39 @@ def fold_indices(n: int, k: int, seed: int) -> list[np.ndarray]:
 
 
 def cross_validate(kind: ModelKind | str, params: dict, data: LabeledDataset,
-                   k: int = 10, seed: int = 0, fold_seed: int | None = None,
-                   fit: bool = False) -> CVReport:
-    """``fold_seed`` pins the shuffle independently of the trainer seeds,
-    so a grid search can score every candidate on identical folds. With
-    ``fit``, the report's ``model`` is trained on all of ``data`` with ``seed``."""
+                   k: int = 10, seed: int = 0, grid: dict[str, list] | None = None
+                   ) -> tuple[dict, list[CVReport], ModelArtifact]:
+    """The chosen params, one report per point, and the model trained on
+    all of ``data`` with ``seed`` and those params.
+
+    Without ``grid`` the one point is ``params``, and ``k`` = 0 only fits.
+    Else each point of the grid's product (names sorted, values in listed
+    order) is cross-validated as ``{**point, **params}``, and the highest
+    mean accuracy wins, ties going to the earliest point. All points share
+    the folds of ``seed``'s shuffle. Fold i of point r trains with
+    ``derive_seed(s, i)``, where s is ``derive_seed(seed, r)``, or ``seed``
+    without a grid."""
     from ..evaluation import confusion, metrics
 
     kind = ModelKind(kind)
     trainer = TRAINERS[kind]
-    folds = fold_indices(len(data), k, seed if fold_seed is None else fold_seed)
+    if grid is None:
+        points, seeds = [dict(params)], [seed]
+    elif not grid:
+        raise ValueError("grid must be non-empty")
+    else:
+        names = sorted(grid)
+        points = [{**dict(zip(names, combo)), **params}
+                  for combo in itertools.product(*(grid[n] for n in names))]
+        seeds = [derive_seed(seed, r) for r in range(len(points))]
+    folds = fold_indices(len(data), k, seed) if k or grid is not None else []
 
-    def run_fold(i: int) -> FoldResult:
+    def run_job(j: int) -> FoldResult:
+        r, i = divmod(j, len(folds))
         fold = folds[i]
         # ascending, the order the trainers' arithmetic was fixed in
         train_rows = np.flatnonzero(~np.isin(np.arange(len(data)), fold))
-        model = trainer(data.subset(train_rows), seed=derive_seed(seed, i), **params)
+        model = trainer(data.subset(train_rows), seed=derive_seed(seeds[r], i), **points[r])
         validation = data.subset(fold)
         preds = predict_batch(model, validation.batch)
         scored = metrics(confusion([p.label for p in preds],
@@ -131,10 +148,17 @@ def cross_validate(kind: ModelKind | str, params: dict, data: LabeledDataset,
         return FoldResult(fold=i, n_validate=len(fold), accuracy=scored.accuracy,
                           precision=scored.precision, recall=scored.recall, f1=scored.f1)
 
-    weights = [len(data) - len(fold) for fold in folds] + ([len(data)] if fit else [])
-    results, model = _run_folds(run_fold, weights,
-                                (lambda: trainer(data, seed=seed, **params)) if fit else None)
-    return CVReport(kind=kind, params=dict(params), folds=results, model=model)
+    # one point: its final fit joins the schedule; else the winner's follows it
+    fit = (lambda: trainer(data, seed=seed, **points[0])) if len(points) == 1 else None
+    weights = [len(data) - len(fold) for fold in folds] * len(points)
+    results, model = _run_jobs(run_job, weights + ([len(data)] if fit else []), fit,
+                               len(folds))
+    reports = [CVReport(kind, point, results[r * len(folds):(r + 1) * len(folds)])
+               for r, point in enumerate(points)] if folds else []
+    if fit:
+        return points[0], reports, model
+    best = max(range(len(points)), key=lambda r: reports[r].mean_accuracy)
+    return points[best], reports, trainer(data, seed=seed, **points[best])
 
 
 def _shares(weights: list[int], processes: int) -> list[list[int]]:
@@ -147,35 +171,36 @@ def _shares(weights: list[int], processes: int) -> list[list[int]]:
     return [sorted(share) for share in shares]
 
 
-def _run_folds(run_fold: Callable[[int], FoldResult], weights: list[int],
-               fit: Callable[[], ModelArtifact] | None = None
-               ) -> tuple[list[FoldResult], ModelArtifact | None]:
-    """``run_fold(i)`` for every fold i, in fold order, and ``fit()``.
+def _run_jobs(run_job: Callable[[int], FoldResult], weights: list[int],
+              fit: Callable[[], ModelArtifact] | None, k: int
+              ) -> tuple[list[FoldResult], ModelArtifact | None]:
+    """``run_job(j)`` for every fold job j, in job order, and ``fit()``.
+    Job j is fold j % k of point j // k, so job order is a serial run's.
 
     ``weights`` holds each job's training rows, the fit's last. ``_shares``
     gives the caller the fit, the heaviest job, and a forked child each
-    other share. The caller fits, then runs its own folds; alone, it fits
+    other share. The caller fits, then runs its own jobs; alone, it fits
     after them, as a serial loop would. Each process stops at its first
-    failing fold. The lowest failing fold's exception is raised, the one a
+    failing job. The lowest failing job's exception is raised, the one a
     serial run raises first, else the fit's; and no child outlives the call."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    k = len(weights) - (fit is not None)
+    n = len(weights) - (fit is not None)
     caller, *others = _shares(weights, min(cpus, len(weights)))
     outcome: dict[int, FoldResult | Exception] = {}
-    lost: dict[int, int] = {}  # fold -> wait status of a child that sent no result
+    lost: dict[int, int] = {}  # job -> wait status of a child that sent no result
     workers: list[tuple[int, BinaryIO, list[int]]] = []
     fitted: ModelArtifact | Exception | None = None
     try:
         for share in others:
-            workers.append(_fork_worker(run_fold, share))
+            workers.append(_fork_worker(run_job, share))
         if fit and workers:
             try:
                 fitted = fit()
-            except Exception as exc:  # noqa: BLE001 - a failing fold outranks it
+            except Exception as exc:  # noqa: BLE001 - a failing job outranks it
                 fitted = exc
-        outcome.update(_run_in_order(run_fold, [i for i in caller if i < k]))
+        outcome.update(_run_in_order(run_job, [j for j in caller if j < n]))
         while workers:
-            pid, reader, folds = workers[0]
+            pid, reader, jobs = workers[0]
             data = reader.read()
             reader.close()
             status = os.waitpid(pid, 0)[1]
@@ -183,7 +208,7 @@ def _run_folds(run_fold: Callable[[int], FoldResult], weights: list[int],
             try:
                 done, remote_tb = pickle.loads(data)
             except Exception:  # noqa: BLE001 - the child ended before its result was whole
-                lost.update(dict.fromkeys(folds, status))
+                lost.update(dict.fromkeys(jobs, status))
                 continue
             for got in done.values():
                 if isinstance(got, Exception):
@@ -197,13 +222,13 @@ def _run_folds(run_fold: Callable[[int], FoldResult], weights: list[int],
             with contextlib.suppress(ChildProcessError):
                 os.waitpid(pid, 0)
     results = []
-    for i in range(k):  # a fold missing from both maps follows a failed one
-        if i in lost:
-            raise FoldWorkerDied(f"fold {i}: its worker ended without a result "
-                                 f"(wait status {lost[i]})")
-        if isinstance(outcome[i], Exception):
-            raise outcome[i]
-        results.append(outcome[i])
+    for j in range(n):  # a job missing from both maps follows a failed one
+        if j in lost:
+            raise FoldWorkerDied(f"point {j // k}, fold {j % k}: its worker ended "
+                                 f"without a result (wait status {lost[j]})")
+        if isinstance(outcome[j], Exception):
+            raise outcome[j]
+        results.append(outcome[j])
     if fit and fitted is None:
         fitted = fit()
     if isinstance(fitted, Exception):
@@ -211,23 +236,23 @@ def _run_folds(run_fold: Callable[[int], FoldResult], weights: list[int],
     return results, fitted
 
 
-def _run_in_order(run_fold: Callable[[int], FoldResult],
-                  folds: list[int]) -> dict[int, FoldResult | Exception]:
-    """Each fold's result, up to and including the first that raises."""
+def _run_in_order(run_job: Callable[[int], FoldResult],
+                  jobs: list[int]) -> dict[int, FoldResult | Exception]:
+    """Each job's result, up to and including the first that raises."""
     done: dict[int, FoldResult | Exception] = {}
-    for i in folds:
+    for j in jobs:
         try:
-            done[i] = run_fold(i)
-        except Exception as exc:  # noqa: BLE001 - reported in fold order by the caller
-            done[i] = exc
+            done[j] = run_job(j)
+        except Exception as exc:  # noqa: BLE001 - reported in job order by the caller
+            done[j] = exc
             break
     return done
 
 
-def _fork_worker(run_fold: Callable[[int], FoldResult],
-                 folds: list[int]) -> tuple[int, BinaryIO, list[int]]:
-    """A child that runs ``folds`` and pickles its results and the text
-    of its traceback, if one fold raised, into a pipe."""
+def _fork_worker(run_job: Callable[[int], FoldResult],
+                 jobs: list[int]) -> tuple[int, BinaryIO, list[int]]:
+    """A child that runs ``jobs`` and pickles its results and the text
+    of its traceback, if one job raised, into a pipe."""
     read_fd, write_fd = os.pipe()
     try:
         with warnings.catch_warnings():
@@ -248,7 +273,7 @@ def _fork_worker(run_fold: Callable[[int], FoldResult],
             os.dup2(devnull, 2)
             # a redirected sys.stdout or sys.stderr writes past fds 1 and 2
             sys.stdout = sys.stderr = os.fdopen(devnull, "w")
-            done = _run_in_order(run_fold, folds)
+            done = _run_in_order(run_job, jobs)
             failed = [got for got in done.values() if isinstance(got, Exception)]
             remote_tb = "".join(traceback.format_exception(failed[0])) if failed else ""
             with os.fdopen(write_fd, "wb") as out:
@@ -257,28 +282,4 @@ def _fork_worker(run_fold: Callable[[int], FoldResult],
         finally:
             os._exit(code)
     os.close(write_fd)
-    return pid, os.fdopen(read_fd, "rb"), folds
-
-
-def grid_search(kind: ModelKind | str, grid: dict[str, list], data: LabeledDataset,
-                k: int = 10, seed: int = 0) -> tuple[dict, list[CVReport]]:
-    """Exhaustive Cartesian product over the grid; the winner has the
-    highest mean CV accuracy, ties going to the earliest point (parameter
-    names sorted, values in listed order)."""
-    if not grid:
-        raise ValueError("grid must be non-empty")
-    kind = ModelKind(kind)
-    names = sorted(grid)
-    reports: list[CVReport] = []
-    best: dict | None = None
-    best_acc = -1.0
-    for run_index, combo in enumerate(itertools.product(*(grid[n] for n in names))):
-        params = dict(zip(names, combo))
-        report = cross_validate(kind, params, data, k=k,
-                                seed=derive_seed(seed, run_index), fold_seed=seed)
-        reports.append(report)
-        if report.mean_accuracy > best_acc:
-            best_acc = report.mean_accuracy
-            best = params
-    assert best is not None
-    return best, reports
+    return pid, os.fdopen(read_fd, "rb"), jobs

@@ -121,11 +121,16 @@ def _grid_shape(grid) -> None:
 
 def _check_hyper(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
     """Usage error unless each ``--hyper`` and ``--grid`` key is a parameter of
-    the chosen trainer and each value for it has the type of its default."""
-    from .classifiers import TRAINERS, ModelKind
+    the chosen trainer, each value for it has the type of its default, and
+    no key is given to both (every grid point is scored with the ``--hyper``
+    values, so the saved model is one that was cross-validated)."""
+    from .classifiers import DEFAULT_GRIDS, TRAINERS, ModelKind
 
-    params = inspect.signature(TRAINERS[ModelKind(args.model)]).parameters
-    grid = args.grid if isinstance(args.grid, dict) else {}
+    kind = ModelKind(args.model)
+    params = inspect.signature(TRAINERS[kind]).parameters
+    grid = DEFAULT_GRIDS[kind] if args.grid == "default" else args.grid or {}
+    if both := sorted(grid.keys() & dict(args.hyper).keys()):
+        parser.error(f"--hyper {both[0]}: also a --grid key; give it to one of them")
     pairs = [("--hyper", key, value) for key, value in args.hyper]
     pairs += [("--grid", key, value) for key, values in grid.items() for value in values]
     for flag, key, value in pairs:
@@ -140,7 +145,7 @@ def _check_hyper(parser: argparse.ArgumentParser, args: argparse.Namespace) -> N
 
 def cmd_train(args: argparse.Namespace) -> Outcome:
     from . import store
-    from .classifiers import DEFAULT_GRIDS, TRAINERS, ModelKind, cross_validate, grid_search
+    from .classifiers import DEFAULT_GRIDS, ModelKind, cross_validate
     from .corpus import split
     from .evaluation import Averaging, evaluate_model
     from .features import fit_pipeline
@@ -161,19 +166,9 @@ def cmd_train(args: argparse.Namespace) -> Outcome:
                          test_corpus.documents)
 
     kind = ModelKind(args.model)
-    params = dict(args.hyper)
-    cv_reports = []
-    model = None
-    if args.grid:
-        grid = DEFAULT_GRIDS[kind] if args.grid == "default" else args.grid
-        best, cv_reports = grid_search(kind, grid, train_data, k=args.folds, seed=args.seed)
-        params = {**best, **params}
-    elif args.folds > 0:  # the final fit runs alongside the folds
-        cv_reports = [cross_validate(kind, params, train_data, k=args.folds, seed=args.seed,
-                                     fit=True)]
-        model = cv_reports[0].model
-    if model is None:
-        model = TRAINERS[kind](train_data, seed=args.seed, **params)
+    params, cv_reports, model = cross_validate(
+        kind, dict(args.hyper), train_data, k=args.folds, seed=args.seed,
+        grid=DEFAULT_GRIDS[kind] if args.grid == "default" else args.grid)
     model.training_meta["trained_at"] = _now()
     report, cm = evaluate_model(model, test_data, averaging=Averaging(args.averaging))
 

@@ -172,12 +172,12 @@ def _read_sections(blob: bytes, table: list, pos: int) -> dict[str, np.ndarray |
                 or not all(type(n) is int and n >= 0 for n in shape)
                 or (dtype == "bytes" and len(shape) != 1)):
             raise CorruptPayload(f"bad section entry {entry!r}")
-        size = math.prod(shape) * _ITEM_BYTES[dtype]
+        count = math.prod(shape)
+        size = count * _ITEM_BYTES[dtype]
         if size > end - pos:
             raise CorruptPayload(f"section {name!r} runs past the payload")
-        data = blob[pos:pos + size]
-        arrays[name] = data if dtype == "bytes" else \
-            np.frombuffer(data, dtype=dtype).reshape(shape).copy()
+        arrays[name] = blob[pos:pos + size] if dtype == "bytes" else np.frombuffer(
+            blob, dtype=dtype, count=count, offset=pos).reshape(shape).copy()
         pos += size
     if pos != end:
         raise CorruptPayload("section table does not cover the payload")
@@ -288,7 +288,7 @@ def _check_framing(blob: bytes) -> None:
     if version != FORMAT_VERSION:
         raise VersionMismatch(f"format version {version} unsupported (expected {FORMAT_VERSION})")
     stored_crc = int.from_bytes(blob[-4:], "little")
-    if zlib.crc32(blob[:-4]) & 0xFFFFFFFF != stored_crc:
+    if zlib.crc32(memoryview(blob)[:-4]) & 0xFFFFFFFF != stored_crc:
         raise CorruptPayload("CRC-32 check failed; file truncated or altered")
 
 

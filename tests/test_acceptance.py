@@ -22,7 +22,7 @@ import pytest
 
 from ideation_stream import store
 from ideation_stream.broker import Broker
-from ideation_stream.classifiers import (ModelKind, grid_search, predict,
+from ideation_stream.classifiers import (ModelKind, cross_validate, predict,
                                          predict_batch, train_dt, train_linear_svc,
                                          train_lr, train_mlp, train_nb, train_rf)
 from ideation_stream.classifiers.linear import logistic_loss_grad
@@ -258,7 +258,7 @@ def test_c07_cv_and_grid():
     data = make_data([make_vec(2, [(0, a), (1, b)]) for (a, b), _ in pts],
                      [y for _, y in pts])
     grid = {"max_iter": [200, 1], "l2": [0.0, 0.1]}
-    best, reports = grid_search(ModelKind.LR, grid, data, k=4, seed=1)
+    best, reports, _ = cross_validate(ModelKind.LR, {}, data, k=4, seed=1, grid=grid)
     assert len(reports) == 4  # exactly the Cartesian product
     seen = [(r.params["l2"], r.params["max_iter"]) for r in reports]
     assert seen == [(0.0, 200), (0.0, 1), (0.1, 200), (0.1, 1)]

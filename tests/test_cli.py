@@ -119,6 +119,51 @@ class TestTrain:
         assert seen[0] == seen[1]
         assert len(seen[0][2][0]["folds"]) == 3
 
+    def test_a_grid_does_not_depend_on_the_cpus(self, tmp_path, data_csv, monkeypatch,
+                                                capsys):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+        seen = []
+        for n in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=n: set(range(n)))
+            out, cv = tmp_path / f"{n}.isp", tmp_path / f"{n}.csv"
+            assert main(["train", "--data", str(data_csv), "--model", "lr", "--combo",
+                         "uni-cv-idf", "--min-tf", "0", "--grid", "default", "--folds", "3",
+                         "--seed", "9", "--json", "--out", str(out),
+                         "--cv-out", str(cv)]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            del payload["model"], payload["manifest"]
+            seen.append((out.read_bytes(), cv.read_text(), payload))
+        assert seen[0] == seen[1]
+        assert len(seen[0][2]["cv"]) == 3
+
+    def test_grid_points_are_scored_with_the_hyper_values(self, tmp_path, data_csv,
+                                                          monkeypatch, capsys):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+        base = ["train", "--data", str(data_csv), "--model", "lr", "--combo", "uni-cv-idf",
+                "--min-tf", "0", "--seed", "5", "--json", "--hyper", "max_iter=1"]
+        cv = tmp_path / "cv.csv"
+        assert main([*base, "--grid", '{"l2": [0, 0.5]}', "--folds", "3",
+                     "--cv-out", str(cv), "--out", str(tmp_path / "grid.isp")]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        scored = [entry["params"] for entry in payload["cv"]]
+        assert scored == [{"l2": 0, "max_iter": 1}, {"l2": 0.5, "max_iter": 1}]
+        rows = cv.read_text().splitlines()[1:]  # lr,"{params}",mean,std
+        assert [json.loads(row.split(',"', 1)[1].rsplit('",', 1)[0]) for row in rows] == scored
+        winner = max(payload["cv"], key=lambda entry: entry["mean_accuracy"])["params"]
+        assert payload["params"] == winner
+        # the saved model is the winner's, as a plain fit with its params would save it
+        assert main([*base, "--hyper", f"l2={winner['l2']}", "--folds", "0",
+                     "--out", str(tmp_path / "plain.isp")]) == 0
+        assert json.loads(capsys.readouterr().out)["params"] == winner
+        assert (tmp_path / "grid.isp").read_bytes() == (tmp_path / "plain.isp").read_bytes()
+
+    @pytest.mark.parametrize("folds", [["--folds", "1"], ["--grid", "default", "--folds", "0"]])
+    def test_too_few_folds_exit_32(self, tmp_path, data_csv, folds):
+        out = tmp_path / "m.isp"
+        assert main(["train", "--data", str(data_csv), "--model", "nb", "--combo",
+                     "uni-cv-idf", "--min-tf", "0", "--out", str(out), *folds]) == 32
+        assert not out.exists()
+
     @pytest.mark.parametrize("cpus", [1, 2])
     @pytest.mark.parametrize("fails, code", [("fit", errors.DegenerateLabels.exit_code),
                                              ("fold", errors.TooFewRows.exit_code)])
@@ -348,6 +393,8 @@ class TestUsageErrors:
         [*DT_NO_CV, "--grid", "{}"],
         [*DT_NO_CV, "--grid", "[8]"],
         [*DT_NO_CV, "--grid", '{"max_depth": [8, "x"]}'],
+        [*DT_NO_CV, "--grid", '{"max_depth": [8]}', "--hyper", "max_depth=4"],
+        ["train", "--data", "d.csv", "--model", "lr", "--grid", "default", "--hyper", "l2=0"],
         ["serve", "--broker-dir", "b", "--model", "m.isp", "--batch-max", "0"],
         ["report", "--broker-dir", "b", "--window", "abc"],
         ["report", "--broker-dir", "b", "--window", "-5"],
@@ -362,7 +409,8 @@ class TestUsageErrors:
             "serve-group", "report-group", "hyper-no-equals", "hyper-unknown-key", "hyper-impurity",
             "hyper-bad-json", "hyper-wrong-type", "train-frac-above-1", "train-frac-0",
             "grid-bad-json", "grid-unknown-key", "grid-not-a-list", "grid-empty-list",
-            "grid-empty", "grid-not-an-object", "grid-wrong-type", "batch-max",
+            "grid-empty", "grid-not-an-object", "grid-wrong-type", "grid-and-hyper-key",
+            "default-grid-and-hyper-key", "batch-max",
             "window-text", "window-negative", "window-zero", "vocab-cap-0",
             "vocab-cap-negative", "folds-negative", "k-0", "k-negative",
             "dedupe-window-negative"])

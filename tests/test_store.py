@@ -109,6 +109,24 @@ class TestSaveLoad:
         assert header["preprocess_config_digest"] == "ab" * 32
         assert header["model_kind"] == "nb"
 
+    def test_load_holds_the_file_once(self, tmp_path):
+        # 2^18 hashed buckets: a 6.3 MB file, almost all of it NB's and the IDF's arrays.
+        # The peak is the file plus the arrays copied out of it, not a second copy of
+        # the file for the CRC or one per section.
+        import tracemalloc
+
+        docs = [["want", "die", "sad"], ["sunny", "day", "fun"], ["die", "alone"]]
+        pipe, batch = fit_pipeline(docs, FeatureCombo.UNI_TFIDF, min_tf=0)
+        path = tmp_path / "m.isp"
+        store.save(pipe, train_nb(LabeledDataset(batch, [1, 0, 1])), path)
+        tracemalloc.start()
+        try:
+            store.load(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.2 * path.stat().st_size
+
 
 class TestRejection:
     @pytest.fixture
