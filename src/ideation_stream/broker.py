@@ -91,7 +91,7 @@ def _encode_frame(key: bytes | None, value: bytes, timestamp_ms: int) -> bytes:
 def _load_json_object(path: Path) -> dict:
     try:
         raw = json.loads(path.read_text("utf-8"))
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise CorruptPayload(f"{path} is not JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise CorruptPayload(f"{path} does not hold a JSON object")

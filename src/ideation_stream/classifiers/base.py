@@ -74,11 +74,12 @@ class LabeledDataset:
 
 def predict(model: ModelArtifact, batch: SparseBatch) -> Prediction:
     """The prediction for a one-row batch."""
-    return predict_batch(model, batch)[0]
+    labels, scores = predict_batch(model, batch)
+    return Prediction(label=int(labels[0]), score=float(scores[0]))
 
 
-def predict_batch(model: ModelArtifact, batch: SparseBatch) -> list[Prediction]:
-    """Label + ranking score per row, in row order.
+def predict_batch(model: ModelArtifact, batch: SparseBatch) -> tuple[np.ndarray, np.ndarray]:
+    """Labels (int64) and ranking scores (float64), one per row in row order.
 
     Probabilistic kinds score in [0,1] with a 0.5 threshold; the linear
     SVC scores a signed margin with a 0 threshold.
@@ -90,7 +91,6 @@ def predict_batch(model: ModelArtifact, batch: SparseBatch) -> list[Prediction]:
     scorer = {ModelKind.NB: naive_bayes.score_batch, ModelKind.LR: linear.score_batch,
               ModelKind.SVC: linear.margin_batch, ModelKind.DT: tree.score_batch,
               ModelKind.RF: tree.score_batch, ModelKind.MLP: mlp.score_batch}[model.kind]
+    scores = scorer(model.params, batch)
     threshold = 0.0 if model.kind is ModelKind.SVC else 0.5
-    # Python int and float: `PredictionEvent.to_json` writes them as JSON
-    return [Prediction(label=int(score >= threshold), score=score)
-            for score in scorer(model.params, batch).tolist()]
+    return (scores >= threshold).astype(np.int64), scores

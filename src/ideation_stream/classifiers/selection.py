@@ -142,9 +142,8 @@ def cross_validate(kind: ModelKind | str, params: dict, data: LabeledDataset,
         train_rows = np.flatnonzero(~np.isin(np.arange(len(data)), fold))
         model = trainer(data.subset(train_rows), seed=derive_seed(seeds[r], i), **points[r])
         validation = data.subset(fold)
-        preds = predict_batch(model, validation.batch)
-        scored = metrics(confusion([p.label for p in preds],
-                                   [int(g) for g in validation.labels]))
+        scored = metrics(confusion(predict_batch(model, validation.batch)[0],
+                                   validation.labels))
         return FoldResult(fold=i, n_validate=len(fold), accuracy=scored.accuracy,
                           precision=scored.precision, recall=scored.recall, f1=scored.f1)
 

@@ -19,7 +19,9 @@ models, which makes re-runs byte-identical.
 from __future__ import annotations
 
 import argparse
+import csv
 import inspect
+import io
 import json
 import os
 import sys
@@ -108,7 +110,7 @@ def _hyper_pair(pair: str) -> tuple[str, object]:
         raise argparse.ArgumentTypeError(f"expects key=value, got {pair!r}")
     try:
         parsed = json.loads(value) if value and value[0] in "[{0123456789.-tf" else value
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise argparse.ArgumentTypeError(f"{pair!r}: {exc}") from None
     return key.replace("-", "_"), parsed
 
@@ -181,11 +183,12 @@ def cmd_train(args: argparse.Namespace) -> Outcome:
                               "model,combo,accuracy,precision,recall,f1,auc\n"
                               f"{kind.value},{pipeline.combo.value},{report.csv_row()}\n"))
     if args.cv_out and cv_reports:
-        lines = ["model,params,mean_accuracy,std_accuracy"]
-        for rep in cv_reports:
-            lines.append(f"{rep.kind.value},\"{json.dumps(rep.params)}\","
-                         f"{rep.mean_accuracy:.6f},{rep.std_accuracy:.6f}")
-        outputs.append(_write(args.cv_out, "\n".join(lines) + "\n"))
+        table = io.StringIO()
+        rows = csv.writer(table, lineterminator="\n")
+        rows.writerow(["model", "params", "mean_accuracy", "std_accuracy"])
+        rows.writerows([rep.kind.value, json.dumps(rep.params), f"{rep.mean_accuracy:.6f}",
+                        f"{rep.std_accuracy:.6f}"] for rep in cv_reports)
+        outputs.append(_write(args.cv_out, table.getvalue()))
 
     payload = {"model": args.out, "digest": digest, "params": params,
                "metrics": report.to_dict(), "cv": [r.to_dict() for r in cv_reports]}
@@ -215,7 +218,7 @@ def cmd_evaluate(args: argparse.Namespace) -> Outcome:
     if args.out:
         outputs.append(_write(args.out, table + "\n"))
     if args.roc_out:
-        pts = roc_points(report.scores, [int(g) for g in data.labels])
+        pts = roc_points(report.scores, data.labels)
         lines = ["fpr,tpr,threshold"] + [f"{f:.6f},{t:.6f},{thr}" for f, t, thr in pts]
         outputs.append(_write(args.roc_out, "\n".join(lines) + "\n"))
 
@@ -343,7 +346,7 @@ def _checked(check, convert=str):
         try:
             value = convert(text)
             check(value)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # the latter: JSON nested too deep
             raise argparse.ArgumentTypeError(str(exc)) from None
         return value
     return parse

@@ -51,7 +51,7 @@ class MetricsReport:
     averaging: Averaging
     auc: float | None = None
     zero_division_flags: tuple[str, ...] = ()
-    scores: list[float] | None = field(default=None, repr=False, compare=False)
+    scores: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def csv_row(self) -> str:
         """One row in reported-table column order: ACC, PRE, REC, F1, AUC."""
@@ -69,7 +69,7 @@ class MetricsReport:
 def confusion(preds: Sequence[int], gold: Sequence[int]) -> ConfusionMatrix:
     if len(preds) != len(gold):
         raise LengthMismatch(f"{len(preds)} predictions vs {len(gold)} gold labels")
-    if not preds:
+    if not len(preds):
         raise LengthMismatch("cannot build a confusion matrix from zero predictions")
     pairs = Counter(zip(preds, gold))  # (prediction, gold) -> rows, labels 0 or 1
     return ConfusionMatrix(tp=pairs[1, 1], fp=pairs[1, 0], fn=pairs[0, 1], tn=pairs[0, 0])
@@ -180,10 +180,9 @@ def evaluate_model(model: ModelArtifact, test: LabeledDataset,
                    averaging: Averaging | str = Averaging.WEIGHTED
                    ) -> tuple[MetricsReport, ConfusionMatrix]:
     """predict_batch + confusion + metrics + roc_auc; the report keeps the row scores."""
-    predictions = predict_batch(model, test.batch)
-    gold = [int(g) for g in test.labels]
-    cm = confusion([p.label for p in predictions], gold)
+    labels, scores = predict_batch(model, test.batch)
+    cm = confusion(labels, test.labels)
     report = metrics(cm, averaging=averaging)
-    report.scores = [p.score for p in predictions]
-    report.auc = roc_auc(report.scores, gold)
+    report.scores = scores
+    report.auc = roc_auc(scores, test.labels)
     return report, cm

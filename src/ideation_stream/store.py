@@ -12,7 +12,9 @@ Keys are sorted and floats use the canonical repr, so saving the same
 in-memory artifact twice yields identical bytes. Arrays are stored
 little-endian. Version is checked before the checksum so a tampered
 version byte reports VersionMismatch, not CorruptPayload. A CRC-valid
-file whose arrays do not fit the header ``dim``, whose tree is not a
+file whose header is not a JSON object (or is nested past the parser's
+depth), whose section has another dtype than ``save`` writes for its
+name, whose arrays do not fit the header ``dim``, whose tree is not a
 forward tree, whose hashing bucket count is not a power of two >= 2, or
 whose n-gram orders or joiner are not the ones its combo implies, is
 CorruptPayload too.
@@ -168,7 +170,7 @@ def _read_sections(blob: bytes, table: list, pos: int) -> dict[str, np.ndarray |
     end = len(blob) - 4
     for entry in table:
         name, dtype, shape = entry["name"], entry["dtype"], entry["shape"]
-        if (dtype not in _ITEM_BYTES or not isinstance(shape, list)
+        if (type(name) is not str or dtype != _saved_dtype(name) or not isinstance(shape, list)
                 or not all(type(n) is int and n >= 0 for n in shape)
                 or (dtype == "bytes" and len(shape) != 1)):
             raise CorruptPayload(f"bad section entry {entry!r}")
@@ -182,6 +184,14 @@ def _read_sections(blob: bytes, table: list, pos: int) -> dict[str, np.ndarray |
     if pos != end:
         raise CorruptPayload("section table does not cover the payload")
     return arrays
+
+
+def _saved_dtype(name: str) -> str:
+    """The dtype ``save`` writes the section ``name`` in."""
+    if name == "vocab.terms":
+        return "bytes"
+    ints = name == "vocab.doc_freq" or name.startswith("tree.") and not name.endswith(".threshold")
+    return "<i8" if ints else "<f8"
 
 
 def _rebuild(header: dict, arrays: dict) -> tuple[FeaturePipeline, ModelArtifact]:
@@ -260,9 +270,8 @@ def _tree_from_arrays(arrays: dict, t: int, dim: int) -> TreeParams:
     point to two later nodes, leaves have -1 children; scoring halts."""
     tree = TreeParams(**{f: arrays[f"tree.{t}.{f}"] for f in _TREE_FIELDS})
     n = np.size(tree.feature)
-    _require(n and all(np.shape(getattr(tree, f)) == (n,) for f in _TREE_FIELDS)
-             and all(a.dtype.kind == "i" for a in (tree.feature, tree.left, tree.right)),
-             f"tree {t} sections are not {n}-node 1-D arrays with integer links")
+    _require(n and all(np.shape(getattr(tree, f)) == (n,) for f in _TREE_FIELDS),
+             f"tree {t} sections are not {n}-node 1-D arrays")
     node, leaf = np.arange(n), tree.feature == -1
     inner = (tree.feature >= 0) & (tree.feature < dim) & (tree.left > node) \
         & (tree.right > node) & (tree.left < n) & (tree.right < n)
@@ -298,6 +307,7 @@ def _parse_header(blob: bytes) -> tuple[dict, int]:
         raise CorruptPayload("header length exceeds file size")
     try:
         header = json.loads(blob[10:10 + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise CorruptPayload(f"header is not valid JSON: {exc}") from None
+    _require(isinstance(header, dict), "header is not a JSON object")
     return header, 10 + header_len

@@ -5,10 +5,13 @@ The loop consumes up to ``micro_batch_max`` records per trigger, filters
 and preprocesses each one, vectorizes and scores the kept records with one
 ``transform_batch`` and one ``predict_batch`` call, produces one JSON event
 per kept record in offset order, and only then commits the input offsets —
-duplicates are possible after a crash, gaps are not. Failures become
-dead-letter events and never kill the loop: a record whose preprocess
-raises is a dead letter on its own, and if vectorizing or scoring raises,
-every record of that call is a dead letter carrying the error.
+duplicates are possible after a crash, gaps are not. Each event is written
+by ``prediction_json`` straight from the label and score arrays, with no
+object per record. Failures become dead-letter events and never kill the
+loop: a record whose preprocess raises is a dead letter on its own, and if
+vectorizing or scoring raises, every record of that call is a dead letter
+carrying the error. ``aggregate`` counts each event from its ``json.loads``
+dict and skips any record that is not a whole prediction event.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import statistics
 import threading
 import time
 from collections import Counter, OrderedDict, deque
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 from . import store
 from .broker import Broker
@@ -34,11 +37,14 @@ from .preprocess import PreprocessConfig, filter_text, looks_english, preprocess
 
 DEFAULT_INPUT_TOPIC = "Source-tweets"
 DEFAULT_OUTPUT_TOPIC = "Predicted-tweets"
-# json.dumps(..., sort_keys=True) of a prediction event with a finite score
+# json.dumps(..., sort_keys=True) of a prediction event, the score's text filled in
 _EVENT_JSON = ('{"kind": "prediction", "label": %d, "label_name": %s, "model_digest": %s, '
                '"processed_at_ms": %d, "score": %s, "source_offset": %d, '
                '"source_partition": %d, "text_sha256": %s}')
 _json_str = json.encoder.encode_basestring_ascii
+# the keys of a prediction event besides "kind"; `aggregate` skips a record missing one
+_EVENT_FIELDS = frozenset(("label", "label_name", "model_digest", "processed_at_ms", "score",
+                           "source_offset", "source_partition", "text_sha256"))
 
 
 @dataclass
@@ -67,33 +73,15 @@ class StreamConfig:
             raise ValueError(f"unknown language_filter {self.language_filter!r}")
 
 
-@dataclass
-class PredictionEvent:
-    source_partition: int
-    source_offset: int
-    text_sha256: str
-    label: int
-    label_name: str
-    score: float
-    model_digest: str
-    processed_at_ms: int
-
-    def to_json(self) -> str:
-        if not (isinstance(self.score, float) and math.isfinite(self.score)):
-            return json.dumps({"kind": "prediction", **vars(self)}, sort_keys=True)
-        return _EVENT_JSON % (self.label, _json_str(self.label_name),
-                              _json_str(self.model_digest), self.processed_at_ms,
-                              float.__repr__(self.score), self.source_offset,
-                              self.source_partition, _json_str(self.text_sha256))
-
-    @classmethod
-    def from_json(cls, line: str) -> "PredictionEvent | None":
-        """None for anything but a prediction object whose label is 0 or 1."""
-        obj = json.loads(line)
-        if (not isinstance(obj, dict) or obj.get("kind") != "prediction"
-                or type(obj.get("label")) is not int or obj["label"] not in (0, 1)):
-            return None
-        return cls(**{f.name: obj[f.name] for f in fields(cls)})
+def prediction_json(partition: int, offset: int, text_sha256: str, label: int,
+                    score: float, model_digest: str, processed_at_ms: int) -> str:
+    """One prediction event, the bytes ``json.dumps(..., sort_keys=True)``
+    writes for it; ``label`` is 0 or 1."""
+    score_json = (float.__repr__(score) if isinstance(score, float) and math.isfinite(score)
+                  else json.dumps(score))
+    return _EVENT_JSON % (label, _json_str(INT_TO_LABEL[label]), _json_str(model_digest),
+                          processed_at_ms, score_json, offset, partition,
+                          _json_str(text_sha256))
 
 
 @dataclass
@@ -111,7 +99,7 @@ def _line_text(line: str) -> str | None:
     if stripped.startswith("{"):
         try:
             obj = json.loads(stripped)
-        except json.JSONDecodeError:
+        except (json.JSONDecodeError, RecursionError):  # or nested past the parser's depth
             return None
         text = obj.get("text") if isinstance(obj, dict) else None
         return text if isinstance(text, str) and text.strip() else None
@@ -247,7 +235,8 @@ def run_stream(broker: Broker, config: StreamConfig, *,
             kept.append((rec, digest, tokens))
         docs = [tokens for _, _, tokens in kept if not isinstance(tokens, Exception)]
         try:
-            preds = iter(predict_batch(model, pipeline.transform_batch(docs)))
+            labels, scores = predict_batch(model, pipeline.transform_batch(docs))
+            preds = zip(labels.tolist(), scores.tolist())
         except Exception as exc:  # noqa: BLE001 - every record of the call dead-letters
             preds = itertools.repeat(exc)
         for rec, digest, tokens in kept:
@@ -261,17 +250,9 @@ def run_stream(broker: Broker, config: StreamConfig, *,
                 broker.produce(config.output_topic, dead.encode("utf-8"))
                 stats.dead_letters += 1
                 continue
-            event = PredictionEvent(
-                source_partition=rec.partition,
-                source_offset=rec.offset,
-                text_sha256=digest,
-                label=pred.label,
-                label_name=INT_TO_LABEL[pred.label],
-                score=pred.score,
-                model_digest=model_digest,
-                processed_at_ms=int(time.time() * 1000),
-            )
-            broker.produce(config.output_topic, event.to_json().encode("utf-8"))
+            event = prediction_json(rec.partition, rec.offset, digest, *pred, model_digest,
+                                    int(time.time() * 1000))
+            broker.produce(config.output_topic, event.encode("utf-8"))
             stats.events += 1
             latencies.append((time.perf_counter() - t_start) * 1000.0)
         stats.consumed += len(batch)
@@ -323,14 +304,16 @@ def aggregate(broker: Broker, output_topic: str = DEFAULT_OUTPUT_TOPIC,
             next_offsets: dict[int, int] = {}
             for rec in batch:
                 next_offsets[rec.partition] = rec.offset + 1  # offset order per partition
-                try:
-                    event = PredictionEvent.from_json(rec.value.decode("utf-8"))
-                except (json.JSONDecodeError, KeyError, UnicodeDecodeError):
+                try:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
+                    event = json.loads(rec.value.decode("utf-8"))
+                except (ValueError, RecursionError):
                     continue
-                if event is not None:
-                    counts[event.label] += 1
+                if (isinstance(event, dict) and event.get("kind") == "prediction"
+                        and type(label := event.get("label")) is int and label in (0, 1)
+                        and event.keys() >= _EVENT_FIELDS):
+                    counts[label] += 1
                     if window:
-                        recent.append(event.label)
+                        recent.append(label)
                         if len(recent) > window:
                             counts[recent.popleft()] -= 1
             broker.commit(group, output_topic, next_offsets)

@@ -1,4 +1,5 @@
 import sys
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -141,3 +142,14 @@ def fixture_dataset():
     if labels.sum() in (0, len(labels)):
         labels[0] = 1 - labels[0]
     return LabeledDataset(data.batch, labels)
+
+
+def replace_isp_header(path, text: str) -> None:
+    """Swap a stored ``.isp`` header's text for ``text``, with a fitting
+    length and CRC, so only the header's content can make a load fail."""
+    blob = Path(path).read_bytes()
+    header_len = int.from_bytes(blob[6:10], "little")
+    new_header = text.encode()
+    body = blob[:6] + len(new_header).to_bytes(4, "little") + new_header \
+        + blob[10 + header_len:-4]
+    Path(path).write_bytes(body + (zlib.crc32(body) & 0xFFFFFFFF).to_bytes(4, "little"))

@@ -8,6 +8,7 @@ tens of minutes when enabled.
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 """
 
+import json
 import math
 import os
 import signal
@@ -33,8 +34,7 @@ from ideation_stream.evaluation import (Averaging, ConfusionMatrix, confusion,
                                         evaluate_model, metrics, roc_auc)
 from ideation_stream.features import FeatureCombo, SparseBatch, fit_pipeline
 from ideation_stream.preprocess import PreprocessConfig, preprocess
-from ideation_stream.stream import (PredictionEvent, StreamConfig, aggregate,
-                                    replay_produce, run_stream)
+from ideation_stream.stream import StreamConfig, aggregate, replay_produce, run_stream
 
 from conftest import dense, densify_first_layer, make_data, make_vec, random_sparse_dataset
 from oracles import (dense_cv_tfidf, dense_hashing_tfidf, pairwise_auc,
@@ -222,19 +222,19 @@ def test_c05_gradient_checks():
 
 def test_c06_trainer_sanity(separable_toy, xor_toy):
     lr = train_lr(separable_toy, l2=0.0, max_iter=200)
-    assert [p.label for p in predict_batch(lr, separable_toy.batch)] == \
-        list(separable_toy.labels)
+    assert predict_batch(lr, separable_toy.batch)[0].tolist() == \
+        separable_toy.labels.tolist()
 
     svc = train_linear_svc(separable_toy, c=10.0, max_iter=2000)
-    assert [p.label for p in predict_batch(svc, separable_toy.batch)] == \
-        list(separable_toy.labels)
+    assert predict_batch(svc, separable_toy.batch)[0].tolist() == \
+        separable_toy.labels.tolist()
 
     mlp = train_mlp(xor_toy, hidden_layers=[4], learning_rate=0.5, epochs=5000,
                     batch_size=4, seed=0)
-    assert [p.label for p in predict_batch(mlp, xor_toy.batch)] == [0, 1, 1, 0]
+    assert predict_batch(mlp, xor_toy.batch)[0].tolist() == [0, 1, 1, 0]
 
     dt = train_dt(xor_toy, max_depth=2)
-    assert [p.label for p in predict_batch(dt, xor_toy.batch)] == [0, 1, 1, 0]
+    assert predict_batch(dt, xor_toy.batch)[0].tolist() == [0, 1, 1, 0]
     _report(6, "LR and SVC solve the separable toy, MLP[4] and depth-2 DT solve XOR")
 
 
@@ -432,14 +432,14 @@ def test_c10_end_to_end_streaming(tmp_path):
             batch = broker.consume("Predicted-tweets", "check", max_records=4096)
             if not batch:
                 break
-            events.extend(PredictionEvent.from_json(r.value.decode()) for r in batch)
+            events.extend(json.loads(r.value.decode()) for r in batch)
             broker.commit("check", "Predicted-tweets",
                           {0: max(r.offset for r in batch) + 1})
         assert len(events) == 764
         for event in events:
-            ref = offline[event.source_offset]
-            assert event.label == ref.label
-            assert event.score == ref.score  # bit-identical to the batch path
+            ref = offline[event["source_offset"]]
+            assert event["label"] == ref.label
+            assert event["score"] == ref.score  # bit-identical to the batch path
 
         report = aggregate(broker)
     assert report.total == 764

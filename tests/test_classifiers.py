@@ -73,8 +73,8 @@ class TestNaiveBayes:
 class TestLogisticRegression:
     def test_separable_within_200_iters(self, separable_toy):
         model = train_lr(separable_toy, l2=0.0, max_iter=200)
-        preds = predict_batch(model, separable_toy.batch)
-        assert [p.label for p in preds] == list(separable_toy.labels)
+        labels, _ = predict_batch(model, separable_toy.batch)
+        assert labels.tolist() == separable_toy.labels.tolist()
 
     def test_all_zero_features(self, vec):
         data = make_data([vec(2, []) for _ in range(4)], [1, 1, 1, 0])
@@ -136,7 +136,7 @@ class TestLinearSvc:
         y_pm = separable_toy.labels.astype(np.float64) * 2 - 1
         margins = y_pm * (separable_toy.batch.matvec(model.params.weights) + model.params.bias)
         assert float(np.maximum(0, 1 - margins).mean()) == 0.0
-        assert [p.label for p in predict_batch(model, separable_toy.batch)] == [1, 1, 0, 0]
+        assert predict_batch(model, separable_toy.batch)[0].tolist() == [1, 1, 0, 0]
 
     def test_label_flip_negates_margin_signs(self, separable_toy):
         model = train_linear_svc(separable_toy, c=10.0, max_iter=1000, seed=5)
@@ -211,7 +211,7 @@ class TestDecisionTree:
                           vec(3, [(1, -5)]), vec(3, [(1, -6)])], [1, 1, 0, 0])
         model = train_dt(data, max_depth=4)
         assert model.params.n_nodes == 3  # root + 2 leaves
-        assert [p.label for p in predict_batch(model, data.batch)] == [1, 1, 0, 0]
+        assert predict_batch(model, data.batch)[0].tolist() == [1, 1, 0, 0]
 
     def test_pure_labels_single_leaf(self, vec):
         data = make_data([vec(2, [(0, 1)]), vec(2, [(1, 1)])], [1, 1])
@@ -224,8 +224,7 @@ class TestDecisionTree:
         # splits feature 1 perfectly
         shallow = train_dt(xor_toy, max_depth=1)
         deep = train_dt(xor_toy, max_depth=2)
-        acc = lambda m: sum(p.label == int(g) for p, g in
-                            zip(predict_batch(m, xor_toy.batch), xor_toy.labels)) / 4
+        acc = lambda m: float(np.mean(predict_batch(m, xor_toy.batch)[0] == xor_toy.labels))
         assert acc(shallow) < 1.0
         assert acc(deep) == 1.0
         assert int(deep.params.feature[0]) == 0 and deep.params.threshold[0] == 0.5
@@ -373,8 +372,7 @@ class TestRandomForest:
             rows.append(SparseBatch(2, [0, idx.size], idx, vals[keep]))
             labels.append(label)
         data = make_data(rows, labels)
-        acc = lambda m: float(np.mean([p.label == int(g) for p, g in
-                                       zip(predict_batch(m, data.batch), data.labels)]))
+        acc = lambda m: float(np.mean(predict_batch(m, data.batch)[0] == data.labels))
         tree = train_dt(data, max_depth=2, min_leaf=2)
         forest = train_rf(data, num_trees=25, feature_fraction=1.0, seed=2,
                           max_depth=2, min_leaf=2)
@@ -472,8 +470,7 @@ class TestMlp:
     def test_xor_with_four_hidden_units(self, xor_toy):
         model = train_mlp(xor_toy, hidden_layers=[4], learning_rate=0.5,
                           epochs=5000, batch_size=4, seed=0)
-        preds = predict_batch(model, xor_toy.batch)
-        assert [p.label for p in preds] == [0, 1, 1, 0]
+        assert predict_batch(model, xor_toy.batch)[0].tolist() == [0, 1, 1, 0]
 
     def test_softmax_sums_to_one(self, fixture_dataset):
         from ideation_stream.classifiers.mlp import forward
@@ -525,8 +522,7 @@ class TestMlp:
         test = LabeledDataset(data.batch.take(range(320, 400)), data.labels[320:])
 
         def accuracy(model):
-            return np.mean([p.label == y for p, y in zip(predict_batch(model, test.batch),
-                                                         test.labels)])
+            return np.mean(predict_batch(model, test.batch)[0] == test.labels)
         assert accuracy(train_mlp(train, seed=0)) >= accuracy(train_lr(train)) - 0.05
 
     def test_full_batch_loss_non_increasing_at_small_lr(self, xor_toy):
@@ -552,18 +548,19 @@ class TestPredict:
         batch = stack([fixture_dataset.batch, vec(12, [])])
         for trainer in trainers:
             model = trainer(fixture_dataset)
-            preds = predict_batch(model, batch)
-            assert len(preds) == batch.n_rows
-            for i, p in enumerate(preds):
+            labels, scores = predict_batch(model, batch)
+            assert labels.dtype == np.int64 and scores.dtype == np.float64
+            assert labels.shape == scores.shape == (batch.n_rows,)
+            for i, (label, score) in enumerate(zip(labels.tolist(), scores.tolist())):
                 single = predict(model, batch.take([i]))
-                assert single.label == p.label and single.score == p.score
-                assert type(p.label) is int and type(p.score) is float
+                assert single.label == label and single.score == score
+                assert type(single.label) is int and type(single.score) is float
 
     def test_batch_preserves_order(self, separable_toy):
         model = train_lr(separable_toy, max_iter=50)
-        preds = predict_batch(model, separable_toy.batch)
-        assert len(preds) == 4
-        assert [p.label for p in preds] == [1, 1, 0, 0]
+        labels, scores = predict_batch(model, separable_toy.batch)
+        assert len(labels) == len(scores) == 4
+        assert labels.tolist() == [1, 1, 0, 0]
 
     def test_dimension_mismatch(self, nb_toy, vec):
         model = train_nb(nb_toy)

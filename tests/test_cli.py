@@ -9,7 +9,7 @@ import pytest
 from ideation_stream import errors
 from ideation_stream.broker import Broker
 from ideation_stream.cli import main
-from ideation_stream.stream import PredictionEvent
+from ideation_stream.stream import prediction_json
 
 
 @pytest.fixture(autouse=True)
@@ -147,8 +147,9 @@ class TestTrain:
         payload = json.loads(capsys.readouterr().out)
         scored = [entry["params"] for entry in payload["cv"]]
         assert scored == [{"l2": 0, "max_iter": 1}, {"l2": 0.5, "max_iter": 1}]
-        rows = cv.read_text().splitlines()[1:]  # lr,"{params}",mean,std
-        assert [json.loads(row.split(',"', 1)[1].rsplit('",', 1)[0]) for row in rows] == scored
+        with open(cv, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))[1:]  # lr,"{params}",mean,std
+        assert [json.loads(row[1]) for row in rows] == scored
         winner = max(payload["cv"], key=lambda entry: entry["mean_accuracy"])["params"]
         assert payload["params"] == winner
         # the saved model is the winner's, as a plain fit with its params would save it
@@ -461,8 +462,8 @@ class TestFileErrors:
                      "--topic", "Predicted-tweets"]) == 0
         with Broker("b") as broker:
             for label in (1, 0, 1):
-                event = PredictionEvent(0, 0, "0" * 64, label, "x", 0.5, "d", 0)
-                broker.produce("Predicted-tweets", event.to_json().encode())
+                event = prediction_json(0, 0, "0" * 64, label, 0.5, "d", 0)
+                broker.produce("Predicted-tweets", event.encode())
         (tmp_path / "blocked.csv.manifest.json").mkdir()
         (tmp_path / "feed.txt").write_text("a post\n", "utf-8")
         capsys.readouterr()

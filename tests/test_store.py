@@ -1,6 +1,6 @@
 import dataclasses
 import json
-import zlib
+import math
 
 import numpy as np
 import pytest
@@ -16,7 +16,7 @@ from ideation_stream.errors import (CorruptPayload, IdeationStreamError, IoFailu
                                     VersionMismatch)
 from ideation_stream.features import FeatureCombo, SparseBatch, fit_pipeline
 
-from conftest import random_sparse_dataset, rows_of, same
+from conftest import random_sparse_dataset, replace_isp_header, rows_of, same
 
 TRAIN_CALLS = {
     "nb": lambda d: train_nb(d, alpha=0.5),
@@ -39,13 +39,60 @@ def _rewrite_header(path, edit):
     """Apply ``edit`` to the stored header, then fix the length and CRC so
     only the header's content can make a load fail."""
     blob = path.read_bytes()
-    header_len = int.from_bytes(blob[6:10], "little")
-    header = json.loads(blob[10:10 + header_len])
+    header = json.loads(blob[10:10 + int.from_bytes(blob[6:10], "little")])
     edit(header)
-    new_header = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    body = blob[:6] + len(new_header).to_bytes(4, "little") + new_header \
-        + blob[10 + header_len:-4]
-    path.write_bytes(body + (zlib.crc32(body) & 0xFFFFFFFF).to_bytes(4, "little"))
+    replace_isp_header(path, json.dumps(header, sort_keys=True, separators=(",", ":")))
+
+
+def _nodes(node, path=()):
+    """(path, value) of every node of a JSON tree, the root first."""
+    yield path, node
+    if isinstance(node, (dict, list)):
+        for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from _nodes(child, path + (key,))
+
+
+JSON_ANY = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 2 ** 40) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=2) | st.dictionaries(st.text(max_size=3), inner,
+                                                               max_size=2),
+    max_leaves=4)
+DEEP = "@deep@"  # stands for an array nested past the JSON parser's limit
+# documents whose vocabulary terms join to "aaaa\nbbb", 8 bytes: one <f8 covers them
+EIGHT_BYTE_VOCAB = [["aaaa", "bbb"], ["aaaa"], ["bbb", "aaaa"]]
+
+
+def _mutated_header(header: dict, data) -> str:
+    """The header's JSON text after one mutation: a key dropped or renamed,
+    a value of another type, or a section of another dtype that covers the
+    same bytes where its size allows."""
+    path, node = data.draw(st.sampled_from(list(_nodes(header))), label="node")
+    action = data.draw(st.sampled_from(["drop", "rename", "retype", "deep", "dtype"]),
+                       label="action")
+    if not path:
+        header = DEEP if action == "deep" else data.draw(
+            JSON_ANY.filter(lambda v: not isinstance(v, dict)), label="root")
+    elif action == "dtype":
+        entry = data.draw(st.sampled_from(header["sections"]), label="section")
+        dtype = data.draw(st.sampled_from(sorted(store._ITEM_BYTES)), label="dtype")
+        size = math.prod(entry["shape"]) * store._ITEM_BYTES[entry["dtype"]]
+        if size % store._ITEM_BYTES[dtype] == 0:
+            entry["shape"] = [size // store._ITEM_BYTES[dtype]]
+        entry["dtype"] = dtype
+    else:
+        *parent_path, key = path
+        parent = header
+        for step in parent_path:
+            parent = parent[step]
+        if action == "drop":
+            del parent[key]
+        elif action == "rename" and isinstance(parent, dict):
+            parent[data.draw(st.text(max_size=3), label="key")] = parent.pop(key)
+        else:
+            parent[key] = DEEP if action == "deep" else data.draw(
+                JSON_ANY.filter(lambda v: type(v) is not type(node)), label="value")
+    text = json.dumps(header, sort_keys=True, separators=(",", ":"))
+    return text.replace(json.dumps(DEEP), "[" * 100_000 + "]" * 100_000)
 
 
 def _shapes(header):
@@ -303,6 +350,40 @@ class TestRejection:
         # whatever loads scores a row that holds every feature
         predict(model, SparseBatch(model.dim, [0, model.dim], np.arange(model.dim),
                                    np.ones(model.dim)))
+
+    def test_numeric_vocab_terms(self, tmp_path):
+        pipe, batch = fit_pipeline(EIGHT_BYTE_VOCAB, FeatureCombo.UNI_CV_IDF, min_tf=0)
+        assert "\n".join(pipe.vocab.terms_by_index()) == "aaaa\nbbb"
+        path = tmp_path / "v.isp"
+        store.save(pipe, train_nb(LabeledDataset(batch, [1, 0, 1])), path)
+        _rewrite_header(path, lambda header: next(
+            entry for entry in header["sections"] if entry["name"] == "vocab.terms"
+        ).update(dtype="<f8", shape=[1]))
+        with pytest.raises(CorruptPayload, match="bad section entry"):
+            store.load(path)
+
+    @pytest.mark.parametrize("kind", sorted(TRAIN_CALLS))
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_mutated_header_loads_or_raises_typed(self, kind, tmp_path, data):
+        path = tmp_path / f"{kind}.isp"
+        if not path.exists():
+            pipe, _ = fit_pipeline(EIGHT_BYTE_VOCAB, FeatureCombo.UNI_CV_IDF, min_tf=0)
+            data_2d = random_sparse_dataset(np.random.default_rng(0), 40, pipe.dim)
+            store.save(pipe, TRAIN_CALLS[kind](data_2d), path)
+        edited = tmp_path / "edited.isp"
+        edited.write_bytes(path.read_bytes())
+        replace_isp_header(edited, _mutated_header(store.inspect_header(path), data))
+        try:
+            assert isinstance(store.inspect_header(edited), dict)
+        except IdeationStreamError:
+            pass
+        try:
+            pipe, model = store.load(edited)
+        except IdeationStreamError:
+            return
+        predict(model, pipe.transform(["aaaa", "bbb", "aaaa"]))
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(IoFailure):

@@ -1,3 +1,4 @@
+import io
 import json
 import tempfile
 import warnings
@@ -14,9 +15,8 @@ from ideation_stream.classifiers import LabeledDataset, predict, train_mlp, trai
 from ideation_stream.errors import UnknownTopic
 from ideation_stream.features import FeatureCombo, FeaturePipeline, fit_pipeline
 from ideation_stream.preprocess import PreprocessConfig, preprocess
-from ideation_stream.stream import (PredictionEvent, StreamConfig,
-                                    StreamFilter, aggregate, replay_produce,
-                                    run_stream)
+from ideation_stream.stream import (StreamConfig, StreamFilter, aggregate,
+                                    prediction_json, replay_produce, run_stream)
 
 from conftest import stack
 
@@ -80,6 +80,17 @@ class TestLineParsing:
         assert stream._line_text(line) == expected
 
 
+# replay lines: any one-line text, and JSON values of every shape
+LINE_TEXT = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\r\n"),
+                    max_size=12)
+JSON_VALUE = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | LINE_TEXT,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["text", "id"]) | LINE_TEXT, inner, max_size=3),
+    max_leaves=8)
+DEPTH = st.integers(0, 5).map(lambda k: 10 ** k)  # nesting up to past the parser's limit
+
+
 class TestReplay:
     def test_produces_one_record_per_line(self, broker, tmp_path):
         path = tmp_path / "feed.txt"
@@ -105,6 +116,23 @@ class TestReplay:
         path.write_text("x\n", "utf-8")
         with pytest.raises(UnknownTopic):
             replay_produce(path, broker, "ghost")
+
+    @settings(max_examples=60, deadline=None)
+    @given(lines=st.lists(st.one_of(
+        LINE_TEXT,
+        LINE_TEXT.map(lambda t: "{" + t),
+        JSON_VALUE.map(json.dumps),
+        DEPTH.map(lambda n: '{"text": ' * n + '"a post"' + "}" * n),
+        DEPTH.map(lambda n: "{" + "[" * n + "]" * n),
+    ), max_size=6))
+    def test_each_line_is_one_record_or_one_malformed(self, lines):
+        with tempfile.TemporaryDirectory() as tmp, \
+                Broker(f"{tmp}/log", durability="none") as broker:
+            broker.create_topic("Source-tweets")
+            feed = io.StringIO("".join(line + "\n" for line in lines))
+            stats = replay_produce(feed, broker, "Source-tweets")
+            assert stats.produced + stats.malformed == len(lines)
+            assert broker.end_offsets("Source-tweets") == [stats.produced]
 
 
 class TestStreamFilter:
@@ -163,10 +191,10 @@ class TestRunStream:
         records = broker.consume("Predicted-tweets", "checker", max_records=100)
         assert len(records) == 3
         for rec, text in zip(records, lines):
-            event = PredictionEvent.from_json(rec.value.decode())
+            event = json.loads(rec.value.decode())
             offline = predict(model, pipeline.transform(preprocess(text).tokens))
-            assert event.label == offline.label
-            assert event.score == offline.score  # bit-identical
+            assert event["label"] == offline.label
+            assert event["score"] == offline.score  # bit-identical
 
     def test_language_rule_filters_each_kept_post_once(self, broker, model_path, tmp_path,
                                                        monkeypatch):
@@ -193,9 +221,9 @@ class TestRunStream:
         pipeline, model = store.load(model_path)
         records = broker.consume("Predicted-tweets", "checker", max_records=100)
         for rec, text in zip(records, [lines[0], lines[3]], strict=True):
-            event = PredictionEvent.from_json(rec.value.decode())
+            event = json.loads(rec.value.decode())
             offline = predict(model, pipeline.transform(preprocess(text).tokens))
-            assert (event.label, event.score) == (offline.label, offline.score)
+            assert (event["label"], event["score"]) == (offline.label, offline.score)
 
     @pytest.mark.parametrize("filters_enabled", [True, False])
     def test_each_kept_post_hashed_once(self, broker, model_path, tmp_path, monkeypatch,
@@ -218,7 +246,7 @@ class TestRunStream:
         assert stats.events == len(kept)
         assert calls == ([lines[0], lines[2], lines[3]] if filters_enabled else lines)
         records = broker.consume("Predicted-tweets", "checker", max_records=100)
-        assert [PredictionEvent.from_json(r.value.decode()).text_sha256 for r in records] \
+        assert [json.loads(r.value.decode())["text_sha256"] for r in records] \
             == [real_sha256_hex(text) for text in kept]
 
     def test_mlp_events_match_offline_predictions_bitwise(self, broker, tmp_path):
@@ -242,10 +270,10 @@ class TestRunStream:
         records = broker.consume("Predicted-tweets", "checker", max_records=100)
         scores = set()
         for rec, text in zip(records, lines, strict=True):
-            event = PredictionEvent.from_json(rec.value.decode())
+            event = json.loads(rec.value.decode())
             offline = predict(model, pipeline.transform(preprocess(text).tokens))
-            assert (event.label, event.score) == (offline.label, offline.score)
-            scores.add(event.score)
+            assert (event["label"], event["score"]) == (offline.label, offline.score)
+            scores.add(event["score"])
         assert len(scores) > 1
 
     def test_commit_after_output(self, broker, model_path, tmp_path):
@@ -269,16 +297,14 @@ class TestRunStream:
         for rec in first_pass:
             tokens = preprocess(rec.value.decode())
             pred = predict(model, pipeline.transform(tokens.tokens))
-            event = PredictionEvent(rec.partition, rec.offset, "x", pred.label,
-                                    "suicide" if pred.label else "non-suicide",
-                                    pred.score, "digest", 0)
-            broker.produce("Predicted-tweets", event.to_json().encode())
+            event = prediction_json(rec.partition, rec.offset, "x", pred.label, pred.score,
+                                    "digest", 0)
+            broker.produce("Predicted-tweets", event.encode())
         # no commit -> engine restart reprocesses those offsets
         run_stream(broker, _config(model_path), stop_when_idle=True)
 
         records = broker.consume("Predicted-tweets", "checker", max_records=100)
-        events = [PredictionEvent.from_json(r.value.decode()) for r in records]
-        offsets = [e.source_offset for e in events if e]
+        offsets = [json.loads(r.value.decode())["source_offset"] for r in records]
         assert len(offsets) == 9  # 3 duplicated + 6
         assert sorted(set(offsets)) == list(range(6))  # dedupe by offset recovers all
 
@@ -397,10 +423,11 @@ class TestRunStream:
 
 
 class TestPredictionEvent:
-    EVENT = PredictionEvent(3, 17, "ab" * 32, 1, "suicide", 0.8125, "cd" * 32, 1700000000123)
+    FIELDS = dict(partition=3, offset=17, text_sha256="ab" * 32, label=1, score=0.8125,
+                  model_digest="cd" * 32, processed_at_ms=1700000000123)
 
     def test_json_bytes(self):
-        assert self.EVENT.to_json() == (
+        assert prediction_json(**self.FIELDS) == (
             '{"kind": "prediction", "label": 1, "label_name": "suicide", "model_digest": '
             '"cdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcd", '
             '"processed_at_ms": 1700000000123, "score": 0.8125, "source_offset": 17, '
@@ -408,9 +435,8 @@ class TestPredictionEvent:
             '"abababababababababababababababababababababababababababababababab"}')
 
     def test_json_bytes_keep_full_float_repr(self):
-        event = PredictionEvent(0, 2 ** 40, "ef" * 32, 0, "non-suicide",
-                                0.1 + 0.2, "01" * 32, 0)
-        assert event.to_json() == (
+        event = prediction_json(0, 2 ** 40, "ef" * 32, 0, 0.1 + 0.2, "01" * 32, 0)
+        assert event == (
             '{"kind": "prediction", "label": 0, "label_name": "non-suicide", '
             '"model_digest": "0101010101010101010101010101010101010101010101010101010101010101", '
             '"processed_at_ms": 0, "score": 0.30000000000000004, '
@@ -441,27 +467,33 @@ class TestPredictionEvent:
              source_partition=0, label=0)
     def test_json_bytes_equal_json_dumps(self, score, digest, processed_at_ms, source_offset,
                                          source_partition, label):
-        event = PredictionEvent(source_partition, source_offset, digest, label,
-                                "suicide" if label else "non-suicide", score, digest[::-1],
-                                processed_at_ms)
-        assert event.to_json() == json.dumps({"kind": "prediction", **vars(event)},
-                                             sort_keys=True)
+        event = prediction_json(source_partition, source_offset, digest, label, score,
+                                digest[::-1], processed_at_ms)
+        assert event == json.dumps({"kind": "prediction", "source_partition": source_partition,
+                                    "source_offset": source_offset, "text_sha256": digest,
+                                    "label": label,
+                                    "label_name": "suicide" if label else "non-suicide",
+                                    "score": score, "model_digest": digest[::-1],
+                                    "processed_at_ms": processed_at_ms}, sort_keys=True)
 
-    def test_round_trip_and_missing_field(self):
-        assert PredictionEvent.from_json(self.EVENT.to_json()) == self.EVENT
-        obj = json.loads(self.EVENT.to_json())
-        del obj["model_digest"]
-        with pytest.raises(KeyError):
-            PredictionEvent.from_json(json.dumps(obj))
+    def test_round_trip_and_missing_field(self, broker):
+        event = json.loads(prediction_json(**self.FIELDS))
+        assert event == {"kind": "prediction", "source_partition": 3, "source_offset": 17,
+                         "text_sha256": "ab" * 32, "label": 1, "label_name": "suicide",
+                         "score": 0.8125, "model_digest": "cd" * 32,
+                         "processed_at_ms": 1700000000123}
+        for key in event:  # `report` counts only the whole event
+            broker.produce("Predicted-tweets",
+                           json.dumps({k: v for k, v in event.items() if k != key}).encode())
+        broker.produce("Predicted-tweets", json.dumps(event).encode())
+        assert aggregate(broker).total == 1
 
 
 class TestAggregate:
     def _emit(self, broker, labels):
         for i, label in enumerate(labels):
-            event = PredictionEvent(0, i, f"t{i}", label,
-                                    "suicide" if label else "non-suicide",
-                                    float(label), "d", 0)
-            broker.produce("Predicted-tweets", event.to_json().encode())
+            event = prediction_json(0, i, f"t{i}", label, float(label), "d", 0)
+            broker.produce("Predicted-tweets", event.encode())
 
     def test_percentages(self, broker):
         self._emit(broker, [1] * 5 + [0] * 15)
@@ -529,7 +561,7 @@ class TestAggregate:
 
     def test_hostile_records_skipped(self, broker):
         self._emit(broker, [1, 0])
-        good = json.loads(PredictionEvent(0, 9, "t", 1, "suicide", 1.0, "d", 0).to_json())
+        good = json.loads(prediction_json(0, 9, "t", 1, 1.0, "d", 0))
         hostile = [[1, 2], "x", None, 7,
                    {**good, "label": "1"}, {**good, "label": 2},
                    {**good, "label": True}, {**good, "label": 1.0}]
