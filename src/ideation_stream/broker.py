@@ -26,8 +26,10 @@ On reopen, segments are scanned and a torn tail (short frame or CRC
 mismatch) of a partition's last segment is truncated away: at-least-once
 delivery for acked records, never a gap mid-partition. An earlier, sealed
 segment must scan clean; a bad frame there raises ``CorruptPayload``
-rather than drop acked records behind it. So does a group file that is
-not a map of ``<topic>/<partition>`` keys to non-negative int offsets.
+rather than drop acked records behind it. So does a ``topic.json`` naming
+another directory's topic, and a group file that is not a map of
+``<topic>/<partition>`` keys to non-negative int offsets within the end
+of each partition that exists.
 """
 
 from __future__ import annotations
@@ -303,6 +305,8 @@ class Broker:
                 config = TopicConfig(name=raw["name"], partitions=raw["partitions"])
             except (KeyError, ValueError) as exc:
                 raise CorruptPayload(f"{meta}: bad topic metadata ({exc})") from None
+            if config.name != topic_dir.name:
+                raise CorruptPayload(f"{meta}: names another directory's topic {config.name!r}")
             topic = _Topic(config, topic_dir)
             self._topics[config.name] = topic
             topic.open()
@@ -312,6 +316,10 @@ class Broker:
                 if not (_GROUP_KEY.fullmatch(key) and type(offset) is int and offset >= 0):
                     raise CorruptPayload(f"{group_file}: bad committed offset "
                                          f"{key!r}: {offset!r}")
+                topic, p = key.split("/")
+                ends = self.end_offsets(topic) if topic in self._topics else []
+                if int(p) < len(ends) and offset > ends[int(p)]:
+                    raise CorruptPayload(f"{group_file}: {key}: {offset} past end {ends[int(p)]}")
             self._groups[group_file.stem] = state
 
     def close(self) -> None:

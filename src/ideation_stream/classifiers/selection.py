@@ -5,16 +5,16 @@ most one. Per-run trainer seeds derive from (base seed, run index) so
 results do not depend on execution order.
 
 ``cross_validate`` is the one entry point. Its (point, fold) jobs, and
-the final fit when there is one point, run on one schedule, one process
-per CPU: the caller and up to CPUs - 1 forked children each train a
+with one point the final fit as the last job, run on one schedule, one
+process per CPU: the caller and up to CPUs - 1 forked children each run a
 share, and the children pickle their few-float results back over a pipe.
-The caller fits, so the model never crosses a pipe; with several points
-it fits the winner after the schedule. Each job trains on the same rows
-with the same seed either way, so the result is the same on one CPU as
-on many. Spans and counters recorded inside a child stay in the child.
-Keep each BLAS call made there within OpenBLAS's one-thread size,
-M*N*K <= 2^18: a woken BLAS thread spins, and on two CPUs an unblocked
-MLP gradient took the MLP's ``train`` 0.45 -> 0.73 s.
+The fit, the heaviest job, is the caller's, so the model never crosses a
+pipe; with several points the winner is fit after the schedule. Each job
+trains on the same rows with the same seed on one CPU as on many, so the
+result is the same. Spans and counters recorded inside a child stay in
+the child. Keep each BLAS call made there within OpenBLAS's one-thread
+size, M*N*K <= 2^18: a woken BLAS thread spins, and on two CPUs an
+unblocked MLP gradient took the MLP's ``train`` 0.45 -> 0.73 s.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import sys
 import traceback
 import warnings
 from dataclasses import dataclass, field
-from typing import BinaryIO, Callable
+from typing import Any, BinaryIO, Callable
 
 import numpy as np
 
@@ -135,7 +135,9 @@ def cross_validate(kind: ModelKind | str, params: dict, data: LabeledDataset,
         seeds = [derive_seed(seed, r) for r in range(len(points))]
     folds = fold_indices(len(data), k, seed) if k or grid is not None else []
 
-    def run_job(j: int) -> FoldResult:
+    def run_job(j: int):
+        if j == len(points) * len(folds):  # one point's final fit
+            return trainer(data, seed=seed, **points[0])
         r, i = divmod(j, len(folds))
         fold = folds[i]
         # ascending, the order the trainers' arithmetic was fixed in
@@ -147,15 +149,13 @@ def cross_validate(kind: ModelKind | str, params: dict, data: LabeledDataset,
         return FoldResult(fold=i, n_validate=len(fold), accuracy=scored.accuracy,
                           precision=scored.precision, recall=scored.recall, f1=scored.f1)
 
-    # one point: its final fit joins the schedule; else the winner's follows it
-    fit = (lambda: trainer(data, seed=seed, **points[0])) if len(points) == 1 else None
     weights = [len(data) - len(fold) for fold in folds] * len(points)
-    results, model = _run_jobs(run_job, weights + ([len(data)] if fit else []), fit,
-                               len(folds))
+    results = _run_jobs(run_job, weights + [len(data)] * (len(points) == 1),
+                        lambda j: f"point {j // len(folds)}, fold {j % len(folds)}")
     reports = [CVReport(kind, point, results[r * len(folds):(r + 1) * len(folds)])
                for r, point in enumerate(points)] if folds else []
-    if fit:
-        return points[0], reports, model
+    if len(points) == 1:
+        return points[0], reports, results[-1]
     best = max(range(len(points)), key=lambda r: reports[r].mean_accuracy)
     return points[best], reports, trainer(data, seed=seed, **points[best])
 
@@ -170,34 +170,24 @@ def _shares(weights: list[int], processes: int) -> list[list[int]]:
     return [sorted(share) for share in shares]
 
 
-def _run_jobs(run_job: Callable[[int], FoldResult], weights: list[int],
-              fit: Callable[[], ModelArtifact] | None, k: int
-              ) -> tuple[list[FoldResult], ModelArtifact | None]:
-    """``run_job(j)`` for every fold job j, in job order, and ``fit()``.
-    Job j is fold j % k of point j // k, so job order is a serial run's.
+def _run_jobs(run_job: Callable[[int], Any], weights: list[int],
+              name: Callable[[int], str]) -> list:
+    """``[run_job(j) for j in range(len(weights))]``, on one process per CPU.
 
-    ``weights`` holds each job's training rows, the fit's last. ``_shares``
-    gives the caller the fit, the heaviest job, and a forked child each
-    other share. The caller fits, then runs its own jobs; alone, it fits
-    after them, as a serial loop would. Each process stops at its first
-    failing job. The lowest failing job's exception is raised, the one a
-    serial run raises first, else the fit's; and no child outlives the call."""
+    ``weights`` holds each job's cost. ``_shares`` gives the caller share 0,
+    which holds the heaviest job, and a forked child each other share. Every
+    process runs its share in job order and stops at its first failing job,
+    so the lowest failing job's exception is raised, the one a serial run
+    raises first. A child that ends without a result is ``FoldWorkerDied``
+    for its lowest job, worded by ``name(j)``. No child outlives the call."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    n = len(weights) - (fit is not None)
     caller, *others = _shares(weights, min(cpus, len(weights)))
-    outcome: dict[int, FoldResult | Exception] = {}
-    lost: dict[int, int] = {}  # job -> wait status of a child that sent no result
+    outcome: dict[int, Any] = {}
     workers: list[tuple[int, BinaryIO, list[int]]] = []
-    fitted: ModelArtifact | Exception | None = None
     try:
         for share in others:
             workers.append(_fork_worker(run_job, share))
-        if fit and workers:
-            try:
-                fitted = fit()
-            except Exception as exc:  # noqa: BLE001 - a failing job outranks it
-                fitted = exc
-        outcome.update(_run_in_order(run_job, [j for j in caller if j < n]))
+        outcome.update(_run_in_order(run_job, caller))
         while workers:
             pid, reader, jobs = workers[0]
             data = reader.read()
@@ -207,11 +197,12 @@ def _run_jobs(run_job: Callable[[int], FoldResult], weights: list[int],
             try:
                 done, remote_tb = pickle.loads(data)
             except Exception:  # noqa: BLE001 - the child ended before its result was whole
-                lost.update(dict.fromkeys(jobs, status))
+                outcome[jobs[0]] = FoldWorkerDied(f"{name(jobs[0])}: its worker ended "
+                                                  f"without a result (wait status {status})")
                 continue
             for got in done.values():
                 if isinstance(got, Exception):
-                    got.__cause__ = Exception(f"in the fold's worker:\n{remote_tb}")
+                    got.__cause__ = Exception(f"in the job's worker:\n{remote_tb}")
             outcome.update(done)
     finally:
         for pid, reader, _ in workers:  # interrupted: stop and reap the rest
@@ -220,25 +211,15 @@ def _run_jobs(run_job: Callable[[int], FoldResult], weights: list[int],
                 os.kill(pid, signal.SIGKILL)
             with contextlib.suppress(ChildProcessError):
                 os.waitpid(pid, 0)
-    results = []
-    for j in range(n):  # a job missing from both maps follows a failed one
-        if j in lost:
-            raise FoldWorkerDied(f"point {j // k}, fold {j % k}: its worker ended "
-                                 f"without a result (wait status {lost[j]})")
+    for j in range(len(weights)):  # a job missing from ``outcome`` follows a failed one
         if isinstance(outcome[j], Exception):
             raise outcome[j]
-        results.append(outcome[j])
-    if fit and fitted is None:
-        fitted = fit()
-    if isinstance(fitted, Exception):
-        raise fitted
-    return results, fitted
+    return [outcome[j] for j in range(len(weights))]
 
 
-def _run_in_order(run_job: Callable[[int], FoldResult],
-                  jobs: list[int]) -> dict[int, FoldResult | Exception]:
+def _run_in_order(run_job: Callable[[int], Any], jobs: list[int]) -> dict[int, Any]:
     """Each job's result, up to and including the first that raises."""
-    done: dict[int, FoldResult | Exception] = {}
+    done: dict[int, Any] = {}
     for j in jobs:
         try:
             done[j] = run_job(j)
@@ -248,7 +229,7 @@ def _run_in_order(run_job: Callable[[int], FoldResult],
     return done
 
 
-def _fork_worker(run_job: Callable[[int], FoldResult],
+def _fork_worker(run_job: Callable[[int], Any],
                  jobs: list[int]) -> tuple[int, BinaryIO, list[int]]:
     """A child that runs ``jobs`` and pickles its results and the text
     of its traceback, if one job raised, into a pipe."""

@@ -358,8 +358,13 @@ def _positive(value) -> None:
 
 
 def _non_negative(value) -> None:
-    if value < 0:
+    if not value >= 0:
         raise ValueError(f"must be >= 0, got {value}")
+
+
+def _trigger_ms(value: float) -> None:
+    from .stream import check_trigger_ms
+    check_trigger_ms(value)
 
 
 def _num_buckets(value: int) -> None:
@@ -430,7 +435,8 @@ def build_parser() -> argparse.ArgumentParser:
                        parents=[broker_dir, as_json])
     p.add_argument("--file", required=True)
     p.add_argument("--topic", type=TOPIC, default="Source-tweets")
-    p.add_argument("--rate", type=float, default=0.0, help="records/sec, 0 = unpaced")
+    p.add_argument("--rate", type=_checked(_non_negative, float), default=0.0,
+                   help="records/sec, 0 = unpaced")
     p.add_argument("--loop", action="store_true")
     p.add_argument("--create-topics", action="store_true")
     p.add_argument("--partitions", type=_checked(_positive, int), default=1)
@@ -441,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--input-topic", type=TOPIC, default="Source-tweets")
     p.add_argument("--output-topic", type=TOPIC, default="Predicted-tweets")
-    p.add_argument("--trigger-ms", type=_checked(_positive, float), default=500.0)
+    p.add_argument("--trigger-ms", type=_checked(_trigger_ms, float), default=500.0)
     p.add_argument("--batch-max", type=_checked(_positive, int), default=1024)
     p.add_argument("--keywords", default=None,
                    help="comma-separated keep phrases, e.g. 'feel,want to die,kill myself'")

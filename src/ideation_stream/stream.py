@@ -47,6 +47,12 @@ _EVENT_FIELDS = frozenset(("label", "label_name", "model_digest", "processed_at_
                            "source_offset", "source_partition", "text_sha256"))
 
 
+def check_trigger_ms(value: float) -> None:
+    """> 0 ms and at most ``threading.TIMEOUT_MAX`` s, a wait the loop can make."""
+    if not 0 < value / 1000 <= threading.TIMEOUT_MAX:
+        raise ValueError(f"must be in (0, {threading.TIMEOUT_MAX:g} s], got {value} ms")
+
+
 @dataclass
 class StreamConfig:
     model_path: str
@@ -61,8 +67,7 @@ class StreamConfig:
     filters_enabled: bool = True
 
     def __post_init__(self) -> None:
-        if self.trigger_interval_ms <= 0:
-            raise ValueError("trigger_interval_ms must be > 0")
+        check_trigger_ms(self.trigger_interval_ms)
         if self.micro_batch_max < 1:
             raise ValueError("micro_batch_max must be >= 1")
         if self.dedupe_window < 0:

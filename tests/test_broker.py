@@ -219,6 +219,20 @@ class TestTopicMetadata:
         with pytest.raises(CorruptPayload):
             Broker(tmp_path / "log")
 
+    @pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="counts /proc/self/fd")
+    def test_metadata_naming_another_directorys_topic_is_corrupt_payload(self, tmp_path):
+        # opened, it would stand in for the real "a" and leave a's segment open
+        root = tmp_path / "log"
+        with Broker(root) as b:
+            for name in ("a", "b"):
+                b.create_topic(name)
+                b.produce(name, name.encode())
+        (root / "topics" / "b" / "topic.json").write_text('{"name": "a", "partitions": 1}', "utf-8")
+        open_fds = len(os.listdir("/proc/self/fd"))
+        with pytest.raises(CorruptPayload, match=r"b/topic\.json.* 'a'"):
+            Broker(root)
+        assert len(os.listdir("/proc/self/fd")) == open_fds
+
     def test_unreadable_group_file_is_corrupt_payload(self, tmp_path):
         (tmp_path / "log" / "groups").mkdir(parents=True)
         (tmp_path / "log" / "groups" / "g.json").write_text("[]", "utf-8")
@@ -590,6 +604,32 @@ class TestGroupFiles:
         with pytest.raises(CorruptPayload, match=r"g\.json"):
             Broker(tmp_path / "log")
         assert main(["report", "--broker-dir", str(tmp_path / "log"), "--group", "g"]) == 51
+
+    def test_a_commit_past_its_partition_end_is_corrupt_payload_at_open(self, tmp_path):
+        # read on from 10, the group would never see offsets 5-9 produced after the reopen
+        root = tmp_path / "log"
+        with Broker(root) as b:
+            b.create_topic("t")
+            for i in range(10):
+                b.produce("t", str(i).encode())
+            b.commit("g", "t", {0: 10})
+        seg = next((root / "topics" / "t" / "0").glob("*.log"))
+        seg.write_bytes(seg.read_bytes()[:seg.stat().st_size // 2])  # 5 whole frames
+        files = {path: path.read_bytes() for path in root.rglob("*") if path.is_file()}
+        with pytest.raises(CorruptPayload, match=r"g\.json: t/0: 10 past end 5$"):
+            Broker(root)
+        assert main(["broker", "offsets", "--broker-dir", str(root), "--topic", "t"]) == 51
+        assert {path: path.read_bytes() for path in root.rglob("*") if path.is_file()} == files
+
+    def test_commits_for_missing_topics_and_partitions_are_ignored(self, tmp_path):
+        root = tmp_path / "log"
+        with Broker(root) as b:
+            b.create_topic("t")
+            for i in range(5):
+                b.produce("t", str(i).encode())
+        (root / "groups" / "g.json").write_text('{"t/0": 5, "t/1": 9, "u/0": 9}', "utf-8")
+        with Broker(root) as b:
+            assert b.consume("t", "g") == []
 
     @pytest.mark.parametrize("durability,fsyncs", [("fsync", 1), ("batch", 1), ("none", 0)])
     def test_topic_metadata_is_fsynced_like_a_commit(self, tmp_path, monkeypatch,

@@ -406,6 +406,10 @@ class TestUsageErrors:
         ["top-terms", "--data", "d.csv", "--class", "suicide", "--k", "0"],
         ["top-terms", "--data", "d.csv", "--class", "suicide", "--k", "-1"],
         ["serve", "--broker-dir", "b", "--model", "m.isp", "--dedupe-window", "-1"],
+        ["serve", "--broker-dir", "b", "--model", "m.isp", "--trigger-ms", "inf"],
+        ["serve", "--broker-dir", "b", "--model", "m.isp", "--trigger-ms", "1e300"],
+        ["replay", "--broker-dir", "b", "--file", "f.txt", "--rate", "-3"],
+        ["replay", "--broker-dir", "b", "--file", "f.txt", "--rate", "nan"],
     ], ids=["topic-name", "partitions", "buckets", "trigger-ms", "same-topics",
             "serve-group", "report-group", "hyper-no-equals", "hyper-unknown-key", "hyper-impurity",
             "hyper-bad-json", "hyper-wrong-type", "train-frac-above-1", "train-frac-0",
@@ -414,7 +418,8 @@ class TestUsageErrors:
             "default-grid-and-hyper-key", "batch-max",
             "window-text", "window-negative", "window-zero", "vocab-cap-0",
             "vocab-cap-negative", "folds-negative", "k-0", "k-negative",
-            "dedupe-window-negative"])
+            "dedupe-window-negative", "trigger-ms-inf", "trigger-ms-past-timeout-max",
+            "rate-negative", "rate-nan"])
     def test_bad_value_exits_2_before_any_work(self, tmp_path, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv)

@@ -8,6 +8,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ideation_stream.classifiers import DEFAULT_GRIDS, ModelKind, cross_validate, selection
 from ideation_stream.classifiers.selection import derive_seed, fold_indices
@@ -264,8 +266,8 @@ class TestForkedFolds:
         # 2 points x 3 folds are 6 jobs; one point's 3 folds and its fit are 4
         assert len(forked) == min(n, 6 if grid else 4) - 1
 
-    @pytest.mark.parametrize("n, order", [(1, [0, 1, 2, 3, 4, None]), (3, [None, 4])])
-    def test_the_caller_fits_first_unless_alone(self, monkeypatch, cpus, n, order):
+    @pytest.mark.parametrize("n, order", [(1, [0, 1, 2, 3, 4, None]), (3, [4, None])])
+    def test_the_caller_runs_its_share_in_job_order(self, monkeypatch, cpus, n, order):
         caller, calls = os.getpid(), []
         real = selection.TRAINERS[ModelKind.NB]
 
@@ -379,3 +381,34 @@ class TestForkedFolds:
         cpus(3)
         with warnings.catch_warnings(record=True):
             assert cross_validate(ModelKind.NB, {}, data, k=5, seed=3)[1] == serial
+
+
+@settings(max_examples=20, deadline=None)
+@given(cpus=st.integers(1, 4), weights=st.lists(st.integers(1, 9), min_size=1, max_size=8),
+       data=st.data())
+def test_the_runner_is_a_serial_map(cpus, weights, data):
+    failing = data.draw(st.sets(st.integers(0, len(weights) - 1), max_size=3))
+    caller, ran_here = os.getpid(), []
+
+    def run_job(j):
+        ran_here.append(j)  # only the caller's own jobs reach the caller's list
+        if j in failing:
+            raise LookupError(j)
+        return j * j, os.getpid()
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        if failing:
+            with pytest.raises(LookupError) as raised:
+                selection._run_jobs(run_job, weights, str)
+            assert raised.value.args == (min(failing),)
+        else:
+            results = selection._run_jobs(run_job, weights, str)
+            assert [square for square, _ in results] == [j * j for j in range(len(weights))]
+            assert {j for j, (_, pid) in enumerate(results) if pid == caller} == set(ran_here)
+    # the first heaviest job is the caller's, and the caller runs its share in job order
+    heaviest = weights.index(max(weights))
+    assert heaviest in ran_here or ran_here[-1] in failing
+    assert ran_here == sorted(ran_here)
+    with pytest.raises(ChildProcessError):  # no child is left
+        os.waitpid(-1, os.WNOHANG)

@@ -59,7 +59,10 @@ class TestStreamConfig:
     @pytest.mark.parametrize("overrides", [
         {"trigger_interval_ms": 0.0}, {"micro_batch_max": 0},
         {"output_topic": "Source-tweets"}, {"language_filter": "klingon"},
-    ], ids=["trigger-ms", "batch-max", "same-topics", "language"])
+        {"trigger_interval_ms": float("inf")}, {"trigger_interval_ms": 1e300},
+        {"trigger_interval_ms": float("nan")},
+    ], ids=["trigger-ms", "batch-max", "same-topics", "language", "trigger-ms-inf",
+            "trigger-ms-past-timeout-max", "trigger-ms-nan"])
     def test_bad_value_raises(self, overrides):
         with pytest.raises(ValueError):
             _config("m.isp", **overrides)
