@@ -28,8 +28,10 @@ delivery for acked records, never a gap mid-partition. An earlier, sealed
 segment must scan clean; a bad frame there raises ``CorruptPayload``
 rather than drop acked records behind it. So does a ``topic.json`` naming
 another directory's topic, and a group file that is not a map of
-``<topic>/<partition>`` keys to non-negative int offsets within the end
-of each partition that exists.
+``<topic>/<partition>`` keys, each naming a partition of an existing
+topic, to non-negative int offsets within that partition's end. Each
+topic holds its groups' committed offsets; a group file is the union of
+that group's offsets over every topic.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ import struct
 import threading
 import time
 import zlib
-from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
@@ -71,17 +72,6 @@ def _check_name(kind: str, name: str) -> None:
     """Topic and group names become one path component under the root."""
     if not isinstance(name, str) or name in ("", ".", "..") or set(name) & {"/", "\\", "\0"}:
         raise ValueError(f"bad {kind} name {name!r}")
-
-
-@dataclass(frozen=True)
-class TopicConfig:
-    name: str
-    partitions: int = 1
-
-    def __post_init__(self) -> None:
-        _check_name("topic", self.name)
-        if not isinstance(self.partitions, int) or self.partitions < 1:
-            raise ValueError(f"partitions must be an int >= 1, got {self.partitions!r}")
 
 
 def _encode_frame(key: bytes | None, value: bytes, timestamp_ms: int) -> bytes:
@@ -250,16 +240,18 @@ class _Partition:
 
 
 class _Topic:
-    def __init__(self, config: TopicConfig, directory: Path):
-        self.config = config
-        self.dir = directory
-        self.partitions: list[_Partition] = []
+    def __init__(self, name: str, partitions: int, topics_dir: Path):
+        _check_name("topic", name)  # before the name becomes a path
+        if not isinstance(partitions, int) or partitions < 1:
+            raise ValueError(f"partitions must be an int >= 1, got {partitions!r}")
+        self.name = name
+        self.dir = topics_dir / name
+        self.partitions = [_Partition(self.dir / str(i)) for i in range(partitions)]
         self.round_robin = itertools.count()
+        self.committed: dict[str, dict[int, int]] = {}  # group -> partition -> next offset
 
     def open(self) -> None:
-        for i in range(self.config.partitions):
-            part = _Partition(self.dir / str(i))
-            self.partitions.append(part)
+        for part in self.partitions:
             part.open()
 
     def close(self) -> None:
@@ -278,7 +270,6 @@ class Broker:
         self.durability = durability
         self.segment_bytes = segment_bytes
         self._topics: dict[str, _Topic] = {}
-        self._groups: dict[str, dict[str, int]] = {}
         self._lock = threading.RLock()
         self._data_ready = threading.Condition(self._lock)
         try:
@@ -302,25 +293,26 @@ class Broker:
                 continue
             raw = _load_json_object(meta)
             try:  # other keys, such as a record cap older files carry, are ignored
-                config = TopicConfig(name=raw["name"], partitions=raw["partitions"])
+                topic = _Topic(raw["name"], raw["partitions"], topic_dir.parent)
             except (KeyError, ValueError) as exc:
                 raise CorruptPayload(f"{meta}: bad topic metadata ({exc})") from None
-            if config.name != topic_dir.name:
-                raise CorruptPayload(f"{meta}: names another directory's topic {config.name!r}")
-            topic = _Topic(config, topic_dir)
-            self._topics[config.name] = topic
+            if topic.name != topic_dir.name:
+                raise CorruptPayload(f"{meta}: names another directory's topic {topic.name!r}")
+            self._topics[topic.name] = topic
             topic.open()
         for group_file in (self.root / "groups").glob("*.json"):
-            state = _load_json_object(group_file)
-            for key, offset in state.items():
+            for key, offset in _load_json_object(group_file).items():
                 if not (_GROUP_KEY.fullmatch(key) and type(offset) is int and offset >= 0):
                     raise CorruptPayload(f"{group_file}: bad committed offset "
                                          f"{key!r}: {offset!r}")
-                topic, p = key.split("/")
-                ends = self.end_offsets(topic) if topic in self._topics else []
-                if int(p) < len(ends) and offset > ends[int(p)]:
-                    raise CorruptPayload(f"{group_file}: {key}: {offset} past end {ends[int(p)]}")
-            self._groups[group_file.stem] = state
+                name, p = key.split("/")
+                topic, p = self._topics.get(name), int(p)
+                if topic is None or p >= len(topic.partitions):
+                    raise CorruptPayload(f"{group_file}: {key}: no such topic partition")
+                end = topic.partitions[p].end_offset
+                if offset > end:
+                    raise CorruptPayload(f"{group_file}: {key}: {offset} past end {end}")
+                topic.committed.setdefault(group_file.stem, {})[p] = offset
 
     def close(self) -> None:
         with self._lock:
@@ -340,22 +332,20 @@ class Broker:
     # -- topics ----------------------------------------------------------
 
     def create_topic(self, name: str, partitions: int = 1) -> None:
-        config = TopicConfig(name=name, partitions=partitions)
+        topic = _Topic(name, partitions, self.root / "topics")
         with self._lock:
-            if config.name in self._topics:
-                raise TopicExists(f"topic {config.name!r} already exists")
-            topic_dir = self.root / "topics" / config.name
-            topic_dir.mkdir(parents=True, exist_ok=True)
-            meta = topic_dir / "topic.json"
-            self._replace_json(meta, {"name": config.name, "partitions": config.partitions})
-            topic = _Topic(config, topic_dir)
+            if name in self._topics:
+                raise TopicExists(f"topic {name!r} already exists")
+            topic.dir.mkdir(parents=True, exist_ok=True)
+            meta = topic.dir / "topic.json"
+            self._replace_json(meta, {"name": name, "partitions": partitions})
             try:
                 topic.open()
             except BaseException:  # close what was opened; the topic was never created
                 topic.close()
                 meta.unlink()
                 raise
-            self._topics[config.name] = topic
+            self._topics[name] = topic
 
     def topics(self) -> list[str]:
         with self._lock:
@@ -368,8 +358,7 @@ class Broker:
         return topic
 
     def end_offsets(self, topic: str) -> list[int]:
-        t = self._topic(topic)
-        return [p.end_offset for p in t.partitions]
+        return [p.end_offset for p in self._topic(topic).partitions]
 
     # -- producing -------------------------------------------------------
 
@@ -379,9 +368,9 @@ class Broker:
         durability mode has acknowledged the write."""
         t = self._topic(topic)
         if key is None:  # next() on an itertools.count is atomic
-            partition = next(t.round_robin) % t.config.partitions
+            partition = next(t.round_robin) % len(t.partitions)
         else:
-            partition = fnv1a_32(key) % t.config.partitions
+            partition = fnv1a_32(key) % len(t.partitions)
 
         if timestamp_ms is None:
             timestamp_ms = int(time.time() * 1000)
@@ -427,12 +416,9 @@ class Broker:
                 timeout_ms: float = 0.0) -> list[Record]:
         """Records after the group's committed offsets; does not advance
         commits, so the same batch is redelivered until committed."""
-        t = self._topic(topic)
         deadline = time.monotonic() + timeout_ms / 1000.0
         while True:
-            committed = self.committed(group, topic)
-            starts = {p: committed.get(p, 0) for p in range(t.config.partitions)}
-            batch = self._collect(topic, starts, max_records)
+            batch = self._collect(topic, self.committed(group, topic), max_records)
             if batch or timeout_ms <= 0:
                 return batch
             remaining = deadline - time.monotonic()
@@ -444,11 +430,9 @@ class Broker:
     # -- offsets ---------------------------------------------------------
 
     def committed(self, group: str, topic: str) -> dict[int, int]:
+        t = self._topic(topic)
         with self._lock:
-            state = self._groups.get(group, {})
-            prefix = f"{topic}/"
-            return {int(k[len(prefix):]): v for k, v in state.items()
-                    if k.startswith(prefix)}
+            return dict(t.committed.get(group, {}))
 
     def commit(self, group: str, topic: str, offsets: dict[int, int]) -> None:
         """Durably record next-to-read offsets; rejects offsets beyond the
@@ -456,17 +440,17 @@ class Broker:
         _check_name("group", group)
         t = self._topic(topic)
         for p, offset in offsets.items():
-            if p < 0 or p >= t.config.partitions:
+            if p < 0 or p >= len(t.partitions):
                 raise OffsetOutOfRange(f"no partition {p} in topic {topic!r}")
             end = t.partitions[p].end_offset
             if offset < 0 or offset > end:
                 raise OffsetOutOfRange(
                     f"commit {offset} beyond end {end} for {topic}/{p}")
         with self._lock:
-            state = self._groups.setdefault(group, {})
-            for p, offset in offsets.items():
-                state[f"{topic}/{p}"] = offset
-            self._replace_json(self.root / "groups" / f"{group}.json", state)
+            t.committed.setdefault(group, {}).update(offsets)
+            self._replace_json(self.root / "groups" / f"{group}.json",
+                               {f"{name}/{p}": offset for name, other in self._topics.items()
+                                for p, offset in other.committed.get(group, {}).items()})
 
     def _replace_json(self, path: Path, obj: dict) -> None:
         """Atomically replace ``path`` with ``obj`` as sorted-key JSON, by a

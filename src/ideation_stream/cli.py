@@ -282,19 +282,23 @@ def cmd_serve(args: argparse.Namespace) -> Outcome:
         filters_enabled=not args.no_filter,
     )
     stop = threading.Event()
+    replaced = {}  # signal -> the handler it had, put back on the way out
     try:
-        signal.signal(signal.SIGINT, lambda *_: stop.set())
-        signal.signal(signal.SIGTERM, lambda *_: stop.set())
+        for sig in (signal.SIGINT, signal.SIGTERM):
+            replaced[sig] = signal.signal(sig, lambda *_: stop.set())
     except ValueError:
         pass  # not the main thread
-
-    with _open_broker(args) as broker:
-        if args.create_topics:
-            for topic in (config.input_topic, config.output_topic):
-                if topic not in broker.topics():
-                    broker.create_topic(topic)
-        stats = run_stream(broker, config, stop_event=stop,
-                           stop_when_idle=args.stop_when_idle)
+    try:
+        with _open_broker(args) as broker:
+            if args.create_topics:
+                for topic in (config.input_topic, config.output_topic):
+                    if topic not in broker.topics():
+                        broker.create_topic(topic)
+            stats = run_stream(broker, config, stop_event=stop,
+                               stop_when_idle=args.stop_when_idle)
+    finally:
+        for sig, handler in replaced.items():
+            signal.signal(sig, handler)
     payload = {"consumed": stats.consumed, "events": stats.events,
                "dead_letters": stats.dead_letters, "dropped": dict(stats.dropped),
                "p50_latency_ms": stats.p50_latency_ms}

@@ -37,6 +37,7 @@ from .preprocess import PreprocessConfig, filter_text, looks_english, preprocess
 
 DEFAULT_INPUT_TOPIC = "Source-tweets"
 DEFAULT_OUTPUT_TOPIC = "Predicted-tweets"
+STOP_CHECK_MS = 100.0  # longest idle wait between two looks at the stop event
 # json.dumps(..., sort_keys=True) of a prediction event, the score's text filled in
 _EVENT_JSON = ('{"kind": "prediction", "label": %d, "label_name": %s, "model_digest": %s, '
                '"processed_at_ms": %d, "score": %s, "source_offset": %d, '
@@ -208,10 +209,12 @@ def run_stream(broker: Broker, config: StreamConfig, *,
     stats = StreamStats()
     latencies: list[float] = []
 
+    # with stop_when_idle one empty poll ends the loop, so it waits the whole trigger
+    wait_ms = (config.trigger_interval_ms if stop_when_idle
+               else min(config.trigger_interval_ms, STOP_CHECK_MS))
     while not (stop_event and stop_event.is_set()):
         batch = broker.consume(config.input_topic, config.group,
-                               max_records=config.micro_batch_max,
-                               timeout_ms=config.trigger_interval_ms)
+                               max_records=config.micro_batch_max, timeout_ms=wait_ms)
         if not batch:
             if stop_when_idle:
                 break

@@ -1,3 +1,4 @@
+import json
 import os
 import signal
 import subprocess
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ideation_stream.broker import READ_WINDOW, Broker, TopicConfig
+from ideation_stream.broker import READ_WINDOW, Broker
 from ideation_stream.cli import main
 from ideation_stream.errors import (CorruptPayload, OffsetOutOfRange, TopicExists,
                                     UnknownTopic)
@@ -37,9 +38,10 @@ class TestTopics:
         with pytest.raises(TopicExists):
             broker.create_topic("t")
 
-    def test_zero_partitions_rejected(self):
+    def test_zero_partitions_rejected(self, broker):
         with pytest.raises(ValueError):
-            TopicConfig(name="t", partitions=0)
+            broker.create_topic("t", partitions=0)
+        assert broker.topics() == []
 
     @pytest.mark.parametrize("name", ["", ".", "..", "../../escaped", "a/b", "a\\b", "a\0b"])
     def test_names_stay_under_the_root(self, tmp_path, name):
@@ -62,6 +64,8 @@ class TestTopics:
             broker.produce("ghost", b"x")
         with pytest.raises(UnknownTopic):
             broker.consume("ghost", "g")
+        with pytest.raises(UnknownTopic):
+            broker.committed("g", "ghost")
 
 
 class TestProduce:
@@ -621,15 +625,71 @@ class TestGroupFiles:
         assert main(["broker", "offsets", "--broker-dir", str(root), "--topic", "t"]) == 51
         assert {path: path.read_bytes() for path in root.rglob("*") if path.is_file()} == files
 
-    def test_commits_for_missing_topics_and_partitions_are_ignored(self, tmp_path):
+    def test_commits_for_missing_topics_and_partitions_are_corrupt_payload_at_open(
+            self, tmp_path):
         root = tmp_path / "log"
         with Broker(root) as b:
             b.create_topic("t")
             for i in range(5):
                 b.produce("t", str(i).encode())
-        (root / "groups" / "g.json").write_text('{"t/0": 5, "t/1": 9, "u/0": 9}', "utf-8")
+        # kept, "u/0": 3 would make a topic "u" created later read on from
+        # offset 3, and its offsets 0-2 would never reach the group
+        for state, key in (('{"t/0": 5, "t/1": 0}', "t/1"), ('{"u/0": 3}', "u/0"),
+                           ('{"t/0": 5, "u/0": 0}', "u/0")):
+            (root / "groups" / "g.json").write_text(state, "utf-8")
+            files = {path: path.read_bytes() for path in root.rglob("*") if path.is_file()}
+            with pytest.raises(CorruptPayload,
+                               match=rf"g\.json: {key}: no such topic partition$"):
+                Broker(root)
+            assert main(["report", "--broker-dir", str(root), "--group", "g"]) == 51
+            assert {path: path.read_bytes() for path in root.rglob("*")
+                    if path.is_file()} == files
+
+    def test_a_group_file_holds_the_groups_offsets_on_every_topic(self, tmp_path):
+        root = tmp_path / "log"
         with Broker(root) as b:
-            assert b.consume("t", "g") == []
+            for name, partitions in (("t", 2), ("u", 1)):
+                b.create_topic(name, partitions=partitions)
+                for i in range(4):
+                    b.produce(name, str(i).encode())
+            b.commit("g", "t", {0: 1})
+            b.commit("g", "u", {0: 3})
+            b.commit("g", "t", {1: 2})
+            b.commit("h", "u", {0: 4})
+            assert b.committed("g", "t") == {0: 1, 1: 2} and b.committed("h", "t") == {}
+        assert (root / "groups" / "g.json").read_text() == '{"t/0": 1, "t/1": 2, "u/0": 3}'
+        assert (root / "groups" / "h.json").read_text() == '{"u/0": 4}'
+        with Broker(root) as b:
+            assert [b.committed(g, n) for g in ("g", "h") for n in ("t", "u")] \
+                == [{0: 1, 1: 2}, {0: 3}, {}, {0: 4}]
+            assert [r.offset for r in b.consume("u", "g")] == [3]
+
+    @settings(max_examples=100, deadline=None)
+    @given(state=st.dictionaries(
+        st.sampled_from(["t/0", "t/1", "t/2", "t/00", "u/0", "t", "/0", "t/-1"])
+        | st.text(max_size=5),
+        st.integers(-2, 5) | st.sampled_from([True, 1.0, "1", None, [1], {}]),
+        max_size=4))
+    def test_any_group_file_opens_as_written_or_is_corrupt_payload(self, state):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp) / "log"
+            with Broker(root, durability="none") as b:
+                b.create_topic("t", partitions=2)
+                for i in range(5):
+                    b.produce("t", str(i).encode())
+                ends = b.end_offsets("t")
+            (root / "groups" / "g.json").write_text(json.dumps(state), "utf-8")
+            files = {path: path.read_bytes() for path in root.rglob("*") if path.is_file()}
+            expected = {int(k[2:]): v for k, v in state.items()
+                        if k in ("t/0", "t/1") and type(v) is int and 0 <= v <= ends[int(k[2:])]}
+            if len(expected) == len(state):
+                with Broker(root) as b:
+                    assert b.committed("g", "t") == expected
+            else:
+                with pytest.raises(CorruptPayload, match=r"g\.json"):
+                    Broker(root)
+                assert {path: path.read_bytes() for path in root.rglob("*")
+                        if path.is_file()} == files
 
     @pytest.mark.parametrize("durability,fsyncs", [("fsync", 1), ("batch", 1), ("none", 0)])
     def test_topic_metadata_is_fsynced_like_a_commit(self, tmp_path, monkeypatch,

@@ -2,6 +2,10 @@ import csv
 import json
 import os
 import random
+import signal
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -326,6 +330,40 @@ class TestStreamingCommands:
         assert main(["report", "--broker-dir", broker_dir, "--group", "last4",
                      "--window", "4", "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["total"] == 4
+
+    def test_sigterm_stops_serve_within_a_long_trigger(self, trained_model, tmp_path):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        broker_dir = tmp_path / "broker"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "ideation_stream.cli", "serve", "--broker-dir", str(broker_dir),
+             "--model", str(trained_model), "--create-topics", "--trigger-ms", "60000", "--json"],
+            cwd=tmp_path, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        try:
+            # the handlers are installed before the broker opens its topics
+            deadline = time.monotonic() + 60
+            while not (broker_dir / "topics" / "Predicted-tweets" / "0").is_dir():
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.02)
+            time.sleep(0.5)  # the model loads and the loop starts its first idle wait
+            sent = time.monotonic()
+            proc.send_signal(signal.SIGTERM)
+            out, err = proc.communicate(timeout=5)
+        finally:
+            proc.kill()
+            proc.communicate()
+        assert proc.returncode == 0, err.decode()
+        assert time.monotonic() - sent < 5
+        assert json.loads(out)["consumed"] == 0
+
+    @pytest.mark.parametrize("create", [True, False], ids=["served", "unknown-topic"])
+    def test_serve_puts_back_the_signal_handlers(self, trained_model, tmp_path, create):
+        handlers = [signal.getsignal(sig) for sig in (signal.SIGINT, signal.SIGTERM)]
+        argv = ["serve", "--broker-dir", str(tmp_path / "b"), "--model", str(trained_model),
+                "--stop-when-idle", "--trigger-ms", "20"]
+        assert main(argv + ["--create-topics"] * create) == (0 if create else 61)
+        assert [signal.getsignal(sig) for sig in (signal.SIGINT, signal.SIGTERM)] == handlers
 
     def test_duplicate_topic_exit(self, tmp_path):
         broker_dir = str(tmp_path / "broker")

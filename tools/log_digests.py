@@ -3,8 +3,9 @@
 Builds a small log with fixed timestamps in a temporary directory: one
 topic of 3 partitions with a 512-byte segment size, so partitions roll,
 holding unkeyed (round-robin), keyed and empty-keyed records of several
-sizes, then one group commit. Prints the sha256 of each segment and group
-file, by its path under the broker root.
+sizes, and a second topic of one partition; then one group commits on
+both topics, so its file holds the offsets of each. Prints the sha256 of
+each segment and group file, by its path under the broker root.
 
 The package comes from ``PYTHONPATH``, so that one copy of this script
 can check another checkout's broker; point it at each checkout's ``src``
@@ -37,7 +38,11 @@ def main() -> int:
                 key = (None, f"user-{i % 7}".encode(), b"")[i % 3]
                 value = f"post {i} ".encode() * (1 + i % 9)
                 broker.produce("t", value, key=key, timestamp_ms=TIMESTAMP_MS + i)
+            broker.create_topic("u")
+            for i in range(5):
+                broker.produce("u", f"note {i}".encode(), timestamp_ms=TIMESTAMP_MS + i)
             broker.commit("g", "t", {p: end // 2 for p, end in enumerate(broker.end_offsets("t"))})
+            broker.commit("g", "u", {0: 3})
         files = sorted([*root.glob("topics/*/*/*.log"), *root.glob("groups/*.json")])
         if not any(f.stem != f"{0:020d}" for f in files if f.suffix == ".log"):
             print("log_digests: no segment rolled", file=sys.stderr)
